@@ -375,15 +375,18 @@ def cmd_robustness(args):
 
 def cmd_verify(args):
     """Fast self-checks of the numerical core; prints PASS/FAIL lines."""
-    from .device import ResonatorCoupling, TransmonSpec
+    from .device import ResonatorCoupling, TransmonSpec, build_hamiltonian
     from .fidelity import CompensationPhases, gate_fidelity
     from .opensystem import estimate_chi, prepare_qpt_inputs
     from .profiles import (
+        THREE_QUBIT_REFERENCES,
         TOY_REFERENCES,
         load_toy_pulse,
+        three_qubit_constraints,
         three_transmon_chain,
         toy_two_transmon_chain,
     )
+    from .propagator import expm_skew
     from .pulses import PiecewiseConstantWaveform, PulseSchedule
 
     checks = []
@@ -405,6 +408,22 @@ def cmd_verify(args):
     checks.append((
         "idle evolution unitarity",
         np.abs(u @ u.conj().T - np.eye(20)).max() < 1e-8,
+    ))
+
+    # The batched block propagator against one dense exponential per segment.
+    chromosome = seed_population(
+        DEConfig(population_size=4), three_qubit_constraints("references"),
+        THREE_QUBIT_REFERENCES, 50, rng=np.random.default_rng(7),
+    )[0]
+    sched = chromosome_to_schedule(chromosome, 3, 1.0, THREE_QUBIT_REFERENCES)
+    basis = basis_for(device)
+    dense = np.eye(20, dtype=complex)
+    for freqs in sched.absolute_frequencies().T:
+        dense = expm_skew(build_hamiltonian(device, basis, freqs), 1.0) @ dense
+    u = evolve(device, PiecewiseConstantWaveform(sched))
+    checks.append((
+        "batched evolution vs per-segment exponentials",
+        np.abs(u - dense).max() < 1e-10,
     ))
 
     inputs = list(prepare_qpt_inputs(2, 2))

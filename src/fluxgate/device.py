@@ -21,6 +21,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -175,21 +176,12 @@ class DeviceChain:
     def _check_dispersive_floor(self):
         # Static guard: bare and idle frequencies of every attached transmon
         # must keep all modelled transitions clear of each resonator pole.
-        for c in self.couplings:
-            for k in (c.left_index, c.right_index):
-                t = self.transmons[k]
-                for f in {t.bare_frequency, t.idle_frequency}:
-                    for j in range(self.levels_per_transmon):
-                        gap = f + j * t.anharmonicity - c.resonator_frequency
-                        if abs(gap) <= self.dispersive_floor:
-                            raise SingularityError(
-                                f"transmon {k} at {f} GHz, level offset j={j} is "
-                                f"within {self.dispersive_floor} GHz of resonator "
-                                f"{c.resonator_frequency} GHz",
-                                transmon=k,
-                                level=j,
-                                resonator_frequency=c.resonator_frequency,
-                            )
+        pairs = _attachments(self)
+        rows = np.array([self.bare_frequencies(), self.idle_frequencies()])
+        _dispersive_denominators(
+            rows[:, pairs.transmon], pairs, np.arange(self.levels_per_transmon),
+            self.dispersive_floor,
+        )
 
     @property
     def n_transmons(self):
@@ -304,6 +296,87 @@ def full_basis(device):
     return enumerate_basis(n, levels, n * (levels - 1))
 
 
+class _Pairs(NamedTuple):
+    """Transmon-resonator attachments as parallel arrays, one entry each."""
+
+    transmon: np.ndarray
+    resonator: np.ndarray
+    anharmonicity: np.ndarray
+    resonator_frequency: np.ndarray
+    g: np.ndarray
+
+
+def _pairs(links):
+    """Attachment arrays from (TransmonSpec, ResonatorCoupling) pairs."""
+    return _Pairs(
+        np.array([t.index for t, _ in links], dtype=np.intp),
+        np.array([c.left_index for _, c in links], dtype=np.intp),
+        np.array([t.anharmonicity for t, _ in links], dtype=float),
+        np.array([c.resonator_frequency for _, c in links], dtype=float),
+        np.array([c.g_for(t.index) for t, c in links], dtype=float),
+    )
+
+
+def _attachments(device):
+    """Every transmon-resonator attachment, transmon first, then resonator."""
+    return _pairs([
+        (t, c) for t in device.transmons for c in device.adjacent_couplings(t.index)
+    ])
+
+
+def _dispersive_denominators(frequencies, pairs, offsets, floor, level_shift=0):
+    """Dispersive denominators f - w_r + j*delta in GHz, checked against the floor.
+
+    This is the one resonator-pole check of the library: the static device
+    guard, the dressed energies, the exchange couplings and every evolved
+    Hamiltonian use it.
+
+    Parameters
+    ----------
+    frequencies : ndarray, shape (rows, n_pairs)
+        Frequency of each attachment's transmon, one row per sample.
+    pairs : _Pairs
+        The attachments (transmon, resonator, anharmonicity, resonator
+        frequency, g).
+    offsets : ndarray of int, shape (levels,) or (n_pairs, levels)
+        Level offsets j; the denominator of level j' is offset j' - 1.
+    floor : float
+        Minimum allowed |denominator| in GHz.
+    level_shift : int
+        Added to the offset to name the level in the error.
+
+    Returns
+    -------
+    ndarray, shape (rows, n_pairs, levels)
+
+    Raises
+    ------
+    SingularityError
+        At the first denominator within the floor: earliest row, then
+        transmon, then resonator, then level.  ``row`` names the row.
+    """
+    offsets = np.broadcast_to(offsets, (len(pairs.transmon), np.shape(offsets)[-1]))
+    den = (
+        frequencies[:, :, None] - pairs.resonator_frequency[:, None]
+        + offsets * pairs.anharmonicity[:, None]
+    )
+    bad = np.abs(den) <= floor
+    if bad.any():
+        row, a, j = np.unravel_index(np.argmax(bad), bad.shape)
+        k = int(pairs.transmon[a])
+        level = int(offsets[a, j]) + level_shift
+        w_r = float(pairs.resonator_frequency[a])
+        raise SingularityError(
+            f"transmon {k} level {level} at {float(frequencies[row, a])} GHz "
+            f"is within {floor} GHz of resonator {w_r} GHz",
+            transmon=k,
+            level=level,
+            resonator_frequency=w_r,
+            row=int(row),
+        )
+    return den
+
+
 def dressed_frequency(transmon, level, current_frequency, adjacent_resonators,
                       dispersive_floor=0.1):
     """Dressed energy of one transmon level, in GHz.
@@ -338,22 +411,15 @@ def dressed_frequency(transmon, level, current_frequency, adjacent_resonators,
     j = int(level)
     if j == 0:
         return 0.0
-    delta = transmon.anharmonicity
     f = current_frequency
-    value = j * f + 0.5 * delta * (j - 1) * j
-    for c in adjacent_resonators:
-        g = c.g_for(transmon.index)
-        den = f - c.resonator_frequency + (j - 1) * delta
-        if abs(den) <= dispersive_floor:
-            raise SingularityError(
-                f"transmon {transmon.index} level {j} at {f} GHz is within "
-                f"{dispersive_floor} GHz of resonator "
-                f"{c.resonator_frequency} GHz",
-                transmon=transmon.index,
-                level=j,
-                resonator_frequency=c.resonator_frequency,
-            )
-        value += j * g * g / den
+    pairs = _pairs([(transmon, c) for c in adjacent_resonators])
+    den = _dispersive_denominators(
+        np.full((1, len(pairs.g)), f), pairs, [j - 1], dispersive_floor,
+        level_shift=1,
+    )
+    value = j * f + 0.5 * transmon.anharmonicity * (j - 1) * j
+    for g, d in zip(pairs.g.tolist(), den[0, :, 0].tolist()):
+        value += j * g * g / d
     return value
 
 
@@ -377,18 +443,10 @@ def coupling_strength(left, j_left, right, j_right, coupling,
     """
     f_l = left.bare_frequency if left_frequency is None else left_frequency
     f_r = right.bare_frequency if right_frequency is None else right_frequency
-    w_r = coupling.resonator_frequency
-    den_l = f_l + left.anharmonicity * j_left - w_r
-    den_r = f_r + right.anharmonicity * j_right - w_r
-    for den, t, j, f in ((den_l, left, j_left, f_l), (den_r, right, j_right, f_r)):
-        if abs(den) <= dispersive_floor:
-            raise SingularityError(
-                f"transmon {t.index} level {j} at {f} GHz is within "
-                f"{dispersive_floor} GHz of resonator {w_r} GHz",
-                transmon=t.index,
-                level=j,
-                resonator_frequency=w_r,
-            )
+    den_l, den_r = _dispersive_denominators(
+        np.array([[f_l, f_r]]), _pairs([(left, coupling), (right, coupling)]),
+        [[j_left], [j_right]], dispersive_floor,
+    )[0, :, 0].tolist()
     g2 = coupling.g_for(left.index) * coupling.g_for(right.index)
     return g2 * (den_l + den_r) / (2.0 * den_l * den_r)
 
@@ -397,9 +455,10 @@ class _HamiltonianTemplate:
     """Precomputed sparsity pattern of the chain Hamiltonian on a basis.
 
     The basis graph (which state pairs exchange an excitation through which
-    resonator) is frequency-independent, so it is built once; ``build``
-    then only evaluates the dressed energies and couplings for the given
-    frequencies and scatters them into a dense matrix.
+    resonator) and the total-excitation blocks are frequency-independent,
+    so they are built once; ``build`` then only evaluates the dressed
+    energies and couplings for a stack of frequency rows and scatters them
+    into dense matrices.
     """
 
     def __init__(self, device, basis):
@@ -415,11 +474,19 @@ class _HamiltonianTemplate:
         self.device = device
         self.basis = basis
         self.occupations = occ
-        dim = basis.dimension
+        self.dim = basis.dimension
+        self.levels = levels
         n = device.n_transmons
+        self.pairs = _attachments(device)
+        pair_of = {
+            (int(k), int(r)): a
+            for a, (k, r) in enumerate(zip(self.pairs.transmon, self.pairs.resonator))
+        }
 
         # Off-diagonal entries: move one excitation from transmon k+1 to k.
-        rows, cols, pair_idx, jk, jk1, fac = [], [], [], [], [], []
+        # Each entry's coupling reads the denominators of the two attachments
+        # of resonator k, at the level offsets jk and jk1.
+        rows, cols, left, right, jk, jk1, fac = [], [], [], [], [], [], []
         for p, state in enumerate(basis.states):
             for k in range(n - 1):
                 if state[k] + 1 >= levels or state[k + 1] < 1:
@@ -427,112 +494,63 @@ class _HamiltonianTemplate:
                 partner = list(state)
                 partner[k] += 1
                 partner[k + 1] -= 1
-                q = basis.index_of(partner)
-                rows.append(q)
+                rows.append(basis.index_of(partner))
                 cols.append(p)
-                pair_idx.append(k)
+                left.append(pair_of[k, k])
+                right.append(pair_of[k + 1, k])
                 jk.append(state[k])
                 jk1.append(state[k + 1] - 1)
                 fac.append(np.sqrt((state[k] + 1) * state[k + 1]))
         self.rows = np.array(rows, dtype=np.intp)
         self.cols = np.array(cols, dtype=np.intp)
-        self.pair_idx = np.array(pair_idx, dtype=np.intp)
+        self.left = np.array(left, dtype=np.intp)
+        self.right = np.array(right, dtype=np.intp)
         self.jk = np.array(jk, dtype=np.intp)
         self.jk1 = np.array(jk1, dtype=np.intp)
         self.fac = np.array(fac)
-        self.dim = dim
-
-        # Per-transmon resonator attachments: (g, resonator frequency) lists.
-        self.attachments = [
-            [(c.g_for(k), c.resonator_frequency) for c in device.adjacent_couplings(k)]
-            for k in range(n)
-        ]
+        self.g2 = self.pairs.g[self.left] * self.pairs.g[self.right]
         self.anharmonicities = np.array([t.anharmonicity for t in device.transmons])
-        self.levels = levels
 
-    def dressed_table(self, frequencies):
-        """Dressed energies w[k, j] in GHz for the given qubit frequencies."""
-        device = self.device
-        n = device.n_transmons
-        levels = self.levels
-        j = np.arange(levels)
-        table = np.empty((n, levels))
-        floor = device.dispersive_floor
-        for k in range(n):
-            f = frequencies[k]
-            delta = self.anharmonicities[k]
-            w = j * f + 0.5 * delta * (j - 1) * j
-            for g, w_r in self.attachments[k]:
-                den = f - w_r + (j[1:] - 1) * delta
-                bad = np.abs(den) <= floor
-                if bad.any():
-                    level = int(j[1:][bad][0])
-                    raise SingularityError(
-                        f"transmon {k} level {level} at {f} GHz is within "
-                        f"{floor} GHz of resonator {w_r} GHz",
-                        transmon=k,
-                        level=level,
-                        resonator_frequency=w_r,
-                    )
-                w[1:] += j[1:] * g * g / den
-            table[k] = w
-        return table
-
-    def exchange_table(self, frequencies):
-        """J[k, j, j'] in GHz for each resonator pair at the given frequencies."""
-        device = self.device
-        levels = self.levels
-        floor = device.dispersive_floor
-        j = np.arange(levels - 1)
-        tables = []
-        for c in device.couplings:
-            k = c.left_index
-            den_l = frequencies[k] + self.anharmonicities[k] * j - c.resonator_frequency
-            den_r = (
-                frequencies[k + 1]
-                + self.anharmonicities[k + 1] * j
-                - c.resonator_frequency
-            )
-            for den, idx in ((den_l, k), (den_r, k + 1)):
-                bad = np.abs(den) <= floor
-                if bad.any():
-                    level = int(j[bad][0])
-                    raise SingularityError(
-                        f"transmon {idx} level {level} at "
-                        f"{frequencies[idx]} GHz is within {floor} GHz of "
-                        f"resonator {c.resonator_frequency} GHz",
-                        transmon=idx,
-                        level=level,
-                        resonator_frequency=c.resonator_frequency,
-                    )
-            g2 = c.g_left * c.g_right
-            tables.append(
-                g2 * (den_l[:, None] + den_r[None, :])
-                / (2.0 * den_l[:, None] * den_r[None, :])
-            )
-        return tables
+        # Total excitation is conserved, so H is block diagonal over these
+        # index sets (1/3/6/10 states for the 20-state working basis).
+        excitation = occ.sum(axis=1)
+        self.blocks = tuple(
+            np.flatnonzero(excitation == e) for e in sorted(set(excitation.tolist()))
+        )
 
     def build(self, frequencies):
-        """Dense Hermitian matrix in angular units (rad/ns)."""
-        frequencies = np.asarray(frequencies, dtype=float)
-        if frequencies.shape != (self.device.n_transmons,):
-            raise ValueError(
-                f"expected {self.device.n_transmons} frequencies, "
-                f"got shape {frequencies.shape}"
-            )
-        w = self.dressed_table(frequencies)
-        diag = w[np.arange(self.device.n_transmons), self.occupations].sum(axis=1)
-        h = np.zeros((self.dim, self.dim), dtype=complex)
-        np.fill_diagonal(h, TWO_PI * diag)
+        """Dense real symmetric matrices in angular units (rad/ns).
+
+        ``frequencies`` has shape (S, n_transmons), one row of qubit
+        frequencies in GHz per matrix; the result has shape (S, dim, dim).
+        Every entry is real, so the float64 result is Hermitian.  A
+        resonator pole raises SingularityError naming the earliest row.
+        """
+        n = self.device.n_transmons
+        count = len(frequencies)
+        den = _dispersive_denominators(
+            frequencies[:, self.pairs.transmon], self.pairs,
+            np.arange(self.levels - 1), self.device.dispersive_floor,
+            level_shift=1,
+        )
+        # Dressed energies w[s, k, j] of level j of transmon k.
+        j = np.arange(self.levels)
+        delta = self.anharmonicities[:, None]
+        w = j * frequencies[:, :, None] + 0.5 * delta * (j - 1) * j
+        for a, (k, g) in enumerate(zip(self.pairs.transmon, self.pairs.g)):
+            w[:, k, 1:] += j[1:] * g * g / den[:, a, :]
+        diag = w[:, np.arange(n), self.occupations].sum(axis=-1)
+        h = np.zeros((count, self.dim, self.dim))
+        index = np.arange(self.dim)
+        h[:, index, index] = TWO_PI * diag
         if len(self.rows):
-            j_tables = self.exchange_table(frequencies)
-            amps = np.empty(len(self.rows))
-            for k, table in enumerate(j_tables):
-                sel = self.pair_idx == k
-                amps[sel] = table[self.jk[sel], self.jk1[sel]]
-            amps = TWO_PI * self.fac * amps
-            h[self.rows, self.cols] = amps
-            h[self.cols, self.rows] = amps
+            den_l = den[:, self.left, self.jk]
+            den_r = den[:, self.right, self.jk1]
+            amps = TWO_PI * self.fac * (
+                self.g2 * (den_l + den_r) / (2.0 * den_l * den_r)
+            )
+            h[:, self.rows, self.cols] = amps
+            h[:, self.cols, self.rows] = amps
         return h
 
 
@@ -556,7 +574,13 @@ def build_hamiltonian(device, basis, frequencies):
     frequencies : sequence of float
         Instantaneous qubit frequencies in GHz, one per transmon.
     """
-    return _template(device, basis).build(frequencies)
+    frequencies = np.asarray(frequencies, dtype=float)
+    if frequencies.shape != (device.n_transmons,):
+        raise ValueError(
+            f"expected {device.n_transmons} frequencies, "
+            f"got shape {frequencies.shape}"
+        )
+    return _template(device, basis).build(frequencies[None])[0].astype(complex)
 
 
 def device_from_json(doc):

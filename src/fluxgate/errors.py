@@ -5,16 +5,18 @@ class SingularityError(ValueError):
     """A dispersive denominator fell inside the configured floor.
 
     Carries enough context to name the offending transmon, level and
-    resonator (and, during time evolution, the sample time).
+    resonator (and, during time evolution, the sample time).  ``row`` is the
+    position of the offending frequency sample in a batch of samples.
     """
 
     def __init__(self, message, *, transmon=None, level=None,
-                 resonator_frequency=None, time=None):
+                 resonator_frequency=None, time=None, row=None):
         super().__init__(message)
         self.transmon = transmon
         self.level = level
         self.resonator_frequency = resonator_frequency
         self.time = time
+        self.row = row
 
 
 class EvolutionError(RuntimeError):

@@ -5,10 +5,15 @@ short constant-Hamiltonian exponentials,
 
     U(T) = U_k ... U_1 U_0,   U_0 = I,   U_i = exp(-i H(tau_i) dt),
 
-with the Hamiltonian rebuilt from the waveform sampled at the midpoint of
-each Trotter step.  Each factor is computed by eigendecomposition: H is
+with the waveform sampled at every Trotter-step midpoint tau_i in one
+vectorized call.  Consecutive steps with identical samples share one
+constant Hamiltonian, so they merge into one exponential over their
+combined duration (one per segment for piecewise-constant pulses).  The
+Hamiltonians of all merged steps are built in one batch, and because H
+conserves the total excitation number each excitation block is
+exponentiated for the whole batch by one stacked eigendecomposition: H is
 exactly Hermitian and small, so this is both accurate and unitary to
-machine precision.
+machine precision, and entries between blocks are exactly zero.
 """
 
 import threading
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import basis_for, build_hamiltonian
+from .device import _template, basis_for
 from .errors import EvolutionError, SingularityError
 
 __all__ = ["TrotterConfig", "expm_skew", "evolve"]
@@ -50,48 +55,96 @@ class TrotterConfig:
             )
 
 
+def _expm_stack(h, dts, herm_tol=1e-12):
+    """exp(-i*h[s]*dts[s]) for a stack of Hermitian matrices, shape (S, d, d).
+
+    One stacked eigendecomposition.  numpy's stacked ``eigh`` and matmul
+    treat each matrix on its own, so a matrix's result is the same, bit
+    for bit, whatever else is in the stack (tests/test_propagator.py).
+    """
+    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1), initial=0.0))
+    asym = np.abs(h - h.conj().swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
+    if (asym > herm_tol * scale).any():
+        raise ValueError("matrix is not Hermitian within tolerance")
+    if (dts < 0).any():
+        raise ValueError(f"dt must be >= 0, got {dts.min()}")
+    w, v = np.linalg.eigh(h)
+    phases = np.exp(-1j * w * dts[:, None])
+    return (v * phases[:, None, :]) @ v.conj().swapaxes(-2, -1)
+
+
 def expm_skew(h, dt, herm_tol=1e-12):
     """exp(-i*h*dt) for Hermitian h (rad/ns) and dt (ns), via eigendecomposition.
 
     Raises ValueError if h deviates from Hermiticity beyond ``herm_tol``
     relative to its largest entry.
     """
-    h = np.asarray(h)
-    scale = max(1.0, np.abs(h).max(initial=0.0))
-    if np.abs(h - h.conj().T).max(initial=0.0) > herm_tol * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    if dt < 0:
-        raise ValueError(f"dt must be >= 0, got {dt}")
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * dt)) @ v.conj().T
+    return _expm_stack(np.asarray(h)[None], np.array([dt], dtype=float), herm_tol)[0]
 
 
-# Step unitaries are pure functions of (device, basis, dt, frequencies);
+def _segment_unitaries(template, rows, dts):
+    """exp(-i H(rows[s]) dts[s]) for every row, shape (S, dim, dim).
+
+    One Hamiltonian batch, then one stacked eigh per excitation block; the
+    entries between blocks stay exactly zero.
+    """
+    h = template.build(rows)
+    u = np.zeros(h.shape, dtype=complex)
+    for block in template.blocks:
+        index = (slice(None), block[:, None], block)
+        u[index] = _expm_stack(h[index], dts)
+    return u
+
+
+# Step unitaries are pure functions of (template, dt, frequencies);
 # sharing them across calls makes single-segment pulse edits (local search)
-# and repeated evaluations of the same schedule cheap.  Lookups run
-# without a lock; eviction and insertion share one, so concurrent misses
-# at a full cache cannot evict the same entry twice.
+# and repeated evaluations of the same schedule cheap.  Keys hold the
+# template itself, which hashes by identity.  Lookups run without a lock;
+# eviction and insertion share one, so concurrent misses at a full cache
+# cannot evict the same entry twice.
 _STEP_CACHE = {}
 _STEP_CACHE_CAP = 2048
 _STEP_CACHE_LOCK = threading.Lock()
 
 
+def _cached_unitaries(template, rows, dts):
+    """Cached step unitaries for frequency rows (S, n) and durations (S,).
+
+    The misses are computed in one batch.  A resonator pole raises
+    SingularityError whose ``row`` indexes ``rows``.
+    """
+    keys = [(template, dt, row.tobytes()) for dt, row in zip(dts.tolist(), rows)]
+    out = [_STEP_CACHE.get(key) for key in keys]
+    miss = [i for i, u in enumerate(out) if u is None]
+    if miss:
+        try:
+            fresh = _segment_unitaries(template, rows[miss], dts[miss])
+        except SingularityError as err:
+            err.row = miss[err.row]
+            raise
+        with _STEP_CACHE_LOCK:
+            for i, u in zip(miss, fresh):
+                if len(_STEP_CACHE) >= _STEP_CACHE_CAP:
+                    _STEP_CACHE.pop(next(iter(_STEP_CACHE)))
+                # A copy, so the cache keeps no batch stack alive.
+                out[i] = _STEP_CACHE[keys[i]] = u.copy()
+    return out
+
+
 def step_unitary(device, basis, frequencies, dt):
     """Cached exp(-i H dt) for one frequency sample."""
-    key = (device, basis, dt, frequencies.tobytes())
-    u = _STEP_CACHE.get(key)
-    if u is None:
-        h = build_hamiltonian(device, basis, frequencies)
-        u = expm_skew(h, dt)
-        with _STEP_CACHE_LOCK:
-            if len(_STEP_CACHE) >= _STEP_CACHE_CAP:
-                _STEP_CACHE.pop(next(iter(_STEP_CACHE)))
-            _STEP_CACHE[key] = u
-    return u
+    rows = np.asarray(frequencies, dtype=float)[None]
+    return _cached_unitaries(_template(device, basis), rows, np.array([dt], float))[0]
 
 
 def evolve(device, waveform, trotter=TrotterConfig(), basis=None):
     """Total unitary of a waveform on the device's truncated basis.
+
+    The waveform is sampled once, at all Trotter-step midpoints.  Runs of
+    consecutive identical samples merge into one step of ``count * step``
+    ns; the merged steps missing from the step cache are exponentiated in
+    one batch (one stacked eigh per excitation block), and the step
+    unitaries are multiplied in time order, pairwise.
 
     Parameters
     ----------
@@ -106,40 +159,42 @@ def evolve(device, waveform, trotter=TrotterConfig(), basis=None):
     Returns
     -------
     ndarray
-        Unitary of shape (dim, dim).  Identical frequency samples share
-        one matrix exponential, so piecewise-constant waveforms cost one
-        eigendecomposition per segment.
+        Unitary of shape (dim, dim), block diagonal in the total
+        excitation number with exactly zero entries between blocks.
+        Piecewise-constant waveforms cost one exponential per segment.
+
+    Raises
+    ------
+    EvolutionError
+        If a sample lies on a resonator pole; ``time`` is the midpoint of
+        the first step of the earliest offending run.
     """
     if basis is None:
         basis = basis_for(device)
     k = trotter.n_steps(waveform.duration)
-    dim = basis.dimension
-    u = np.eye(dim, dtype=complex)
-    # Consecutive steps with identical frequency samples share one constant
-    # Hamiltonian, so their product is a single (exact) exponential.
-    run_freqs, run_key, run_count, run_start = None, None, 0, 0.0
-    samples = []
-    for i in range(k):
-        t_mid = (i + 0.5) * trotter.step
-        freqs = np.asarray(waveform.frequencies(t_mid), dtype=float)
-        key = freqs.tobytes()
-        if key == run_key:
-            run_count += 1
-        else:
-            if run_count:
-                samples.append((run_freqs, run_count, run_start))
-            run_freqs, run_key, run_count, run_start = freqs, key, 1, t_mid
-    if run_count:
-        samples.append((run_freqs, run_count, run_start))
-    for freqs, count, t_start in samples:
-        try:
-            step_u = step_unitary(device, basis, freqs, count * trotter.step)
-        except SingularityError as err:
-            raise EvolutionError(
-                f"singular Hamiltonian at t={t_start} ns (transmon "
-                f"{err.transmon}): {err}",
-                time=t_start,
-                transmon=err.transmon,
-            ) from err
-        u = step_u @ u
-    return u
+    if k == 0:
+        return np.eye(basis.dimension, dtype=complex)
+    times = (np.arange(k) + 0.5) * trotter.step
+    samples = np.ascontiguousarray(waveform.sample(times), dtype=float)
+    bits = samples.view(np.uint64)
+    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
+    counts = np.diff(np.r_[starts, k])
+    try:
+        steps = _cached_unitaries(
+            _template(device, basis), samples[starts], counts * trotter.step
+        )
+    except SingularityError as err:
+        t_start = float(times[starts[err.row]])
+        raise EvolutionError(
+            f"singular Hamiltonian at t={t_start} ns (transmon "
+            f"{err.transmon}): {err}",
+            time=t_start,
+            transmon=err.transmon,
+        ) from err
+    # Pairwise products keep the time order (later steps on the left) and
+    # take a few stacked matmul calls instead of one call per step.
+    u = np.stack(steps)
+    while len(u) > 1:
+        pairs = u[1::2] @ u[0:len(u) - 1:2]
+        u = np.concatenate([pairs, u[-1:]]) if len(u) % 2 else pairs
+    return u[0]

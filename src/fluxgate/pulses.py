@@ -3,8 +3,9 @@
 A :class:`PulseSchedule` stores per-qubit detuning sequences in GHz,
 relative to per-qubit search reference frequencies.  A :class:`Waveform`
 maps continuous time in ns to absolute per-qubit frequencies in GHz; the
-propagator samples it at Trotter-step midpoints, so smoothed (distorted)
-pulse shapes reuse the same evolution code unchanged.
+propagator samples it at all Trotter-step midpoints in one
+:meth:`Waveform.sample` call, so smoothed (distorted) pulse shapes reuse
+the same evolution code unchanged.
 """
 
 import json
@@ -94,6 +95,11 @@ class Waveform:
     def frequencies(self, t):
         raise NotImplementedError
 
+    def sample(self, times):
+        """Frequencies at each of ``times``, shape (len(times), n_qubits)."""
+        return np.array([self.frequencies(t) for t in np.asarray(times).tolist()],
+                        dtype=float)
+
 
 class PiecewiseConstantWaveform(Waveform):
     """The schedule held exactly constant within each segment."""
@@ -105,6 +111,17 @@ class PiecewiseConstantWaveform(Waveform):
 
     def frequencies(self, t):
         return self._absolute[:, self.schedule.segment_index(t)]
+
+    def sample(self, times):
+        """Vectorized :meth:`frequencies`: the same segment for every time."""
+        sched = self.schedule
+        times = np.asarray(times, dtype=float)
+        if times.size and not (times.min() >= 0 and times.max() <= self.duration):
+            raise ValueError(f"sample times outside [0, {self.duration}]")
+        index = np.minimum(
+            (times / sched.segment_duration).astype(np.intp), sched.n_segments - 1
+        )
+        return self._absolute.T[index]
 
 
 def _format(value):

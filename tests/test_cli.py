@@ -246,7 +246,8 @@ class TestVerify:
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 5
+        assert out.count("PASS") == 6
+        assert "PASS  batched evolution vs per-segment exponentials" in out
 
 
 class TestManifest:

@@ -1,17 +1,24 @@
 """Propagator tests: the eigendecomposition exponential against a
-scaling-and-squaring oracle, unitarity, block structure, Trotter
-convergence, and full-space agreement."""
+scaling-and-squaring oracle, the batched block propagator against one
+scipy exponential per segment, unitarity, exact block structure, batch and
+cache invariance, Trotter convergence, and full-space agreement."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from fluxgate.device import basis_for, build_hamiltonian, full_basis
+from fluxgate import propagator
+from fluxgate.device import _template, basis_for, build_hamiltonian, full_basis
 from fluxgate.errors import EvolutionError
 from fluxgate.fidelity import computational_indices, fidelity_report, \
     project_to_computational
+from fluxgate.optimizer import DEConfig, chromosome_to_schedule, seed_population
 from fluxgate.propagator import TrotterConfig, evolve, expm_skew
-from fluxgate.profiles import three_transmon_chain
+from fluxgate.profiles import (
+    THREE_QUBIT_REFERENCES,
+    three_qubit_constraints,
+    three_transmon_chain,
+)
 from fluxgate.pulses import PiecewiseConstantWaveform, PulseSchedule
 
 
@@ -65,6 +72,21 @@ def idle_schedule():
     return PulseSchedule(np.zeros((3, 50)), 1.0, (5.0, 6.0, 7.0))
 
 
+def random_schedules(count, seed):
+    """Seeded feasible three-qubit schedules, 50 x 1 ns segments."""
+    population = seed_population(
+        DEConfig(population_size=max(count, 4), seed=seed),
+        three_qubit_constraints("references"), THREE_QUBIT_REFERENCES, 50,
+    )
+    return [chromosome_to_schedule(c, 3, 1.0, THREE_QUBIT_REFERENCES)
+            for c in population[:count]]
+
+
+def excitation_cross(basis):
+    exc = np.array([sum(s) for s in basis.states])
+    return exc[:, None] != exc[None, :]
+
+
 class TestEvolve:
     def test_zero_duration_is_identity(self, device):
         sched = PulseSchedule(np.zeros((3, 0)), 1.0, (5.0, 6.0, 7.0))
@@ -83,11 +105,54 @@ class TestEvolve:
         assert np.abs(u @ u.conj().T - np.eye(20)).max() < 1e-8
 
     def test_excitation_block_structure(self, device, idle_schedule):
-        basis = basis_for(device)
-        u = evolve(device, PiecewiseConstantWaveform(idle_schedule))
-        exc = np.array([sum(s) for s in basis.states])
-        cross = exc[:, None] != exc[None, :]
-        assert np.abs(u[cross]).max() < 1e-10
+        # Each block is exponentiated on its own, so entries between blocks
+        # are exactly zero, not merely small.
+        schedules = [idle_schedule] + random_schedules(2, seed=5)
+        for basis in (basis_for(device), full_basis(device)):
+            cross = excitation_cross(basis)
+            for sched in schedules:
+                u = evolve(device, PiecewiseConstantWaveform(sched), basis=basis)
+                assert np.all(u[cross] == 0.0)
+
+    @pytest.mark.parametrize("count, full", [(20, False), (5, True)])
+    def test_matches_per_segment_scipy_expm(self, device, count, full):
+        basis = full_basis(device) if full else basis_for(device)
+        worst = 0.0
+        for sched in random_schedules(count, seed=11 + count):
+            oracle = np.eye(basis.dimension, dtype=complex)
+            for freqs in sched.absolute_frequencies().T:
+                h = build_hamiltonian(device, basis, freqs)
+                oracle = scipy.linalg.expm(-1j * h * sched.segment_duration) @ oracle
+            u = evolve(device, PiecewiseConstantWaveform(sched), basis=basis)
+            worst = max(worst, np.abs(u - oracle).max())
+        assert worst < 1e-10
+
+    def test_batch_composition_does_not_change_a_segment(self, device):
+        template = _template(device, basis_for(device))
+        rows = np.concatenate([
+            s.absolute_frequencies().T for s in random_schedules(2, seed=17)
+        ])[:50]
+        dts = np.linspace(0.1, 1.0, len(rows))
+        batch = propagator._segment_unitaries(template, rows, dts)
+        for i in range(len(rows)):
+            alone = propagator._segment_unitaries(
+                template, rows[i:i + 1], dts[i:i + 1])
+            assert np.array_equal(batch[i], alone[0])
+
+    def test_cold_and_warm_cache_bit_equal(self, device, monkeypatch):
+        sched = random_schedules(1, seed=23)[0]
+        other = sched.with_detunings(
+            np.concatenate([sched.detunings[:, :25],
+                            np.zeros((3, 25))], axis=1))
+        monkeypatch.setattr(propagator, "_STEP_CACHE", {})
+        cold = evolve(device, PiecewiseConstantWaveform(sched))
+        warm = evolve(device, PiecewiseConstantWaveform(sched))
+        # Half the segments cached by another schedule's batch, half fresh.
+        monkeypatch.setattr(propagator, "_STEP_CACHE", {})
+        evolve(device, PiecewiseConstantWaveform(other))
+        mixed = evolve(device, PiecewiseConstantWaveform(sched))
+        assert np.array_equal(cold, warm)
+        assert np.array_equal(cold, mixed)
 
     def test_trotter_halving(self, device):
         rng = np.random.default_rng(3)
@@ -128,6 +193,37 @@ class TestEvolve:
             evolve(device, PiecewiseConstantWaveform(sched))
         assert err.value.transmon == 2
         assert 3.0 <= err.value.time <= 4.0
+
+    def test_earliest_pole_segment_is_reported(self, device, monkeypatch):
+        # Qubit R onto its 8.2 GHz resonator in segment 1, qubit L onto its
+        # 8.05 GHz resonator in segment 3: the earlier segment wins over the
+        # lower transmon index.
+        det = np.zeros((3, 5))
+        det[2, 1] = 1.2
+        det[0, 3] = 3.05
+        sched = PulseSchedule(det, 1.0, (5.0, 6.0, 7.0))
+        monkeypatch.setattr(propagator, "_STEP_CACHE", {})
+        with pytest.raises(EvolutionError) as err:
+            evolve(device, PiecewiseConstantWaveform(sched))
+        assert err.value.transmon == 2
+        assert err.value.time == pytest.approx(1.05)
+
+    def test_step_not_dividing_segments_keeps_assignment(self, device):
+        # 0.3 ns steps divide the 3 ns pulse but not its 1 ns segments:
+        # every midpoint keeps the segment the scalar lookup gives it, and
+        # the merged runs (0.9, 1.2, 0.9 ns) match one exponential per step.
+        det = np.array([[0.0, 0.12, -0.05], [0.03, 0.0, 0.1], [-0.1, 0.07, 0.0]])
+        wf = PiecewiseConstantWaveform(PulseSchedule(det, 1.0, (5.0, 6.0, 7.0)))
+        trotter = TrotterConfig(0.3)
+        times = [(i + 0.5) * 0.3 for i in range(trotter.n_steps(3.0))]
+        scalar = np.array([wf.frequencies(t) for t in times])
+        assert np.array_equal(wf.sample(times), scalar)
+        basis = basis_for(device)
+        per_step = np.eye(20, dtype=complex)
+        for freqs in scalar:
+            per_step = expm_skew(build_hamiltonian(device, basis, freqs), 0.3) \
+                @ per_step
+        assert np.abs(evolve(device, wf, trotter) - per_step).max() < 1e-10
 
     def test_step_must_divide_duration(self, device, idle_schedule):
         with pytest.raises(ValueError, match="divide"):

@@ -376,7 +376,12 @@ def cmd_robustness(args):
 def cmd_verify(args):
     """Fast self-checks of the numerical core; prints PASS/FAIL lines."""
     from .device import ResonatorCoupling, TransmonSpec, build_hamiltonian
-    from .fidelity import CompensationPhases, gate_fidelity
+    from .fidelity import (
+        CompensationPhases,
+        compensation_matrix,
+        fit_phases,
+        gate_fidelity,
+    )
     from .opensystem import estimate_chi, prepare_qpt_inputs
     from .profiles import (
         THREE_QUBIT_REFERENCES,
@@ -425,6 +430,23 @@ def cmd_verify(args):
         "batched evolution vs per-segment exponentials",
         np.abs(u - dense).max() < 1e-10,
     ))
+
+    # Nudging any fitted qubit phase by +/-1e-6 rad must not raise the trace.
+    u8 = project_to_computational(u, basis)
+    target = controlled_phase_ideal(3)
+    phases = fit_phases(u8, target)
+
+    def overlap(qubit_phases):
+        m = compensation_matrix(CompensationPhases(phases.theta0, qubit_phases))
+        return abs(np.trace(target.conj().T @ u8 @ m))
+
+    best = overlap(phases.qubit_phases)
+    nudged = [
+        overlap(tuple(t + step if j == k else t
+                      for j, t in enumerate(phases.qubit_phases)))
+        for k in range(3) for step in (1e-6, -1e-6)
+    ]
+    checks.append(("phase fit is a local maximum", max(nudged) <= best))
 
     inputs = list(prepare_qpt_inputs(2, 2))
     chi = estimate_chi(inputs, inputs)

@@ -16,6 +16,7 @@ projection of a leaky unitary is a contraction), the second rewards
 closeness to the target up to a global phase.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,31 +134,59 @@ def compensation_matrix(phases):
     return np.diag(np.exp(-1j * total))
 
 
+def _contract_except(c, z, k):
+    """(A, B) from c, viewed as a 2x...x2 tensor, contracted with (1, z_j)
+    over every qubit axis j != k; 2**n - 2 scalar multiply-adds."""
+    n = len(z)
+    if n == 1:
+        return c[0], c[1]
+    # A neighbour of k is contracted last, written out on four entries.
+    last = k + 1 if k + 1 < n else k - 1
+    v = c
+    for j in range(min(k, last)):
+        # The leading axis is qubit j: the first half has bit j = 0.
+        half = len(v) >> 1
+        zj = z[j]
+        v = [v[i] + zj * v[i + half] for i in range(half)]
+    for j in range(n - 1, max(k, last), -1):
+        # The trailing axis is qubit j: even entries have bit j = 0.
+        zj = z[j]
+        v = [v[i] + zj * v[i + 1] for i in range(0, len(v), 2)]
+    zl = z[last]
+    if last > k:
+        return v[0] + zl * v[1], v[2] + zl * v[3]
+    return v[0] + zl * v[2], v[1] + zl * v[3]
+
+
 def _refine(u, target, theta_qubits, tol, max_rounds):
     """Exact coordinate ascent of |Tr(T^dag U M)| over the per-qubit phases.
 
     With all other phases fixed, the trace is A + B*exp(-i t_k), so each
-    coordinate update is closed-form; the global phase drops out of the
-    modulus and is left untouched.
+    coordinate update is closed-form: t_k = arg(B) - arg(A).  The kernel
+    runs on Python complex scalars and carries the unit phasors
+    z_j = exp(-i t_j), updated as A conj(B) / (|A| |B|), so no exponential
+    is taken inside the loop; the global phase drops out of the modulus
+    and is left untouched.
     """
     n = len(theta_qubits)
-    bits = _phase_exponents(n)
     # c[b] collects everything that multiplies the b-th compensation phase.
-    c = (np.conj(target) * np.asarray(u)).sum(axis=0)
-    theta = np.array(theta_qubits, dtype=float)
+    c = (np.conj(target) * np.asarray(u)).sum(axis=0).tolist()
+    theta = list(theta_qubits)
+    z = [complex(math.cos(t), -math.sin(t)) for t in theta]
     for _ in range(max_rounds):
         moved = 0.0
         for k in range(n):
-            m = np.exp(-1j * (bits @ theta))
-            terms = c * m
-            on = bits[:, k] == 1
-            a = terms[~on].sum()
-            b = (terms[on] * np.exp(1j * theta[k])).sum()
-            if abs(a) < 1e-15 or abs(b) < 1e-15:
+            a, b = _contract_except(c, z, k)
+            abs_a, abs_b = abs(a), abs(b)
+            if abs_a < 1e-15 or abs_b < 1e-15:
                 continue
-            new = float(np.angle(b) - np.angle(a))
-            moved = max(moved, abs(_wrap(new - theta[k])))
+            new = math.atan2(b.imag, b.real) - math.atan2(a.imag, a.real)
+            # abs(_wrap(new - theta[k])), inlined: it runs on every update.
+            step = abs((theta[k] - new + math.pi) % math.tau - math.pi)
+            if step > moved:
+                moved = step
             theta[k] = new
+            z[k] = a * b.conjugate() / (abs_a * abs_b)
         if moved < tol:
             break
     return tuple(theta)
@@ -169,9 +198,12 @@ def fit_phases(u, target=None, refine=True, tol=1e-9, max_rounds=200):
     Closed form: the global phase is the argument of the |0...0> diagonal
     entry and each qubit phase is the argument of its one-excitation
     diagonal entry relative to that.  This is exact when ``u`` carries
-    pure single-qubit phase structure; an optional coordinate-descent
-    refinement then maximizes the gate fidelity against ``target``
-    (default: the controlled-phase gate) to tolerance ``tol`` rad.
+    pure single-qubit phase structure; an optional coordinate-ascent
+    refinement then maximizes |Tr(T^dag U M)|, and with it the gate
+    fidelity, against ``target`` (default: the controlled-phase gate),
+    one qubit phase at a time in closed form on a scalar kernel, until a
+    round moves no phase by ``tol`` rad or more (at most ``max_rounds``
+    rounds).
 
     Raises
     ------

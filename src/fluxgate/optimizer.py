@@ -21,6 +21,7 @@ the smallest step has been tried.
 import json
 import logging
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -77,9 +78,10 @@ class DetuningRange:
             raise ValueError(f"range [{self.lo}, {self.hi}] is empty")
 
     def contains(self, value):
+        """Whether ``value`` (a float or an array, elementwise) is in range."""
         above = value >= self.lo if self.lo_inclusive else value > self.lo
         below = value <= self.hi if self.hi_inclusive else value < self.hi
-        return above and below
+        return above & below
 
     def closed_bounds(self):
         """Tightest closed interval inside the range (exclusive ends nudged)."""
@@ -163,62 +165,47 @@ def validate_constraints(chromosome, constraints, references):
     cs = constraints
     det = _as_matrix(chromosome, cs.n_qubits)
     refs = np.asarray(references, dtype=float)
-    n, n_seg = det.shape
-    out = []
-    for k in range(n):
-        rng = cs.ranges[k]
-        for s in range(n_seg):
-            if not rng.contains(det[k, s]):
-                out.append(Violation(k, s, "range", float(det[k, s])))
+    n_seg = det.shape[1]
+    # (rule, mask, values, segment of each mask column), in report order.
+    checks = []
+    inside = np.array([r.contains(row) for r, row in zip(cs.ranges, det)])
+    checks.append(("range", ~inside, det, np.arange(n_seg)))
     if cs.max_step is not None:
         steps = np.abs(np.diff(det, axis=1))
-        for k, s in zip(*np.nonzero(steps > cs.max_step + STEP_TOL)):
-            out.append(Violation(int(k), int(s + 1), "step", float(steps[k, s])))
+        checks.append(
+            ("step", steps > cs.max_step + STEP_TOL, steps, np.arange(1, n_seg))
+        )
     if cs.boundary_step is not None:
-        for k in range(n):
-            for s in (0, n_seg - 1):
-                offset = abs(refs[k] + det[k, s] - cs.idle_frequencies[k])
-                if offset > cs.boundary_step + STEP_TOL:
-                    out.append(Violation(k, s, "boundary", float(offset)))
+        ends = [0, n_seg - 1]
+        idle = np.array(cs.idle_frequencies, dtype=float)[:, None]
+        offsets = np.abs(refs[:, None] + det[:, ends] - idle)
+        checks.append(
+            ("boundary", offsets > cs.boundary_step + STEP_TOL, offsets, ends)
+        )
     if cs.min_separation is not None:
-        absolute = refs[:, None] + det
-        gaps = np.abs(np.diff(absolute, axis=0))
-        for k, s in zip(*np.nonzero(gaps < cs.min_separation - STEP_TOL)):
-            out.append(Violation(int(k), int(s), "separation", float(gaps[k, s])))
+        gaps = np.abs(np.diff(refs[:, None] + det, axis=0))
+        checks.append((
+            "separation", gaps < cs.min_separation - STEP_TOL, gaps,
+            np.arange(n_seg),
+        ))
+    out = []
+    for rule, mask, values, segments in checks:
+        if not mask.any():
+            continue
+        for k, j in zip(*np.nonzero(mask)):
+            out.append(Violation(int(k), int(segments[j]), rule, float(values[k, j])))
     return out
 
 
-def _feasible_window(constraints, references, k, s, n_segments, prev_value):
-    """Closed interval of feasible detunings for qubit k at segment s."""
-    cs = constraints
-    lo, hi = cs.ranges[k].closed_bounds()
-    if cs.max_step is not None and prev_value is not None:
-        lo = max(lo, prev_value - cs.max_step)
-        hi = min(hi, prev_value + cs.max_step)
-    if cs.boundary_step is not None:
-        b_lo = cs.idle_frequencies[k] - cs.boundary_step - references[k]
-        b_hi = cs.idle_frequencies[k] + cs.boundary_step - references[k]
-        if s in (0, n_segments - 1):
-            lo, hi = max(lo, b_lo), min(hi, b_hi)
-        if cs.max_step is not None:
-            # Keep the last segment's boundary window reachable.
-            reach = (n_segments - 1 - s) * cs.max_step
-            lo, hi = max(lo, b_lo - reach), min(hi, b_hi + reach)
-    if lo > hi:
-        raise InfeasibilityError(
-            f"qubit {k}, segment {s}: no feasible detuning (window empty); "
-            "the range, step, and boundary rules are mutually inconsistent"
-        )
-    return lo, hi
-
-
-def _column_separation_ok(constraints, references, column):
-    if constraints.min_separation is None:
-        return True
-    absolute = np.asarray(references) + column
-    return bool(
-        (np.abs(np.diff(absolute)) >= constraints.min_separation - STEP_TOL).all()
-    )
+def _separated(refs, column, min_gap):
+    """Whether adjacent absolute frequencies of a column are min_gap apart."""
+    below = refs[0] + column[0]
+    for ref, value in zip(refs[1:], column[1:]):
+        here = ref + value
+        if not abs(here - below) >= min_gap:
+            return False
+        below = here
+    return True
 
 
 def repair_chromosome(chromosome, constraints, references, rng, clamp=True,
@@ -229,33 +216,67 @@ def repair_chromosome(chromosome, constraints, references, rng, clamp=True,
     into the window allowed by the range, step, and boundary rules, then
     the whole column is rejection-resampled until the adjacent-qubit
     separation holds.  ``budget`` bounds the total resampling attempts
-    for this chromosome.
+    for this chromosome.  The walk runs on Python floats; draws come from
+    ``rng`` one scalar at a time, qubit by qubit, so the output and the
+    generator state depend only on the input and the generator state.
     """
     cs = constraints
-    det = _as_matrix(chromosome, cs.n_qubits).copy()
-    n, n_seg = det.shape
+    rows = _as_matrix(chromosome, cs.n_qubits).tolist()
+    n, n_seg = len(rows), len(rows[0])
+    refs = [float(r) for r in references]
+    bounds = [r.closed_bounds() for r in cs.ranges]
+    max_step = cs.max_step
+    boundary = None
+    if cs.boundary_step is not None:
+        boundary = [
+            (idle - cs.boundary_step - ref, idle + cs.boundary_step - ref)
+            for idle, ref in zip(cs.idle_frequencies, refs)
+        ]
+    min_gap = None if cs.min_separation is None else cs.min_separation - STEP_TOL
+    uniform = rng.uniform
     attempts = 0
     for s in range(n_seg):
+        edge = s in (0, n_seg - 1)
+        # Keeps the last segment's boundary window reachable.
+        reach = None if max_step is None else (n_seg - 1 - s) * max_step
         windows = []
         for k in range(n):
-            prev = det[k, s - 1] if s > 0 else None
-            windows.append(_feasible_window(cs, references, k, s, n_seg, prev))
+            lo, hi = bounds[k]
+            if max_step is not None and s > 0:
+                prev = rows[k][s - 1]
+                lo = max(lo, prev - max_step)
+                hi = min(hi, prev + max_step)
+            if boundary is not None:
+                b_lo, b_hi = boundary[k]
+                if edge:
+                    lo, hi = max(lo, b_lo), min(hi, b_hi)
+                if reach is not None:
+                    lo, hi = max(lo, b_lo - reach), min(hi, b_hi + reach)
+            if lo > hi:
+                raise InfeasibilityError(
+                    f"qubit {k}, segment {s}: no feasible detuning (window "
+                    "empty); the range, step, and boundary rules are mutually "
+                    "inconsistent"
+                )
+            windows.append((lo, hi))
+        column = [row[s] for row in rows]
         for k, (lo, hi) in enumerate(windows):
-            v = det[k, s]
+            v = column[k]
             if clamp:
-                det[k, s] = min(max(v, lo), hi)
+                column[k] = min(max(v, lo), hi)
             elif not lo <= v <= hi:
-                det[k, s] = rng.uniform(lo, hi)
-        while not _column_separation_ok(cs, references, det[:, s]):
+                column[k] = uniform(lo, hi)
+        while min_gap is not None and not _separated(refs, column, min_gap):
             attempts += 1
             if attempts > budget:
                 raise InfeasibilityError(
                     f"segment {s}: could not satisfy the separation rule after "
                     f"{budget} resampling attempts"
                 )
-            for k, (lo, hi) in enumerate(windows):
-                det[k, s] = rng.uniform(lo, hi)
-    return det
+            column = [uniform(lo, hi) for lo, hi in windows]
+        for row, v in zip(rows, column):
+            row[s] = v
+    return np.array(rows, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -581,8 +602,10 @@ def ccphase_fitness(device, references, segment_duration=1.0,
 
     Composes schedule construction, Trotterized evolution, computational
     projection, phase compensation, and the gate-fidelity score.  Failed
-    evolutions (a detuning walking into a resonator pole) score 0 with a
-    logged diagnostic rather than raising, so the optimizer can continue.
+    evolutions (a detuning walking into a resonator pole) score 0 rather
+    than raising, so the optimizer can continue.  The first failure is
+    logged as a warning with its diagnostic, later ones at debug level;
+    the returned callable counts them in ``fitness.pole_failures``.
     """
     n = device.n_transmons
     if len(references) != n:
@@ -591,6 +614,7 @@ def ccphase_fitness(device, references, segment_duration=1.0,
     if target is None:
         target = controlled_phase_ideal(n)
     basis = basis_for(device)
+    lock = threading.Lock()
 
     def fitness(chromosome):
         schedule = chromosome_to_schedule(
@@ -601,11 +625,16 @@ def ccphase_fitness(device, references, segment_duration=1.0,
                 device, PiecewiseConstantWaveform(schedule), trotter, basis=basis
             )
         except (EvolutionError, SingularityError) as err:
-            logger.warning("evolution failed, scoring fitness 0: %s", err)
+            with lock:
+                fitness.pole_failures += 1
+                first = fitness.pole_failures == 1
+            log = logger.warning if first else logger.debug
+            log("evolution failed, scoring fitness 0: %s", err)
             return 0.0
         u_comp = project_to_computational(u, basis)
         return fidelity_report(u_comp, target).fidelity
 
+    fitness.pole_failures = 0
     return fitness
 
 

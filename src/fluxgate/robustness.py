@@ -160,13 +160,18 @@ class NoiseSweepConfig:
 
 @dataclass(frozen=True)
 class RobustnessReport:
-    """Noiseless baseline plus the mean-fidelity curve over amplitudes."""
+    """Noiseless baseline plus the mean-fidelity curve over amplitudes.
+
+    ``singular_counts`` holds, per amplitude, how many samples hit a
+    resonator pole (and scored 0).
+    """
 
     baseline_fidelity: float
     amplitudes_mhz: tuple
     mean_fidelities: tuple
     std_errors: tuple
     samples: int
+    singular_counts: tuple
 
     def rows(self):
         return list(
@@ -187,26 +192,31 @@ def noise_sweep(schedule, device, config=NoiseSweepConfig(),
     For each amplitude A, every sample adds A * uniform(-1, 1) (MHz,
     converted to GHz) independently to each (qubit, segment) detuning,
     evolves, and scores the compensated gate fidelity; singular evolutions
-    score 0 and are counted.  Per-sample seeds derive deterministically
-    from (master seed, amplitude index, sample index), so repeated sweeps
-    are bit-identical.  At amplitude 0 every sample reproduces the
-    baseline exactly and the reported mean equals it bit-for-bit.
+    score 0 and are counted per amplitude in the report's
+    ``singular_counts`` (the CLI's CSV does not carry them).  Per-sample
+    seeds derive deterministically from (master seed, amplitude index,
+    sample index), so repeated sweeps are bit-identical.  At amplitude 0
+    every sample reproduces the baseline exactly and the reported mean
+    equals it bit-for-bit.
     """
     if target is None:
         target = controlled_phase_ideal(device.n_transmons)
     basis = basis_for(device)
 
     def score(noisy_schedule):
+        """The fidelity, or None for a singular evolution."""
         try:
             return _score(
                 device, PiecewiseConstantWaveform(noisy_schedule), trotter,
                 target, basis,
             )
         except (EvolutionError, SingularityError):
-            return 0.0
+            return None
 
     baseline = score(schedule)
-    means, errors = [], []
+    if baseline is None:
+        baseline = 0.0
+    means, errors, singular = [], [], []
     shape = schedule.detunings.shape
 
     def sample(args):
@@ -220,9 +230,11 @@ def noise_sweep(schedule, device, config=NoiseSweepConfig(),
         jobs = [(a_idx, amp_ghz, s) for s in range(config.samples)]
         if threads and threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                fids = np.array(list(pool.map(sample, jobs)))
+                scores = list(pool.map(sample, jobs))
         else:
-            fids = np.array([sample(j) for j in jobs])
+            scores = [sample(j) for j in jobs]
+        singular.append(sum(f is None for f in scores))
+        fids = np.array([0.0 if f is None else f for f in scores])
         if (fids == fids[0]).all():
             # The mean of identical values is that value; avoids FP drift.
             means.append(float(fids[0]))
@@ -232,5 +244,5 @@ def noise_sweep(schedule, device, config=NoiseSweepConfig(),
             errors.append(float(fids.std(ddof=1) / math.sqrt(config.samples)))
     return RobustnessReport(
         baseline, config.amplitudes_mhz, tuple(means), tuple(errors),
-        config.samples,
+        config.samples, tuple(singular),
     )

@@ -246,8 +246,9 @@ class TestVerify:
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 6
+        assert out.count("PASS") == 7
         assert "PASS  batched evolution vs per-segment exponentials" in out
+        assert "PASS  phase fit is a local maximum" in out
 
 
 class TestManifest:

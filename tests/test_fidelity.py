@@ -4,7 +4,7 @@ phase fitting round trips, and the fidelity formula's invariances."""
 import numpy as np
 import pytest
 
-from fluxgate.device import enumerate_basis
+from fluxgate.device import basis_for, enumerate_basis
 from fluxgate.errors import DegenerateUnitaryError
 from fluxgate.fidelity import (
     CompensationPhases,
@@ -17,6 +17,17 @@ from fluxgate.fidelity import (
     gate_fidelity,
     project_to_computational,
 )
+from fluxgate.optimizer import DEConfig, seed_population
+from fluxgate.profiles import (
+    THREE_QUBIT_REFERENCES,
+    load_ccphase_pulse,
+    load_toy_pulse,
+    three_qubit_constraints,
+    three_transmon_chain,
+    toy_two_transmon_chain,
+)
+from fluxgate.propagator import evolve
+from fluxgate.pulses import PiecewiseConstantWaveform, PulseSchedule
 
 
 def single_qubit_phase_diag(theta0, thetas):
@@ -240,3 +251,108 @@ class TestGateFidelity:
             "schema_version", "fidelity", "theta0", "theta1", "theta2", "theta4"
         }
         assert doc["fidelity"] == pytest.approx(1.0, abs=1e-12)
+
+
+def wrap(theta):
+    return -((-theta + np.pi) % (2.0 * np.pi) - np.pi)
+
+
+def reference_fit(u, target, tol=1e-9, max_rounds=200):
+    """Oracle: the closed form, then the numpy coordinate ascent that
+    rebuilds exp(-i bits @ theta) over all 2**n entries for every update
+    (the implementation the scalar kernel replaced)."""
+    u = np.asarray(u)
+    n = u.shape[0].bit_length() - 1
+    anchors = [2 ** (n - 1 - k) for k in range(n)]
+    theta0 = float(np.angle(u[0, 0]))
+    theta = np.array([float(np.angle(u[i, i])) - theta0 for i in anchors])
+    b = np.arange(2 ** n)
+    bits = (b[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1
+    c = (np.conj(target) * u).sum(axis=0)
+    for _ in range(max_rounds):
+        moved = 0.0
+        for k in range(n):
+            terms = c * np.exp(-1j * (bits @ theta))
+            on = bits[:, k] == 1
+            a = terms[~on].sum()
+            bk = (terms[on] * np.exp(1j * theta[k])).sum()
+            if abs(a) < 1e-15 or abs(bk) < 1e-15:
+                continue
+            new = float(np.angle(bk) - np.angle(a))
+            moved = max(moved, abs(wrap(new - theta[k])))
+            theta[k] = new
+        if moved < tol:
+            break
+    return CompensationPhases(theta0, tuple(theta)).reduced()
+
+
+def haar_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def projected(device, schedule):
+    basis = basis_for(device)
+    u = evolve(device, PiecewiseConstantWaveform(schedule), basis=basis)
+    return project_to_computational(u, basis)
+
+
+@pytest.fixture(scope="module")
+def acceptance3_unitaries():
+    """The 100 random feasible schedules of acceptance criterion 3."""
+    device = three_transmon_chain()
+    cs = three_qubit_constraints("references")
+    population = seed_population(DEConfig(population_size=100, seed=31), cs,
+                                 THREE_QUBIT_REFERENCES, 50)
+    return [
+        projected(device, PulseSchedule(m.reshape(3, 50), 1.0,
+                                        THREE_QUBIT_REFERENCES))
+        for m in population
+    ]
+
+
+class TestPhaseFitOracle:
+    """The scalar coordinate-ascent kernel against the numpy original: the
+    same algorithm from the same start, so only rounding may differ."""
+
+    def assert_matches(self, u, target):
+        got = fit_phases(u, target)
+        want = reference_fit(u, target)
+        assert got.theta0 == want.theta0
+        for a, b in zip(got.qubit_phases, want.qubit_phases):
+            assert abs(wrap(a - b)) <= 1e-12
+        assert abs(gate_fidelity(u, target, got)
+                   - gate_fidelity(u, target, want)) <= 1e-14
+
+    def test_acceptance3_schedules(self, acceptance3_unitaries):
+        target = ccphase_ideal()
+        for u in acceptance3_unitaries:
+            self.assert_matches(u, target)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_haar_random(self, n):
+        rng = np.random.default_rng(100 + n)
+        target = controlled_phase_ideal(n)
+        for _ in range(200):
+            self.assert_matches(haar_unitary(rng, 2 ** n), target)
+
+    def test_shipped_pulses(self):
+        self.assert_matches(
+            projected(toy_two_transmon_chain(), load_toy_pulse()),
+            controlled_phase_ideal(2),
+        )
+        self.assert_matches(
+            projected(three_transmon_chain(), load_ccphase_pulse()),
+            ccphase_ideal(),
+        )
+
+    def test_degenerate_coordinate_is_skipped(self):
+        # Against the identity, every coordinate's B term of
+        # diag(1, e^{i phi}, 1, -e^{i phi}) cancels to zero,
+        # so both updates are skipped and the closed form stands.
+        phi = 0.7
+        u = np.diag([1.0, np.exp(1j * phi), 1.0, -np.exp(1j * phi)])
+        self.assert_matches(u, np.eye(4))
+        phases = fit_phases(u, np.eye(4))
+        assert phases.qubit_phases[0] == 0.0
+        assert phases.qubit_phases[1] == pytest.approx(phi, abs=1e-15)

@@ -2,12 +2,15 @@
 loop's contracts (determinism, monotonicity, feasibility of everything it
 evaluates, checkpoint resume), and the local-search algorithm."""
 
+import copy
+import logging
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from fluxgate import propagator
+from fluxgate import optimizer, propagator
 from fluxgate.errors import EvaluationError, InfeasibilityError
 from fluxgate.optimizer import (
     ConstraintSet,
@@ -15,11 +18,14 @@ from fluxgate.optimizer import (
     DetuningRange,
     LocalSearchConfig,
     SussadeState,
+    STEP_TOL,
+    Violation,
     ccphase_fitness,
     chromosome_to_schedule,
     constraints_from_json,
     constraints_to_json,
     local_search,
+    repair_chromosome,
     run_sussade,
     seed_population,
     validate_constraints,
@@ -383,6 +389,43 @@ class TestFitnessPipeline:
         f = fitness(np.zeros(20))
         assert 0.0 <= f <= 1.0
 
+    def test_pole_failures_warn_once_and_count(self, caplog):
+        dev = toy_two_transmon_chain()
+        fitness = ccphase_fitness(dev, TOY_REFERENCES, 1.0)
+        assert fitness.pole_failures == 0
+        first, second = np.zeros(20), np.zeros(20)
+        first[10] = 1.8   # qubit M onto the 7.8 GHz resonator
+        second[15] = 1.75  # inside the pole's dispersive floor
+        with caplog.at_level(logging.DEBUG, logger="fluxgate.optimizer"):
+            assert fitness(first) == 0.0
+            assert fitness(second) == 0.0
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        debug = [r for r in caplog.records if r.levelno == logging.DEBUG]
+        assert len(warnings) == 1
+        assert "scoring fitness 0" in warnings[0].getMessage()
+        assert len(debug) == 1
+        assert fitness.pole_failures == 2
+
+    def test_pole_failure_count_survives_threads(self, caplog):
+        # Concurrent failures must neither lose a count nor warn twice.
+        fitness = ccphase_fitness(toy_two_transmon_chain(), TOY_REFERENCES, 1.0)
+        chromosomes = []
+        for i in range(48):
+            c = np.zeros(20)
+            c[10 + i % 10] = 1.75 + 1e-3 * (i % 7)
+            chromosomes.append(c)
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with caplog.at_level(logging.WARNING, logger="fluxgate.optimizer"):
+                with ThreadPoolExecutor(max_workers=6) as pool:
+                    scores = list(pool.map(fitness, chromosomes, timeout=120))
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert scores == [0.0] * 48
+        assert fitness.pole_failures == 48
+        assert len(caplog.records) == 1
+
     def test_singular_evolution_scores_zero(self, caplog):
         dev = toy_two_transmon_chain()
         fitness = ccphase_fitness(dev, TOY_REFERENCES, 1.0)
@@ -408,3 +451,225 @@ class TestFitnessPipeline:
         sched = chromosome_to_schedule(c, 2, 1.0, TOY_REFERENCES)
         assert sched.n_segments == 10
         assert np.array_equal(sched.detunings.reshape(-1), c)
+
+
+def reference_validate(chromosome, cs, references):
+    """Oracle: the per-entry loop that validate_constraints replaced."""
+    det = optimizer._as_matrix(chromosome, cs.n_qubits)
+    refs = np.asarray(references, dtype=float)
+    n, n_seg = det.shape
+    out = []
+    for k in range(n):
+        for s in range(n_seg):
+            if not cs.ranges[k].contains(det[k, s]):
+                out.append(Violation(k, s, "range", float(det[k, s])))
+    if cs.max_step is not None:
+        steps = np.abs(np.diff(det, axis=1))
+        for k, s in zip(*np.nonzero(steps > cs.max_step + STEP_TOL)):
+            out.append(Violation(int(k), int(s + 1), "step", float(steps[k, s])))
+    if cs.boundary_step is not None:
+        for k in range(n):
+            for s in (0, n_seg - 1):
+                offset = abs(refs[k] + det[k, s] - cs.idle_frequencies[k])
+                if offset > cs.boundary_step + STEP_TOL:
+                    out.append(Violation(k, s, "boundary", float(offset)))
+    if cs.min_separation is not None:
+        gaps = np.abs(np.diff(refs[:, None] + det, axis=0))
+        for k, s in zip(*np.nonzero(gaps < cs.min_separation - STEP_TOL)):
+            out.append(Violation(int(k), int(s), "separation", float(gaps[k, s])))
+    return out
+
+
+def reference_repair(chromosome, cs, references, rng, clamp=True,
+                     budget=10_000):
+    """Oracle: the numpy repair that repair_chromosome replaced, with one
+    window computation per (segment, qubit) and one array separation test
+    per rejection draw."""
+
+    def window(k, s, n_seg, prev):
+        lo, hi = cs.ranges[k].closed_bounds()
+        if cs.max_step is not None and prev is not None:
+            lo = max(lo, prev - cs.max_step)
+            hi = min(hi, prev + cs.max_step)
+        if cs.boundary_step is not None:
+            b_lo = cs.idle_frequencies[k] - cs.boundary_step - references[k]
+            b_hi = cs.idle_frequencies[k] + cs.boundary_step - references[k]
+            if s in (0, n_seg - 1):
+                lo, hi = max(lo, b_lo), min(hi, b_hi)
+            if cs.max_step is not None:
+                reach = (n_seg - 1 - s) * cs.max_step
+                lo, hi = max(lo, b_lo - reach), min(hi, b_hi + reach)
+        if lo > hi:
+            raise InfeasibilityError(
+                f"qubit {k}, segment {s}: no feasible detuning (window empty); "
+                "the range, step, and boundary rules are mutually inconsistent"
+            )
+        return lo, hi
+
+    def separated(column):
+        if cs.min_separation is None:
+            return True
+        gaps = np.abs(np.diff(np.asarray(references) + column))
+        return bool((gaps >= cs.min_separation - STEP_TOL).all())
+
+    det = optimizer._as_matrix(chromosome, cs.n_qubits).copy()
+    n, n_seg = det.shape
+    attempts = 0
+    for s in range(n_seg):
+        windows = [window(k, s, n_seg, det[k, s - 1] if s > 0 else None)
+                   for k in range(n)]
+        for k, (lo, hi) in enumerate(windows):
+            v = det[k, s]
+            if clamp:
+                det[k, s] = min(max(v, lo), hi)
+            elif not lo <= v <= hi:
+                det[k, s] = rng.uniform(lo, hi)
+        while not separated(det[:, s]):
+            attempts += 1
+            if attempts > budget:
+                raise InfeasibilityError(
+                    f"segment {s}: could not satisfy the separation rule after "
+                    f"{budget} resampling attempts"
+                )
+            for k, (lo, hi) in enumerate(windows):
+                det[k, s] = rng.uniform(lo, hi)
+    return det
+
+
+def generator_at(state):
+    rng = np.random.default_rng()
+    rng.bit_generator.state = copy.deepcopy(state)
+    return rng
+
+
+def assert_repair_matches(proposal, cs, refs, state, **kwargs):
+    """Same array bits and same generator state after, or the same error."""
+    rng_new, rng_old = generator_at(state), generator_at(state)
+    try:
+        want = reference_repair(proposal, cs, refs, rng_old, **kwargs)
+    except InfeasibilityError as err:
+        with pytest.raises(InfeasibilityError) as got:
+            repair_chromosome(proposal, cs, refs, rng_new, **kwargs)
+        assert str(got.value) == str(err)
+    else:
+        got = repair_chromosome(proposal, cs, refs, rng_new, **kwargs)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+EXCLUSIVE = ConstraintSet(
+    ranges=(DetuningRange(-0.3, 0.3, lo_inclusive=False),
+            DetuningRange(-0.2, 0.4, hi_inclusive=False)),
+    max_step=0.1,
+    boundary_step=0.25,
+    idle_frequencies=(5.1, 5.9),
+    min_separation=0.9,
+)
+
+
+class TestRepairOracle:
+    """repair_chromosome is bit-identical to the numpy original: output
+    array and generator state, or error message."""
+
+    @pytest.mark.parametrize("clamp", [True, False])
+    def test_random_proposals(self, clamp):
+        cases = [
+            (three_qubit_constraints("references"), THREE_QUBIT_REFERENCES),
+            (toy_constraints(), TOY_REFERENCES),
+            (WIDE, WIDE_REFS),
+            (EXCLUSIVE, (5.0, 6.0)),
+        ]
+        rng = np.random.default_rng(21 + clamp)
+        for cs, refs in cases:
+            for _ in range(75):
+                proposal = rng.uniform(-0.7, 0.7,
+                                       size=(cs.n_qubits, rng.integers(1, 30)))
+                assert_repair_matches(proposal, cs, refs,
+                                      rng.bit_generator.state, clamp=clamp)
+                rng.random()
+
+    def test_captured_de_trials(self, monkeypatch):
+        cs = three_qubit_constraints("references")
+        calls = []
+
+        def recording(trial, *args, **kwargs):
+            calls.append((np.array(trial), args[-1].bit_generator.state))
+            return repair_chromosome(trial, *args, **kwargs)
+
+        cfg = DEConfig(population_size=20, max_generations=10, seed=8,
+                       target_fidelity=2.0)
+        pop = seed_population(cfg, cs, THREE_QUBIT_REFERENCES, 50)
+        monkeypatch.setattr(optimizer, "repair_chromosome", recording)
+        run_sussade(quadratic_fitness(0.05), cfg, cs, THREE_QUBIT_REFERENCES,
+                    population=pop)
+        assert len(calls) == 200
+        for trial, state in calls:
+            assert_repair_matches(trial, cs, THREE_QUBIT_REFERENCES, state)
+
+    def test_seed_population_and_run_sussade(self, monkeypatch):
+        cs = three_qubit_constraints("references")
+        cfg = DEConfig(population_size=12, max_generations=4, seed=13,
+                       target_fidelity=2.0)
+
+        def search():
+            pop = seed_population(cfg, cs, THREE_QUBIT_REFERENCES, 20)
+            res = run_sussade(quadratic_fitness(-0.02), cfg, cs,
+                              THREE_QUBIT_REFERENCES, population=pop)
+            return pop, res.state
+
+        pop_new, new = search()
+        monkeypatch.setattr(optimizer, "repair_chromosome", reference_repair)
+        pop_old, old = search()
+        assert pop_new.tobytes() == pop_old.tobytes()
+        assert new.population.tobytes() == old.population.tobytes()
+        assert new.fitnesses.tobytes() == old.fitnesses.tobytes()
+        assert new.history == old.history
+        assert new.rng_state == old.rng_state
+
+    def test_empty_window_message(self):
+        proposal = np.zeros((3, 5))
+        state = np.random.default_rng(0).bit_generator.state
+        assert_repair_matches(proposal, three_qubit_constraints("idle"),
+                              THREE_QUBIT_REFERENCES, state, clamp=False)
+        with pytest.raises(InfeasibilityError, match="window empty"):
+            repair_chromosome(proposal, three_qubit_constraints("idle"),
+                              THREE_QUBIT_REFERENCES, generator_at(state))
+
+    def test_budget_message(self):
+        # Equal references and 0.1 GHz ranges can never sit 0.21 GHz apart.
+        cs = ConstraintSet(
+            ranges=(DetuningRange(0.0, 0.1), DetuningRange(0.0, 0.1)),
+            max_step=None, boundary_step=None, idle_frequencies=None,
+            min_separation=0.21,
+        )
+        state = np.random.default_rng(1).bit_generator.state
+        assert_repair_matches(np.zeros((2, 3)), cs, (6.0, 6.0), state,
+                              budget=7)
+        with pytest.raises(InfeasibilityError, match="after 7 resampling"):
+            repair_chromosome(np.zeros((2, 3)), cs, (6.0, 6.0),
+                              generator_at(state), budget=7)
+
+
+class TestValidateOracle:
+    def test_matches_loop_on_infeasible_chromosomes(self):
+        cases = [
+            (three_qubit_constraints("idle"), THREE_QUBIT_REFERENCES),
+            (three_qubit_constraints("references"), THREE_QUBIT_REFERENCES),
+            (toy_constraints(), TOY_REFERENCES),
+            (WIDE, WIDE_REFS),
+            (EXCLUSIVE, (5.0, 6.0)),
+        ]
+        rng = np.random.default_rng(5)
+        seen = set()
+        for cs, refs in cases:
+            for _ in range(60):
+                det = rng.uniform(-0.6, 0.6,
+                                  size=(cs.n_qubits, rng.integers(1, 12)))
+                # Put some entries exactly on the range ends.
+                for k, r in enumerate(cs.ranges):
+                    det[k, rng.integers(det.shape[1])] = rng.choice([r.lo, r.hi])
+                got = validate_constraints(det, cs, refs)
+                assert got == reference_validate(det, cs, refs)
+                seen.update(v.rule for v in got)
+        assert seen == {"range", "step", "boundary", "separation"}

@@ -6,13 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from fluxgate.errors import EvolutionError, SingularityError
 from fluxgate.fidelity import controlled_phase_ideal
 from fluxgate.profiles import (
     TOY_REFERENCES,
     load_toy_pulse,
     toy_two_transmon_chain,
 )
-from fluxgate.pulses import PulseSchedule
+from fluxgate.propagator import evolve
+from fluxgate.pulses import PiecewiseConstantWaveform, PulseSchedule
 from fluxgate.robustness import (
     NoiseSweepConfig,
     SmoothingParams,
@@ -150,6 +152,32 @@ class TestNoiseSweep:
         rep = noise_sweep(self.sched, self.dev, cfg, target=self.target)
         assert len(rep.rows()) == 3
         assert rep.samples == 3
+
+    def test_singular_samples_counted(self):
+        # Qubit M sits 0.5 MHz outside the 7.8 GHz resonator's 0.1 GHz
+        # dispersive floor in its second segment, so 2 MHz noise pushes a
+        # sample into the pole whenever that draw exceeds +0.5 MHz.
+        sched = PulseSchedule(np.array([[0.0, 0.0], [0.0, 1.6995]]), 1.0,
+                              TOY_REFERENCES)
+        cfg = NoiseSweepConfig(amplitudes_mhz=(0.0, 2.0), samples=16, seed=4)
+        rep = noise_sweep(sched, self.dev, cfg, target=self.target)
+
+        def singular(a_idx, amp_mhz, s_idx):
+            rng = np.random.default_rng(np.random.SeedSequence([4, a_idx, s_idx]))
+            noise = amp_mhz * 1e-3 * rng.uniform(-1.0, 1.0, size=(2, 2))
+            noisy = sched.with_detunings(sched.detunings + noise)
+            try:
+                evolve(self.dev, PiecewiseConstantWaveform(noisy))
+            except (EvolutionError, SingularityError):
+                return True
+            return False
+
+        expected = [sum(singular(a, amp, s) for s in range(16))
+                    for a, amp in enumerate(cfg.amplitudes_mhz)]
+        assert rep.singular_counts == tuple(expected)
+        assert rep.singular_counts[0] == 0
+        assert 0 < rep.singular_counts[1] < 16
+        assert rep.baseline_fidelity > 0.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -46,7 +46,7 @@ from .pulses import (
 )
 from .robustness import NoiseSweepConfig, noise_sweep
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _out_dir():
@@ -293,7 +293,6 @@ def cmd_qpt(args):
     result = run_qpt(
         device, schedule, TrotterConfig(args.trotter_step),
         lindblad=lindblad, target=target, levels=args.levels,
-        threads=args.threads,
     )
     elapsed = time.perf_counter() - t0
     out = _resolve(args.out)
@@ -363,9 +362,9 @@ def cmd_robustness(args):
         {"baseline_fidelity": report.baseline_fidelity},
     )
     lines = [f"# manifest_hash={manifest['manifest_hash']}",
-             "amplitude_mhz,mean_fidelity,std_error,samples"]
-    for amp, mean, err in report.rows():
-        lines.append(f"{amp!r},{mean!r},{err!r},{report.samples}")
+             "amplitude_mhz,mean_fidelity,std_error,samples,singular"]
+    for (amp, mean, err), singular in zip(report.rows(), report.singular_counts):
+        lines.append(f"{amp!r},{mean!r},{err!r},{report.samples},{singular}")
     with open(out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"baseline fidelity: {report.baseline_fidelity:.6f}  "
@@ -382,7 +381,14 @@ def cmd_verify(args):
         fit_phases,
         gate_fidelity,
     )
-    from .opensystem import estimate_chi, prepare_qpt_inputs
+    from .device import full_basis
+    from .opensystem import (
+        _StackEvolution,
+        estimate_chi,
+        lowering_operator,
+        number_operator,
+        prepare_qpt_inputs,
+    )
     from .profiles import (
         THREE_QUBIT_REFERENCES,
         TOY_REFERENCES,
@@ -391,7 +397,7 @@ def cmd_verify(args):
         three_transmon_chain,
         toy_two_transmon_chain,
     )
-    from .propagator import expm_skew
+    from .propagator import expm_skew, step_unitary
     from .pulses import PiecewiseConstantWaveform, PulseSchedule
 
     checks = []
@@ -458,6 +464,37 @@ def cmd_verify(args):
         "stored toy pulse fidelity",
         fitness(toy.detunings.reshape(-1)) > 0.999,
     ))
+
+    # The stacked density core against the dense Strang loop, one input at
+    # a time with dense collapse operators, on the toy chain at 3 levels.
+    device3 = toy_two_transmon_chain().with_levels(3)
+    wave = PiecewiseConstantWaveform(toy)
+    spec = LindbladSpec(5.0, 8.0)
+    trotter = TrotterConfig()
+    eye = np.eye(3)
+    ops = []
+    for k, (g1, gphi) in enumerate(spec.rates_per_ns(2)):
+        for rate, op in ((g1, lowering_operator(3)),
+                         (2.0 * gphi, number_operator(3))):
+            ops.append(np.sqrt(rate) * (np.kron(op, eye) if k == 0
+                                        else np.kron(eye, op)))
+    anticomm = sum(op.conj().T @ op for op in ops)
+    stack = np.array(prepare_qpt_inputs(2, 3))
+    stacked = _StackEvolution(device3, wave, trotter, spec)(stack)
+    worst = 0.0
+    for rho, out in zip(stack, stacked):
+        for i in range(trotter.n_steps(wave.duration)):
+            u = step_unitary(device3, full_basis(device3),
+                             wave.frequencies((i + 0.5) * trotter.step),
+                             0.5 * trotter.step)
+            rho = u @ rho @ u.conj().T
+            rho = rho + trotter.step * (
+                -0.5 * (anticomm @ rho + rho @ anticomm)
+                + sum(op @ rho @ op.conj().T for op in ops))
+            rho = u @ rho @ u.conj().T
+        worst = max(worst, float(np.abs(rho - out).max()))
+    checks.append(("stacked density evolution vs dense dissipator",
+                   worst < 1e-12))
 
     failed = 0
     for name, ok in checks:
@@ -531,7 +568,6 @@ def build_parser():
     p.add_argument("--trotter-step", type=float, default=0.1)
     p.add_argument("--target", choices=("ccphase", "identity"),
                    default="ccphase")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="chi matrix JSON")
     p.add_argument("--report", required=True, help="metrics report JSON")

@@ -127,11 +127,16 @@ def _phase_exponents(n_qubits):
     return (b[:, None] >> shifts[None, :]) & 1
 
 
-def compensation_matrix(phases):
-    """Diagonal single-qubit Z compensation unitary of shape (2**n, 2**n)."""
+def _compensation_phasors(phases):
+    """The diagonal of :func:`compensation_matrix`, shape (2**n,)."""
     bits = _phase_exponents(phases.n_qubits)
     total = phases.theta0 + bits @ np.asarray(phases.qubit_phases)
-    return np.diag(np.exp(-1j * total))
+    return np.exp(-1j * total)
+
+
+def compensation_matrix(phases):
+    """Diagonal single-qubit Z compensation unitary of shape (2**n, 2**n)."""
+    return np.diag(_compensation_phasors(phases))
 
 
 def _contract_except(c, z, k):
@@ -233,9 +238,10 @@ def fit_phases(u, target=None, refine=True, tol=1e-9, max_rounds=200):
 
 
 def _raw_fidelity(u, target):
+    # Tr(U U^dag) and Tr(T^dag U) as elementwise sums.
     d = u.shape[0]
-    tr_uu = np.trace(u @ u.conj().T).real
-    tr_t = np.trace(target.conj().T @ u)
+    tr_uu = np.vdot(u, u).real
+    tr_t = np.vdot(target, u)
     return float((tr_uu + abs(tr_t) ** 2) / (d * (d + 1)))
 
 
@@ -257,7 +263,7 @@ def gate_fidelity(u, target, phases=None):
     target = np.asarray(target, dtype=complex)
     if phases is None:
         phases = fit_phases(u, target=target)
-    return _raw_fidelity(u @ compensation_matrix(phases), target)
+    return _raw_fidelity(u * _compensation_phasors(phases), target)
 
 
 @dataclass(frozen=True)
@@ -282,7 +288,8 @@ def fidelity_report(u, target, refine=True):
     u = np.asarray(u, dtype=complex)
     target = np.asarray(target, dtype=complex)
     phases = fit_phases(u, target=target, refine=refine)
-    compensated = u @ compensation_matrix(phases)
+    # U M for diagonal M is a column scaling.
+    compensated = u * _compensation_phasors(phases)
     fid = _raw_fidelity(compensated, target)
     if fid > 1.0 + 1e-12:
         raise ValueError(f"fidelity {fid} exceeds 1 beyond numerical tolerance")

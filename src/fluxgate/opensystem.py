@@ -2,8 +2,8 @@
 
 Evolution runs on the full (untruncated) product space of dimension
 levels**n.  Without decoherence the density matrix is conjugated by the
-same Trotter-step unitaries the closed-system propagator uses.  With
-decoherence, each step applies a symmetric (Strang) split:
+unitary of the closed-system propagator.  With decoherence, each Trotter
+step applies a symmetric (Strang) split:
 
     rho -> U_half rho U_half^dag
     rho -> rho + dt * D(rho)
@@ -14,7 +14,19 @@ operators sqrt(1/T1) * a (a = sum_j sqrt(j+1) |j><j+1|) and pure-dephasing
 operators sqrt(2/T_phi) * n (n = sum_j j |j><j|), with the standard
 relation 1/T_phi = 1/T2 - 1/(2 T1).  On the qubit block this reproduces
 coherence decay at exactly 1/T2.  Rates are time-constant (coherence is
-assumed flux-independent).
+assumed flux-independent).  The forward-Euler dissipator makes the step
+first order in dt where dissipation is strong, and it is not guaranteed
+to keep rho positive.
+
+One core evolves a whole stack of density matrices at once: tomography
+feeds its inputs through it a few at a time, and :func:`evolve_density`
+is its single-matrix case.  The half-step unitaries come in one batch
+from the propagator's step cache, and each conjugation is a pair of GEMMs
+per total-excitation block over the whole stack.  The dissipator needs
+no matrix product: a^dag a and n^2 are diagonal, so the anticommutator
+and the dephasing jumps reduce to one precomputed elementwise factor, and
+each relaxation jump a rho a^dag is a weighted gather of rho at the
+states one level up.
 
 Tomography follows the standard prepare-evolve-invert recipe: the 4**n
 product preparations {I, Rx(pi/2), Ry(pi/2), Rx(pi)} applied to |0...0>
@@ -24,13 +36,13 @@ then projected to the nearest Hermitian PSD trace-one matrix.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
-from .device import full_basis
+from .device import _template, basis_for, full_basis
 from .errors import TomographyError
 from .fidelity import (
     computational_indices,
@@ -38,7 +50,7 @@ from .fidelity import (
     fidelity_report,
     project_to_computational,
 )
-from .propagator import TrotterConfig, evolve
+from .propagator import TrotterConfig, _run_unitaries, _sampled_runs, evolve
 from .pulses import PiecewiseConstantWaveform, PulseSchedule
 
 __all__ = [
@@ -58,6 +70,10 @@ __all__ = [
 ]
 
 US_TO_NS = 1000.0
+# Tomography inputs that run_qpt evolves together.  On the three-qubit chain
+# (64 states) stacks of 4 and 8 were the fastest of 2 to 64, and the peak
+# memory of a run grows with the stack: 4.5 MB at 8, 34 MB at 64.
+_QPT_STACK = 8
 
 
 @dataclass(frozen=True)
@@ -121,46 +137,143 @@ def number_operator(levels):
     return np.diag(np.arange(levels).astype(complex))
 
 
-def _embed(op, position, n, levels):
-    full = np.array([[1.0 + 0.0j]])
-    for k in range(n):
-        factor = op if k == position else np.eye(levels, dtype=complex)
-        full = np.kron(full, factor)
-    return full
+def _blocks_of(u, order, slices):
+    """Diagonal excitation blocks of ``u`` in excitation-sorted order, each
+    with its conjugate transpose."""
+    u = u[np.ix_(order, order)]
+    return tuple((u[s, s], u[s, s].conj().T) for s in slices)
 
 
-def _collapse_operators(device, lindblad):
-    n = device.n_transmons
-    levels = device.levels_per_transmon
-    ops = []
-    for k, (g1, gphi) in enumerate(lindblad.rates_per_ns(n)):
-        if g1 > 0:
-            ops.append(np.sqrt(g1) * _embed(lowering_operator(levels), k, n, levels))
-        if gphi > 0:
-            ops.append(
-                np.sqrt(2.0 * gphi) * _embed(number_operator(levels), k, n, levels)
+class _StackEvolution:
+    """Evolution of stacks of full-space density matrices under one pulse.
+
+    Everything that depends only on the pulse and the decoherence model is
+    built once, on construction; calling the object evolves a (B, dim, dim)
+    stack.  The stack is held as (dim, B, dim) in excitation-sorted order,
+    so every excitation block is a contiguous slice and the conjugation
+    rho -> u rho u^dag by a block-diagonal u is two GEMMs per block over
+    the whole stack.
+
+    Without decoherence the stack is conjugated once by the unitary of
+    :func:`~fluxgate.propagator.evolve`.  With decoherence, each Trotter
+    step is the Strang split of the module docstring, with the half-step
+    unitaries fetched in one batch from the propagator's step cache.  The
+    dissipator needs no matrix product: every collapse operator is a
+    number operator or a lowering operator, so K = sum_c L_c^dag L_c is
+    diagonal.  The anticommutator term -1/2 {K, rho} and the dephasing
+    jumps 2 g_phi n rho n fold into one real factor applied elementwise,
+    and each relaxation jump g1 a rho a^dag reads rho at the states one
+    level up on that transmon, weighted by sqrt((m_i + 1) (m_j + 1)).
+    """
+
+    def __init__(self, device, waveform, trotter, lindblad):
+        basis = full_basis(device)
+        template = _template(device, basis)
+        self.order = np.concatenate(template.blocks)
+        bounds = np.cumsum([0] + [len(b) for b in template.blocks]).tolist()
+        self.slices = tuple(slice(a, b) for a, b in zip(bounds, bounds[1:]))
+        self.dim = basis.dimension
+        # position[i]: where lexicographic basis index i sits in that order.
+        self.position = np.empty(self.dim, dtype=np.intp)
+        self.position[self.order] = np.arange(self.dim)
+        self.unitary, self.steps, self.jumps = None, (), ()
+        if lindblad is None:
+            u = evolve(device, waveform, trotter, basis=basis)
+            self.unitary = _blocks_of(u, self.order, self.slices)
+            return
+        dt = trotter.step
+        if trotter.n_steps(waveform.duration) == 0:
+            return
+        times, rows, counts = _sampled_runs(waveform, trotter)
+        halves = [
+            _blocks_of(u, self.order, self.slices)
+            for u in _run_unitaries(
+                template, times, rows, np.full(len(rows), 0.5 * dt)
             )
-    return ops
+        ]
+        self.steps = tuple(
+            halves[r] for r in np.repeat(np.arange(len(halves)), counts).tolist()
+        )
+        self._build_dissipator(device, template, lindblad, dt)
 
+    def _build_dissipator(self, device, template, lindblad, dt):
+        n = device.n_transmons
+        levels = device.levels_per_transmon
+        occ = template.occupations[self.order]
+        factor = np.zeros((self.dim, self.dim))
+        jumps = []
+        for k, (g1, gphi) in enumerate(lindblad.rates_per_ns(n)):
+            m = occ[:, k].astype(float)
+            # K gains g1 n_k + 2 g_phi n_k^2 from this transmon.
+            kdiag = g1 * m + 2.0 * gphi * m * m
+            factor -= 0.5 * (kdiag[:, None] + kdiag[None, :])
+            factor += 2.0 * gphi * np.outer(m, m)
+            if g1 > 0:
+                rows = np.flatnonzero(occ[:, k] < levels - 1)
+                up = self.position[self.order[rows] + levels ** (n - 1 - k)]
+                w = np.sqrt(m[rows] + 1.0)
+                jumps.append((rows, up, (dt * g1) * np.outer(w, w)[:, None, :]))
+        self.scale = 1.0 + dt * factor[:, None, :]
+        self.jumps = tuple(jumps)
 
-def _step_unitaries(device, waveform, trotter, basis, dt):
-    """One unitary per Trotter step (shared for identical frequency samples)."""
-    from .propagator import step_unitary
+    def _conjugate(self, x, work, blocks):
+        """x -> u x u^dag in place, block by block, through ``work``, a
+        buffer of x's shape."""
+        for s, (m, _) in zip(self.slices, blocks):
+            np.matmul(m, x[s].reshape(len(m), -1), out=work[s].reshape(len(m), -1))
+        x2, work2 = x.reshape(-1, self.dim), work.reshape(-1, self.dim)
+        for s, (_, mh) in zip(self.slices, blocks):
+            np.matmul(work2[:, s], mh, out=x2[:, s])
 
-    k = trotter.n_steps(waveform.duration)
-    out = []
-    for i in range(k):
-        t_mid = (i + 0.5) * trotter.step
-        freqs = np.asarray(waveform.frequencies(t_mid), dtype=float)
-        out.append(step_unitary(device, basis, freqs, dt))
-    return out
+    def _flat_jumps(self, batch):
+        """Every relaxation jump as flat (destination, source, weight)
+        arrays over a (dim, batch, dim) stack."""
+        b = np.arange(batch)[None, :, None]
 
+        def flat(index):
+            return ((index[:, None, None] * batch + b) * self.dim
+                    + index[None, None, :]).ravel()
 
-def _dissipator(rho, ops, anticomm):
-    out = -0.5 * (anticomm @ rho + rho @ anticomm)
-    for op in ops:
-        out += op @ rho @ op.conj().T
-    return out
+        return [
+            (flat(rows), flat(up), np.repeat(weight, batch, axis=1).ravel())
+            for rows, up, weight in self.jumps
+        ]
+
+    def _dissipate(self, x, jumps, pulled, spare):
+        """x -> x + dt * D(x) in place.  Every jump reads x before any is
+        added; ``pulled`` (one per jump) and ``spare`` are work vectors of
+        the jumps' length."""
+        flat = x.reshape(-1)
+        for (_, src, weight), buf in zip(jumps, pulled):
+            np.take(flat, src, out=buf)
+            buf *= weight
+        x *= self.scale
+        for (dst, _, _), buf in zip(jumps, pulled):
+            np.take(flat, dst, out=spare)
+            spare += buf
+            flat[dst] = spare
+
+    def __call__(self, stack, keep=None):
+        """Evolve ``stack`` (B, dim, dim); with ``keep``, return only the
+        rows and columns of those basis indices, shape (B, k, k)."""
+        # Two (dim, B, dim) buffers and a few jump vectors serve every step,
+        # so the loop allocates nothing.
+        x = np.ascontiguousarray(
+            stack[:, self.order[:, None], self.order].transpose(1, 0, 2)
+        )
+        work = np.empty_like(x)
+        if self.unitary is not None:
+            self._conjugate(x, work, self.unitary)
+        if self.steps:
+            jumps = self._flat_jumps(x.shape[1])
+            pulled = [np.empty(len(dst), dtype=complex) for dst, _, _ in jumps]
+            spare = np.empty_like(pulled[0]) if pulled else None
+            for half in self.steps:
+                self._conjugate(x, work, half)
+                self._dissipate(x, jumps, pulled, spare)
+                self._conjugate(x, work, half)
+        pos = self.position if keep is None else self.position[keep]
+        return np.ascontiguousarray(x[pos][:, :, pos].transpose(1, 0, 2))
 
 
 def evolve_density(rho0, device, waveform, trotter=TrotterConfig(), lindblad=None,
@@ -180,8 +293,7 @@ def evolve_density(rho0, device, waveform, trotter=TrotterConfig(), lindblad=Non
     validate : bool
         Check the density-matrix invariants of ``rho0`` on entry.
     """
-    basis = full_basis(device)
-    dim = basis.dimension
+    dim = full_basis(device).dimension
     rho = np.array(rho0, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(
@@ -190,20 +302,7 @@ def evolve_density(rho0, device, waveform, trotter=TrotterConfig(), lindblad=Non
         )
     if validate:
         validate_density(rho)
-    dt = trotter.step
-    if lindblad is None:
-        for u in _step_unitaries(device, waveform, trotter, basis, dt):
-            rho = u @ rho @ u.conj().T
-        return rho
-    ops = _collapse_operators(device, lindblad)
-    anticomm = sum((op.conj().T @ op for op in ops), np.zeros((dim, dim), complex))
-    halves = _step_unitaries(device, waveform, trotter, basis, 0.5 * dt)
-    for u in halves:
-        ud = u.conj().T
-        rho = u @ rho @ ud
-        rho = rho + dt * _dissipator(rho, ops, anticomm)
-        rho = u @ rho @ ud
-    return rho
+    return _StackEvolution(device, waveform, trotter, lindblad)(rho[None])[0]
 
 
 def _qubit_rotations():
@@ -222,22 +321,34 @@ def prepare_qpt_inputs(n_qubits=3, levels=4):
     |0...0>.  Enumeration is base 4 with the leftmost qubit as the most
     significant digit.
     """
-    rots = _qubit_rotations()
+    return list(_outer(_qpt_input_states(n_qubits, levels)))
+
+
+def _outer(psi):
+    """Density matrices |psi><psi| of a stack of state vectors."""
+    return psi[:, :, None] * psi.conj()[:, None, :]
+
+
+@lru_cache(maxsize=8)
+def _qpt_input_states(n_qubits, levels):
+    """The pure states behind :func:`prepare_qpt_inputs`, one row each, as
+    a read-only array built once per (n_qubits, levels)."""
     embedded = []
-    for r in rots:
+    for r in _qubit_rotations():
         op = np.eye(levels, dtype=complex)
         op[:2, :2] = r
         embedded.append(op)
-    inputs = []
+    states = []
     for digits in product(range(4), repeat=n_qubits):
         psi = np.zeros(levels ** n_qubits, dtype=complex)
         psi[0] = 1.0
         prep = np.array([[1.0 + 0.0j]])
         for d in digits:
             prep = np.kron(prep, embedded[d])
-        psi = prep @ psi
-        inputs.append(np.outer(psi, psi.conj()))
-    return inputs
+        states.append(prep @ psi)
+    states = np.array(states)
+    states.flags.writeable = False
+    return states
 
 
 _PAULI_1 = [
@@ -250,13 +361,21 @@ _PAULI_1 = [
 
 def pauli_basis(n_qubits):
     """All 4**n Pauli products (I, X, Y, Z per qubit, leftmost first)."""
+    return _pauli_stack(n_qubits).copy()
+
+
+@lru_cache(maxsize=8)
+def _pauli_stack(n_qubits):
+    """:func:`pauli_basis` as a read-only array, built once per n_qubits."""
     ops = []
     for digits in product(range(4), repeat=n_qubits):
         p = np.array([[1.0 + 0.0j]])
         for d in digits:
             p = np.kron(p, _PAULI_1[d])
         ops.append(p)
-    return np.array(ops)
+    stack = np.array(ops)
+    stack.flags.writeable = False
+    return stack
 
 
 def estimate_chi(inputs, outputs, cond_limit=1e10):
@@ -280,16 +399,17 @@ def estimate_chi(inputs, outputs, cond_limit=1e10):
             f"{len(inputs)} input states cannot span a {d2}-dimensional "
             "operator space"
         )
-    a = np.column_stack([np.asarray(r, dtype=complex).reshape(-1) for r in inputs])
-    b = np.column_stack([np.asarray(r, dtype=complex).reshape(-1) for r in outputs])
+    a = np.asarray(inputs, dtype=complex).reshape(len(inputs), -1).T
+    b = np.asarray(outputs, dtype=complex).reshape(len(outputs), -1).T
     if np.linalg.cond(a) > cond_limit:
         raise TomographyError("tomography input set is rank deficient")
     # Superoperator on row-major vectorized operators: S vec(rho) = vec(E(rho)).
     s = np.linalg.solve(a.T, b.T).T
-    n_qubits = round(math.log2(d))
-    paulis = pauli_basis(n_qubits)
-    t4 = s.reshape(d, d, d, d).transpose(0, 2, 1, 3)
-    chi = np.einsum("mik,ikjl,njl->mn", paulis.conj(), t4, paulis) / d2
+    # chi_mn = sum conj(P_m[i, k]) S[(i, j), (k, l)] P_n[j, l] / d**2: with
+    # the Pauli stack flattened to rows p[m, (i, k)], two d**2 x d**2 products.
+    p = _pauli_stack(round(math.log2(d))).reshape(d2, d2)
+    t = s.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d2, d2)
+    chi = (p.conj() @ t @ p.T) / d2
     chi = 0.5 * (chi + chi.conj().T)
     w, v = np.linalg.eigh(chi)
     w = np.clip(w, 0.0, None)
@@ -304,7 +424,7 @@ def chi_ideal(u):
     u = np.asarray(u, dtype=complex)
     d = u.shape[0]
     n_qubits = round(math.log2(d))
-    paulis = pauli_basis(n_qubits)
+    paulis = _pauli_stack(n_qubits)
     coeff = np.einsum("mji,ji->m", paulis.conj(), u) / d
     return np.outer(coeff, coeff.conj())
 
@@ -359,13 +479,15 @@ class QptResult:
 
 
 def run_qpt(device, schedule, trotter=TrotterConfig(), lindblad=None, target=None,
-            levels=None, compensation=None, threads=1):
+            levels=None, compensation=None):
     """Full tomography of a pulse: evolve the 4**n preparations and invert.
 
     The single-qubit phase compensation is fitted from a closed-system run
     of the same pulse (unless ``compensation`` phases are given) and
     applied as a virtual-Z conjugation of the input states, so the
-    characterized channel is the compensated gate.  Leakage out of the
+    characterized channel is the compensated gate.  The preparations are
+    evolved together, in stacks of :data:`_QPT_STACK`, and each output is
+    cut to its computational block at once.  Leakage out of the
     computational subspace appears as trace loss absorbed by the PSD
     projection inside :func:`estimate_chi`.
 
@@ -394,39 +516,20 @@ def run_qpt(device, schedule, trotter=TrotterConfig(), lindblad=None, target=Non
         else schedule
     )
 
-    from .device import basis_for
-
     working = basis_for(device)
     u_closed = evolve(device, waveform, trotter, basis=working)
     rep = fidelity_report(project_to_computational(u_closed, working), target)
     phases = compensation if compensation is not None else rep.phases
 
     comp_diag = _embed_compensation(phases, n, lv)
-    inputs = prepare_qpt_inputs(n, lv)
-    fb = full_basis(device)
-    if lindblad is None:
-        u_full = evolve(device, waveform, trotter, basis=fb)
-
-        def one(rho):
-            comp = comp_diag[:, None] * rho * comp_diag.conj()[None, :]
-            return u_full @ comp @ u_full.conj().T
-    else:
-        # Warm the shared step cache once so concurrent runs reuse it.
-        _step_unitaries(device, waveform, trotter, fb, 0.5 * trotter.step)
-
-        def one(rho):
-            comp = comp_diag[:, None] * rho * comp_diag.conj()[None, :]
-            return evolve_density(
-                comp, device, waveform, trotter, lindblad, validate=False
-            )
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outputs = list(pool.map(one, inputs))
-    else:
-        outputs = [one(rho) for rho in inputs]
-    idx = np.asarray(computational_indices(fb))
-    sel = np.ix_(idx, idx)
-    chi = estimate_chi([r[sel] for r in inputs], [r[sel] for r in outputs])
+    states = _qpt_input_states(n, lv)
+    idx = np.asarray(computational_indices(full_basis(device)))
+    evolve_stack = _StackEvolution(device, waveform, trotter, lindblad)
+    outputs = []
+    for start in range(0, len(states), _QPT_STACK):
+        stack = _outer(states[start:start + _QPT_STACK])
+        stack = comp_diag[:, None] * stack * comp_diag.conj()
+        outputs.append(evolve_stack(stack, keep=idx))
+    chi = estimate_chi(_outer(states[:, idx]), np.concatenate(outputs))
     report = qpt_metrics(chi, chi_ideal(target))
     return QptResult(chi, report, phases, rep.fidelity)

@@ -137,6 +137,36 @@ def step_unitary(device, basis, frequencies, dt):
     return _cached_unitaries(_template(device, basis), rows, np.array([dt], float))[0]
 
 
+def _sampled_runs(waveform, trotter):
+    """The waveform sampled at every Trotter-step midpoint, merged into runs.
+
+    Returns (start times, sample rows, counts): one entry per run of
+    consecutive bit-identical samples, in time order.
+    """
+    k = trotter.n_steps(waveform.duration)
+    times = (np.arange(k) + 0.5) * trotter.step
+    samples = np.ascontiguousarray(waveform.sample(times), dtype=float)
+    bits = samples.view(np.uint64)
+    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
+    counts = np.diff(np.r_[starts, k])
+    return times[starts], samples[starts], counts
+
+
+def _run_unitaries(template, times, rows, dts):
+    """:func:`_cached_unitaries` for sampled runs; a resonator pole raises
+    EvolutionError at the start time of the earliest offending run."""
+    try:
+        return _cached_unitaries(template, rows, dts)
+    except SingularityError as err:
+        t_start = float(times[err.row])
+        raise EvolutionError(
+            f"singular Hamiltonian at t={t_start} ns (transmon "
+            f"{err.transmon}): {err}",
+            time=t_start,
+            transmon=err.transmon,
+        ) from err
+
+
 def evolve(device, waveform, trotter=TrotterConfig(), basis=None):
     """Total unitary of a waveform on the device's truncated basis.
 
@@ -171,26 +201,12 @@ def evolve(device, waveform, trotter=TrotterConfig(), basis=None):
     """
     if basis is None:
         basis = basis_for(device)
-    k = trotter.n_steps(waveform.duration)
-    if k == 0:
+    if trotter.n_steps(waveform.duration) == 0:
         return np.eye(basis.dimension, dtype=complex)
-    times = (np.arange(k) + 0.5) * trotter.step
-    samples = np.ascontiguousarray(waveform.sample(times), dtype=float)
-    bits = samples.view(np.uint64)
-    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
-    counts = np.diff(np.r_[starts, k])
-    try:
-        steps = _cached_unitaries(
-            _template(device, basis), samples[starts], counts * trotter.step
-        )
-    except SingularityError as err:
-        t_start = float(times[starts[err.row]])
-        raise EvolutionError(
-            f"singular Hamiltonian at t={t_start} ns (transmon "
-            f"{err.transmon}): {err}",
-            time=t_start,
-            transmon=err.transmon,
-        ) from err
+    times, rows, counts = _sampled_runs(waveform, trotter)
+    steps = _run_unitaries(
+        _template(device, basis), times, rows, counts * trotter.step
+    )
     # Pairwise products keep the time order (later steps on the left) and
     # take a few stacked matmul calls instead of one call per step.
     u = np.stack(steps)

@@ -193,7 +193,7 @@ def noise_sweep(schedule, device, config=NoiseSweepConfig(),
     converted to GHz) independently to each (qubit, segment) detuning,
     evolves, and scores the compensated gate fidelity; singular evolutions
     score 0 and are counted per amplitude in the report's
-    ``singular_counts`` (the CLI's CSV does not carry them).  Per-sample
+    ``singular_counts`` (the CLI's CSV column ``singular``).  Per-sample
     seeds derive deterministically from (master seed, amplitude index,
     sample index), so repeated sweeps are bit-identical.  At amplitude 0
     every sample reproduces the baseline exactly and the reported mean

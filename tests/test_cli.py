@@ -211,11 +211,13 @@ class TestRobustness:
         ])
         assert rc == 0
         lines = (workdir / "sweep.csv").read_text().splitlines()
-        assert lines[1] == "amplitude_mhz,mean_fidelity,std_error,samples"
-        amp, mean, err, samples = lines[2].split(",")
+        assert lines[1] == \
+            "amplitude_mhz,mean_fidelity,std_error,samples,singular"
+        amp, mean, err, samples, singular = lines[2].split(",")
         manifest = read_json(workdir / "sweep.manifest.json")
         assert float(mean) == manifest["results"]["baseline_fidelity"]
         assert float(err) == 0.0 and samples == "3"
+        assert singular == "0"
 
     def test_amplitude_grid_parsing(self, workdir):
         rc = main([
@@ -246,9 +248,10 @@ class TestVerify:
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 7
+        assert out.count("PASS") == 8
         assert "PASS  batched evolution vs per-segment exponentials" in out
         assert "PASS  phase fit is a local maximum" in out
+        assert "PASS  stacked density evolution vs dense dissipator" in out
 
 
 class TestManifest:

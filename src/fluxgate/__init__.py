@@ -47,6 +47,7 @@ from .fidelity import (
     fit_phases,
     gate_fidelity,
     project_to_computational,
+    score_waveform,
 )
 from .opensystem import (
     LindbladSpec,

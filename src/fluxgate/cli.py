@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .device import basis_for, load_device
-from .fidelity import controlled_phase_ideal, fidelity_report, \
-    project_to_computational
+from .fidelity import controlled_phase_ideal, project_to_computational, \
+    score_waveform
 from .opensystem import LindbladSpec, run_qpt
 from .optimizer import (
     DEConfig,
@@ -39,6 +39,7 @@ from .optimizer import (
 )
 from .propagator import TrotterConfig, evolve
 from .pulses import (
+    PiecewiseConstantWaveform,
     load_schedule_csv,
     load_schedule_json,
     save_schedule_json,
@@ -126,14 +127,11 @@ def cmd_simulate(args):
         "search_references_ghz": list(schedule.search_references),
         "trotter_step_ns": trotter.step,
         "target": args.target,
-        "seed": args.seed,
     }
     t0 = time.perf_counter()
-    from .pulses import PiecewiseConstantWaveform
-
-    basis = basis_for(device)
-    u = evolve(device, PiecewiseConstantWaveform(schedule), trotter)
-    report = fidelity_report(project_to_computational(u, basis), target)
+    report = score_waveform(
+        device, PiecewiseConstantWaveform(schedule), target, trotter
+    )
     elapsed = time.perf_counter() - t0
 
     out = _resolve(args.out)
@@ -143,7 +141,6 @@ def cmd_simulate(args):
     )
     doc = report.to_json()
     doc["manifest_hash"] = manifest["manifest_hash"]
-    doc["seed"] = args.seed
     _write_json(out, doc)
     if args.unitary_out:
         _write_json(
@@ -218,7 +215,7 @@ def cmd_optimize(args):
         )
     result = run_sussade(
         fitness, de_config, constraints, references,
-        population=population, state=state, threads=args.threads,
+        population=population, state=state,
     )
     de_elapsed = time.perf_counter() - t0
     best, best_f = result.best_chromosome, result.best_fidelity
@@ -287,7 +284,6 @@ def cmd_qpt(args):
         "t2_us": args.t2_us,
         "levels": args.levels,
         "target": args.target,
-        "seed": args.seed,
     }
     t0 = time.perf_counter()
     result = run_qpt(
@@ -327,6 +323,8 @@ def cmd_qpt(args):
 def _parse_amplitudes(spec):
     if ":" in spec:
         start, stop, step = (float(v) for v in spec.split(":"))
+        if not step > 0:
+            raise ValueError(f"amplitude step must be positive, got {step}")
         count = int(round((stop - start) / step))
         values = [start + i * step for i in range(count + 1)]
         return tuple(round(v, 12) for v in values)
@@ -353,7 +351,7 @@ def cmd_robustness(args):
     t0 = time.perf_counter()
     report = noise_sweep(
         schedule, device, sweep_config, TrotterConfig(args.trotter_step),
-        target=target, threads=args.threads,
+        target=target,
     )
     elapsed = time.perf_counter() - t0
     out = _resolve(args.out)
@@ -398,7 +396,7 @@ def cmd_verify(args):
         toy_two_transmon_chain,
     )
     from .propagator import expm_skew, step_unitary
-    from .pulses import PiecewiseConstantWaveform, PulseSchedule
+    from .pulses import PulseSchedule
 
     checks = []
 
@@ -527,7 +525,6 @@ def build_parser():
     p.add_argument("--trotter-step", type=float, default=0.1)
     p.add_argument("--target", choices=("ccphase", "identity"),
                    default="ccphase")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="fidelity report JSON")
     p.add_argument("--unitary-out", default=None,
                    help="also write the compensated unitary")
@@ -549,7 +546,6 @@ def build_parser():
                    default="ccphase")
     p.add_argument("--seed", type=int, default=None,
                    help="overrides the DE config seed")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--resume", default=None,
                    help="resume from a saved population snapshot")
     p.add_argument("--state-out", default=None,
@@ -568,7 +564,6 @@ def build_parser():
     p.add_argument("--trotter-step", type=float, default=0.1)
     p.add_argument("--target", choices=("ccphase", "identity"),
                    default="ccphase")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="chi matrix JSON")
     p.add_argument("--report", required=True, help="metrics report JSON")
     p.set_defaults(func=cmd_qpt)
@@ -582,7 +577,6 @@ def build_parser():
     p.add_argument("--trotter-step", type=float, default=0.1)
     p.add_argument("--target", choices=("ccphase", "identity"),
                    default="ccphase")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="sweep CSV")
     p.set_defaults(func=cmd_robustness)

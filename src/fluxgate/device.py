@@ -282,6 +282,7 @@ def enumerate_basis(n, j_max, e_max):
     return TruncatedBasis(states)
 
 
+@lru_cache(maxsize=64)
 def basis_for(device):
     """The device's working basis (excitation-truncated)."""
     return enumerate_basis(

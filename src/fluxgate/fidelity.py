@@ -13,7 +13,8 @@ and the result is scored against a target with
 
 The first term penalizes leakage out of the computational subspace (the
 projection of a leaky unitary is a contraction), the second rewards
-closeness to the target up to a global phase.
+closeness to the target up to a global phase.  :func:`score_waveform` runs
+the whole chain, from evolution to score, for every caller.
 """
 
 import math
@@ -21,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .device import basis_for
 from .errors import DegenerateUnitaryError
+from .propagator import TrotterConfig, evolve
 
 __all__ = [
     "controlled_phase_ideal",
@@ -34,6 +37,7 @@ __all__ = [
     "gate_fidelity",
     "FidelityReport",
     "fidelity_report",
+    "score_waveform",
 ]
 
 
@@ -294,3 +298,18 @@ def fidelity_report(u, target, refine=True):
     if fid > 1.0 + 1e-12:
         raise ValueError(f"fidelity {fid} exceeds 1 beyond numerical tolerance")
     return FidelityReport(fid, phases, compensated)
+
+
+def score_waveform(device, waveform, target, trotter=TrotterConfig()):
+    """Evolve a waveform on the device's working basis, project it to the
+    computational subspace, fit the Z compensation and score it.
+
+    Raises
+    ------
+    EvolutionError
+        If the waveform crosses a resonator pole; see
+        :func:`~fluxgate.propagator.evolve`.
+    """
+    basis = basis_for(device)
+    u = evolve(device, waveform, trotter, basis=basis)
+    return fidelity_report(project_to_computational(u, basis), target)

@@ -42,14 +42,9 @@ from itertools import product
 
 import numpy as np
 
-from .device import _template, basis_for, full_basis
+from .device import _template, full_basis
 from .errors import TomographyError
-from .fidelity import (
-    computational_indices,
-    controlled_phase_ideal,
-    fidelity_report,
-    project_to_computational,
-)
+from .fidelity import computational_indices, controlled_phase_ideal, score_waveform
 from .propagator import TrotterConfig, _run_unitaries, _sampled_runs, evolve
 from .pulses import PiecewiseConstantWaveform, PulseSchedule
 
@@ -516,9 +511,7 @@ def run_qpt(device, schedule, trotter=TrotterConfig(), lindblad=None, target=Non
         else schedule
     )
 
-    working = basis_for(device)
-    u_closed = evolve(device, waveform, trotter, basis=working)
-    rep = fidelity_report(project_to_computational(u_closed, working), target)
+    rep = score_waveform(device, waveform, target, trotter)
     phases = compensation if compensation is not None else rep.phases
 
     comp_diag = _embed_compensation(phases, n, lv)

@@ -22,20 +22,13 @@ import json
 import logging
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .device import basis_for
-from .errors import (
-    EvaluationError,
-    EvolutionError,
-    InfeasibilityError,
-    SingularityError,
-)
-from .fidelity import controlled_phase_ideal, fidelity_report, project_to_computational
-from .propagator import TrotterConfig, evolve
+from .errors import EvaluationError, EvolutionError, InfeasibilityError
+from .fidelity import controlled_phase_ideal, score_waveform
+from .propagator import TrotterConfig
 from .pulses import PiecewiseConstantWaveform, PulseSchedule
 
 logger = logging.getLogger(__name__)
@@ -387,12 +380,8 @@ class SussadeResult:
     state: SussadeState
 
 
-def _evaluate(fitness, candidates, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(fitness, candidates))
-    else:
-        values = [fitness(c) for c in candidates]
+def _evaluate(fitness, candidates):
+    values = [fitness(c) for c in candidates]
     for v, c in zip(values, candidates):
         if math.isnan(v):
             raise EvaluationError("fitness returned NaN", chromosome=np.array(c))
@@ -400,7 +389,7 @@ def _evaluate(fitness, candidates, threads):
 
 
 def run_sussade(fitness, config, constraints, references, population=None,
-                state=None, threads=1):
+                state=None):
     """Greedy self-adaptive differential evolution over feasible chromosomes.
 
     Parameters
@@ -415,9 +404,6 @@ def run_sussade(fitness, config, constraints, references, population=None,
     state : SussadeState, optional
         Resume checkpoint; takes precedence over ``population``/seed and
         continues bit-for-bit identically to an uninterrupted run.
-    threads : int
-        Fitness evaluations per generation run concurrently; results are
-        merged in member order, so the outcome never depends on it.
     """
     cs = constraints
     if state is not None:
@@ -435,7 +421,7 @@ def run_sussade(fitness, config, constraints, references, population=None,
         if population is None:
             raise ValueError("provide a population or a resume state")
         population = np.array(population, dtype=float)
-        fitnesses = _evaluate(fitness, population, threads)
+        fitnesses = _evaluate(fitness, population)
         f_m = rng.uniform(*config.mutation_bounds, size=len(population))
         c_r = rng.uniform(*config.crossover_bounds, size=len(population))
         evaluations = len(population)
@@ -471,7 +457,7 @@ def run_sussade(fitness, config, constraints, references, population=None,
             trials[i] = repair_chromosome(
                 trial, cs, references, rng
             ).reshape(-1)
-        trial_fits = _evaluate(fitness, trials, threads)
+        trial_fits = _evaluate(fitness, trials)
         improved = trial_fits > fitnesses
         population[improved] = trials[improved]
         fitnesses[improved] = trial_fits[improved]
@@ -600,10 +586,10 @@ def ccphase_fitness(device, references, segment_duration=1.0,
                     trotter=TrotterConfig(), target=None):
     """Fidelity-of-the-controlled-phase-gate fitness over chromosomes.
 
-    Composes schedule construction, Trotterized evolution, computational
-    projection, phase compensation, and the gate-fidelity score.  Failed
-    evolutions (a detuning walking into a resonator pole) score 0 rather
-    than raising, so the optimizer can continue.  The first failure is
+    Builds the schedule and scores it with
+    :func:`~fluxgate.fidelity.score_waveform`.  Failed evolutions (a
+    detuning walking into a resonator pole) score 0 rather than raising,
+    so the optimizer can continue.  The first failure is
     logged as a warning with its diagnostic, later ones at debug level;
     the returned callable counts them in ``fitness.pole_failures``.
     """
@@ -613,26 +599,23 @@ def ccphase_fitness(device, references, segment_duration=1.0,
     trotter.validate_against(segment_duration)
     if target is None:
         target = controlled_phase_ideal(n)
-    basis = basis_for(device)
+    # The fitness is public and may be called from user threads.
     lock = threading.Lock()
 
     def fitness(chromosome):
         schedule = chromosome_to_schedule(
             chromosome, n, segment_duration, references
         )
+        waveform = PiecewiseConstantWaveform(schedule)
         try:
-            u = evolve(
-                device, PiecewiseConstantWaveform(schedule), trotter, basis=basis
-            )
-        except (EvolutionError, SingularityError) as err:
+            return score_waveform(device, waveform, target, trotter).fidelity
+        except EvolutionError as err:
             with lock:
                 fitness.pole_failures += 1
                 first = fitness.pole_failures == 1
             log = logger.warning if first else logger.debug
             log("evolution failed, scoring fitness 0: %s", err)
             return 0.0
-        u_comp = project_to_computational(u, basis)
-        return fidelity_report(u_comp, target).fidelity
 
     fitness.pole_failures = 0
     return fitness

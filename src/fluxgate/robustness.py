@@ -20,15 +20,13 @@ design-constraint checks (noise models hardware, not design).
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .device import basis_for
-from .errors import EvolutionError, SingularityError
-from .fidelity import controlled_phase_ideal, fidelity_report, project_to_computational
-from .propagator import TrotterConfig, evolve
+from .errors import EvolutionError
+from .fidelity import controlled_phase_ideal, score_waveform
+from .propagator import TrotterConfig
 from .pulses import PiecewiseConstantWaveform, Waveform
 
 __all__ = [
@@ -98,11 +96,6 @@ def smooth_waveform(schedule, params=SmoothingParams()):
     return SmoothedWaveform(schedule, params)
 
 
-def _score(device, waveform, trotter, target, basis):
-    u = evolve(device, waveform, trotter, basis=basis)
-    return fidelity_report(project_to_computational(u, basis), target).fidelity
-
-
 @dataclass(frozen=True)
 class DistortionReport:
     baseline_fidelity: float
@@ -130,14 +123,13 @@ def distortion_report(schedule, device, trotter=TrotterConfig(), target=None,
     """
     if target is None:
         target = controlled_phase_ideal(device.n_transmons)
-    basis = basis_for(device)
-    baseline = _score(
-        device, PiecewiseConstantWaveform(schedule), trotter, target, basis
+    baseline = score_waveform(
+        device, PiecewiseConstantWaveform(schedule), target, trotter
     )
-    smoothed = _score(
-        device, SmoothedWaveform(schedule, params), trotter, target, basis
+    smoothed = score_waveform(
+        device, SmoothedWaveform(schedule, params), target, trotter
     )
-    return DistortionReport(baseline, smoothed)
+    return DistortionReport(baseline.fidelity, smoothed.fidelity)
 
 
 @dataclass(frozen=True)
@@ -152,6 +144,8 @@ class NoiseSweepConfig:
         object.__setattr__(
             self, "amplitudes_mhz", tuple(float(a) for a in self.amplitudes_mhz)
         )
+        if not self.amplitudes_mhz:
+            raise ValueError("amplitudes must not be empty")
         if any(a < 0 for a in self.amplitudes_mhz):
             raise ValueError("amplitudes must be >= 0")
         if self.samples < 1:
@@ -186,7 +180,7 @@ def _sample_rng(seed, amplitude_index, sample_index):
 
 
 def noise_sweep(schedule, device, config=NoiseSweepConfig(),
-                trotter=TrotterConfig(), target=None, threads=1):
+                trotter=TrotterConfig(), target=None):
     """Mean gate fidelity under uniform random detuning noise.
 
     For each amplitude A, every sample adds A * uniform(-1, 1) (MHz,
@@ -201,16 +195,13 @@ def noise_sweep(schedule, device, config=NoiseSweepConfig(),
     """
     if target is None:
         target = controlled_phase_ideal(device.n_transmons)
-    basis = basis_for(device)
 
     def score(noisy_schedule):
         """The fidelity, or None for a singular evolution."""
+        waveform = PiecewiseConstantWaveform(noisy_schedule)
         try:
-            return _score(
-                device, PiecewiseConstantWaveform(noisy_schedule), trotter,
-                target, basis,
-            )
-        except (EvolutionError, SingularityError):
+            return score_waveform(device, waveform, target, trotter).fidelity
+        except EvolutionError:
             return None
 
     baseline = score(schedule)
@@ -219,20 +210,14 @@ def noise_sweep(schedule, device, config=NoiseSweepConfig(),
     means, errors, singular = [], [], []
     shape = schedule.detunings.shape
 
-    def sample(args):
-        a_idx, amp_ghz, s_idx = args
+    def sample(a_idx, amp_ghz, s_idx):
         rng = _sample_rng(config.seed, a_idx, s_idx)
         noise = amp_ghz * rng.uniform(-1.0, 1.0, size=shape)
         return score(schedule.with_detunings(schedule.detunings + noise))
 
     for a_idx, amp in enumerate(config.amplitudes_mhz):
         amp_ghz = amp * MHZ_TO_GHZ
-        jobs = [(a_idx, amp_ghz, s) for s in range(config.samples)]
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                scores = list(pool.map(sample, jobs))
-        else:
-            scores = [sample(j) for j in jobs]
+        scores = [sample(a_idx, amp_ghz, s) for s in range(config.samples)]
         singular.append(sum(f is None for f in scores))
         fids = np.array([0.0 if f is None else f for f in scores])
         if (fids == fids[0]).all():

@@ -230,6 +230,18 @@ class TestRobustness:
         rows = (workdir / "sweep.csv").read_text().splitlines()[2:]
         assert [r.split(",")[0] for r in rows] == ["0.0", "1.0", "2.0"]
 
+    @pytest.mark.parametrize("grid", ["0:10:0", "5:1:1"])
+    def test_bad_amplitude_grid_reports_error(self, workdir, capsys, grid):
+        # A zero step would divide by zero; a descending grid is empty.
+        rc = main([
+            "robustness", "--device", str(workdir / "device.json"),
+            "--pulses", str(workdir / "pulse.json"),
+            "--amplitudes", grid, "--samples", "2", "--out", "sweep.csv",
+        ])
+        assert rc == 2
+        assert "error" in capsys.readouterr().err
+        assert not (workdir / "sweep.csv").exists()
+
     def test_seeded_rerun_byte_identical(self, workdir):
         args = [
             "robustness", "--device", str(workdir / "device.json"),
@@ -262,7 +274,8 @@ class TestManifest:
         ])
         main([
             "simulate", "--device", str(workdir / "device.json"),
-            "--pulses", str(workdir / "pulse.json"), "--seed", "5",
+            "--pulses", str(workdir / "pulse.csv"),
+            "--references", *[str(r) for r in TOY_REFERENCES],
             "--out", "b.json",
         ])
         a = read_json(workdir / "a.json")

@@ -1,11 +1,14 @@
 """Gate-fidelity tests: ideal gate, projection, compensation algebra,
 phase fitting round trips, and the fidelity formula's invariances."""
 
+import json
+
 import numpy as np
 import pytest
 
-from fluxgate.device import basis_for, enumerate_basis
-from fluxgate.errors import DegenerateUnitaryError
+from fluxgate.cli import main
+from fluxgate.device import basis_for, device_to_json, enumerate_basis
+from fluxgate.errors import DegenerateUnitaryError, EvolutionError
 from fluxgate.fidelity import (
     CompensationPhases,
     ccphase_ideal,
@@ -16,10 +19,13 @@ from fluxgate.fidelity import (
     fit_phases,
     gate_fidelity,
     project_to_computational,
+    score_waveform,
 )
-from fluxgate.optimizer import DEConfig, seed_population
+from fluxgate.opensystem import run_qpt
+from fluxgate.optimizer import DEConfig, ccphase_fitness, seed_population
 from fluxgate.profiles import (
     THREE_QUBIT_REFERENCES,
+    TOY_REFERENCES,
     load_ccphase_pulse,
     load_toy_pulse,
     three_qubit_constraints,
@@ -27,7 +33,12 @@ from fluxgate.profiles import (
     toy_two_transmon_chain,
 )
 from fluxgate.propagator import evolve
-from fluxgate.pulses import PiecewiseConstantWaveform, PulseSchedule
+from fluxgate.pulses import (
+    PiecewiseConstantWaveform,
+    PulseSchedule,
+    save_schedule_json,
+)
+from fluxgate.robustness import NoiseSweepConfig, distortion_report, noise_sweep
 
 
 def single_qubit_phase_diag(theta0, thetas):
@@ -356,3 +367,47 @@ class TestPhaseFitOracle:
         phases = fit_phases(u, np.eye(4))
         assert phases.qubit_phases[0] == 0.0
         assert phases.qubit_phases[1] == pytest.approx(phi, abs=1e-15)
+
+
+class TestScoreWaveform:
+    """Every caller scores a pulse through the one chain in score_waveform."""
+
+    def test_one_path_for_every_caller(self, tmp_path, monkeypatch):
+        device = toy_two_transmon_chain()
+        pulse = load_toy_pulse()
+        target = controlled_phase_ideal(2)
+        fid = score_waveform(
+            device, PiecewiseConstantWaveform(pulse), target
+        ).fidelity
+        assert fid == pytest.approx(0.9996086749508608, abs=1e-9)
+
+        fitness = ccphase_fitness(device, TOY_REFERENCES, 1.0)
+        assert fitness(pulse.detunings.reshape(-1)) == fid
+        sweep = noise_sweep(pulse, device,
+                            NoiseSweepConfig(amplitudes_mhz=(0.0,), samples=2))
+        assert sweep.baseline_fidelity == fid
+        assert sweep.mean_fidelities == (fid,)
+        assert distortion_report(pulse, device).baseline_fidelity == fid
+        assert run_qpt(device, pulse).closed_system_fidelity == fid
+
+        monkeypatch.setenv("FLUXGATE_OUT_DIR", str(tmp_path))
+        save_schedule_json(pulse, tmp_path / "pulse.json")
+        (tmp_path / "device.json").write_text(
+            json.dumps(device_to_json(device)))
+        assert main([
+            "simulate", "--device", str(tmp_path / "device.json"),
+            "--pulses", str(tmp_path / "pulse.json"), "--out", "report.json",
+        ]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["fidelity"] == fid
+
+    def test_pole_raises_evolution_error(self):
+        c = np.zeros(20)
+        c[10] = 1.8  # drives qubit M (6.0 GHz) onto the 7.8 GHz resonator
+        schedule = PulseSchedule(c.reshape(2, 10), 1.0, TOY_REFERENCES)
+        with pytest.raises(EvolutionError) as err:
+            score_waveform(toy_two_transmon_chain(),
+                           PiecewiseConstantWaveform(schedule),
+                           controlled_phase_ideal(2))
+        assert err.value.time == 0.05  # the first Trotter-step midpoint
+        assert err.value.transmon == 1

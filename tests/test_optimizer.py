@@ -196,39 +196,22 @@ class TestRunSussade:
         assert np.array_equal(runs[0].best_chromosome, runs[1].best_chromosome)
         assert runs[0].history == runs[1].history
 
-    def test_threads_do_not_change_outcome(self):
-        cfg = DEConfig(population_size=10, max_generations=10, seed=11,
-                       target_fidelity=2.0)
-        pop = seed_population(cfg, WIDE, WIDE_REFS, 3)
-        serial = run_sussade(quadratic_fitness(0.03), cfg, WIDE, WIDE_REFS,
-                             population=pop.copy())
-        threaded = run_sussade(quadratic_fitness(0.03), cfg, WIDE, WIDE_REFS,
-                               population=pop.copy(), threads=4)
-        assert np.array_equal(serial.best_chromosome, threaded.best_chromosome)
-        assert serial.history == threaded.history
-
     def test_threads_survive_step_cache_eviction(self, monkeypatch):
         # Concurrent misses at a full step cache must not evict the same
         # entry twice; a tiny cap and a short switch interval make nearly
         # every fitness call evict while other threads do the same.
         monkeypatch.setattr(propagator, "_STEP_CACHE_CAP", 8)
-        dev = toy_two_transmon_chain()
-        cs = toy_constraints()
-        fitness = ccphase_fitness(dev, TOY_REFERENCES, 1.0)
-        cfg = DEConfig(population_size=8, max_generations=3, seed=5,
-                       target_fidelity=2.0)
-        pop = seed_population(cfg, cs, TOY_REFERENCES, 10)
-        serial = run_sussade(fitness, cfg, cs, TOY_REFERENCES,
-                             population=pop.copy())
+        fitness = ccphase_fitness(toy_two_transmon_chain(), TOY_REFERENCES, 1.0)
+        pop = seed_population(DEConfig(population_size=32, seed=5),
+                              toy_constraints(), TOY_REFERENCES, 10)
+        serial = [fitness(c) for c in pop]
         old_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                threaded = run_sussade(fitness, cfg, cs, TOY_REFERENCES,
-                                       population=pop.copy(), threads=4)
-                assert threaded.history == serial.history
-                assert np.array_equal(threaded.best_chromosome,
-                                      serial.best_chromosome)
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    threaded = list(pool.map(fitness, pop, timeout=120))
+                assert threaded == serial
         finally:
             sys.setswitchinterval(old_interval)
 

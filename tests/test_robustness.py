@@ -184,3 +184,5 @@ class TestNoiseSweep:
             NoiseSweepConfig(amplitudes_mhz=(-1.0,))
         with pytest.raises(ValueError):
             NoiseSweepConfig(samples=0)
+        with pytest.raises(ValueError):
+            NoiseSweepConfig(amplitudes_mhz=())

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .device import basis_for, load_device
+from .errors import EvolutionError
 from .fidelity import controlled_phase_ideal, project_to_computational, \
     score_waveform
 from .opensystem import LindbladSpec, run_qpt
@@ -474,22 +475,26 @@ def cmd_verify(args):
     for k, (g1, gphi) in enumerate(spec.rates_per_ns(2)):
         for rate, op in ((g1, lowering_operator(3)),
                          (2.0 * gphi, number_operator(3))):
-            ops.append(np.sqrt(rate) * (np.kron(op, eye) if k == 0
-                                        else np.kron(eye, op)))
-    anticomm = sum(op.conj().T @ op for op in ops)
+            op = np.sqrt(rate) * (np.kron(op, eye) if k == 0
+                                  else np.kron(eye, op))
+            ops.append((op, op.conj().T))
+    anticomm = sum(opd @ op for op, opd in ops)
     stack = np.array(prepare_qpt_inputs(2, 3))
     stacked = _StackEvolution(device3, wave, trotter, spec)(stack)
+    halves = []
+    for i in range(trotter.n_steps(wave.duration)):
+        u = step_unitary(device3, full_basis(device3),
+                         wave.frequencies((i + 0.5) * trotter.step),
+                         0.5 * trotter.step)
+        halves.append((u, u.conj().T))
     worst = 0.0
     for rho, out in zip(stack, stacked):
-        for i in range(trotter.n_steps(wave.duration)):
-            u = step_unitary(device3, full_basis(device3),
-                             wave.frequencies((i + 0.5) * trotter.step),
-                             0.5 * trotter.step)
-            rho = u @ rho @ u.conj().T
+        for u, ud in halves:
+            rho = u @ rho @ ud
             rho = rho + trotter.step * (
                 -0.5 * (anticomm @ rho + rho @ anticomm)
-                + sum(op @ rho @ op.conj().T for op in ops))
-            rho = u @ rho @ u.conj().T
+                + sum(op @ rho @ opd for op, opd in ops))
+            rho = u @ rho @ ud
         worst = max(worst, float(np.abs(rho - out).max()))
     checks.append(("stacked density evolution vs dense dissipator",
                    worst < 1e-12))
@@ -591,7 +596,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, json.JSONDecodeError) as err:
+    except (OSError, ValueError, json.JSONDecodeError, EvolutionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

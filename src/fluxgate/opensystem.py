@@ -20,9 +20,9 @@ to keep rho positive.
 
 One core evolves a whole stack of density matrices at once: tomography
 feeds its inputs through it a few at a time, and :func:`evolve_density`
-is its single-matrix case.  The half-step unitaries come in one batch
-from the propagator's step cache, and each conjugation is a pair of GEMMs
-per total-excitation block over the whole stack.  The dissipator needs
+is its single-matrix case.  The half-step unitaries come from the
+propagator in one batch, and each conjugation is a pair of GEMMs per
+total-excitation block over the whole stack.  The dissipator needs
 no matrix product: a^dag a and n^2 are diagonal, so the anticommutator
 and the dephasing jumps reduce to one precomputed elementwise factor, and
 each relaxation jump a rho a^dag is a weighted gather of rho at the
@@ -152,7 +152,7 @@ class _StackEvolution:
     Without decoherence the stack is conjugated once by the unitary of
     :func:`~fluxgate.propagator.evolve`.  With decoherence, each Trotter
     step is the Strang split of the module docstring, with the half-step
-    unitaries fetched in one batch from the propagator's step cache.  The
+    unitaries of all sampled runs exponentiated in one batch.  The
     dissipator needs no matrix product: every collapse operator is a
     number operator or a lowering operator, so K = sum_c L_c^dag L_c is
     diagonal.  The anticommutator term -1/2 {K, rho} and the dephasing

@@ -13,10 +13,10 @@ Hamiltonians of all merged steps are built in one batch, and because H
 conserves the total excitation number each excitation block is
 exponentiated for the whole batch by one stacked eigendecomposition: H is
 exactly Hermitian and small, so this is both accurate and unitary to
-machine precision, and entries between blocks are exactly zero.
+machine precision, and entries between blocks are exactly zero.  Merged
+steps bit-identical to the previous call's are reused, not recomputed.
 """
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,45 +96,10 @@ def _segment_unitaries(template, rows, dts):
     return u
 
 
-# Step unitaries are pure functions of (template, dt, frequencies);
-# sharing them across calls makes single-segment pulse edits (local search)
-# and repeated evaluations of the same schedule cheap.  Keys hold the
-# template itself, which hashes by identity.  Lookups run without a lock;
-# eviction and insertion share one, so concurrent misses at a full cache
-# cannot evict the same entry twice.
-_STEP_CACHE = {}
-_STEP_CACHE_CAP = 2048
-_STEP_CACHE_LOCK = threading.Lock()
-
-
-def _cached_unitaries(template, rows, dts):
-    """Cached step unitaries for frequency rows (S, n) and durations (S,).
-
-    The misses are computed in one batch.  A resonator pole raises
-    SingularityError whose ``row`` indexes ``rows``.
-    """
-    keys = [(template, dt, row.tobytes()) for dt, row in zip(dts.tolist(), rows)]
-    out = [_STEP_CACHE.get(key) for key in keys]
-    miss = [i for i, u in enumerate(out) if u is None]
-    if miss:
-        try:
-            fresh = _segment_unitaries(template, rows[miss], dts[miss])
-        except SingularityError as err:
-            err.row = miss[err.row]
-            raise
-        with _STEP_CACHE_LOCK:
-            for i, u in zip(miss, fresh):
-                if len(_STEP_CACHE) >= _STEP_CACHE_CAP:
-                    _STEP_CACHE.pop(next(iter(_STEP_CACHE)))
-                # A copy, so the cache keeps no batch stack alive.
-                out[i] = _STEP_CACHE[keys[i]] = u.copy()
-    return out
-
-
 def step_unitary(device, basis, frequencies, dt):
-    """Cached exp(-i H dt) for one frequency sample."""
+    """exp(-i H dt) for one frequency sample."""
     rows = np.asarray(frequencies, dtype=float)[None]
-    return _cached_unitaries(_template(device, basis), rows, np.array([dt], float))[0]
+    return _segment_unitaries(_template(device, basis), rows, np.array([dt], float))[0]
 
 
 def _sampled_runs(waveform, trotter):
@@ -152,19 +117,49 @@ def _sampled_runs(waveform, trotter):
     return times[starts], samples[starts], counts
 
 
+# The previous call's (template, rows, dts, unitaries).  A local-search move
+# changes one segment, so nearly all of its runs equal the call before.  The
+# tuple is replaced whole and its stack is never written into, so threads
+# need no lock: a race loses reuse, never correctness, because a row's
+# unitary does not depend on the batch it was computed in.
+_LAST_RUNS = None
+
+
 def _run_unitaries(template, times, rows, dts):
-    """:func:`_cached_unitaries` for sampled runs; a resonator pole raises
-    EvolutionError at the start time of the earliest offending run."""
+    """exp(-i H(rows[s]) dts[s]) for sampled runs, shape (S, dim, dim).
+
+    Runs bit-identical to the same run of the previous call (same template
+    and row shape) reuse its unitary; the others are exponentiated in one
+    batch.  The result may be the stored stack, so callers never write into
+    it.  A resonator pole raises EvolutionError at the start time of the
+    earliest offending run.
+    """
+    global _LAST_RUNS
+    last = _LAST_RUNS
+    if last is None or last[0] is not template or last[1].shape != rows.shape:
+        last, fresh = None, np.arange(len(rows))
+    else:
+        changed = (rows.view(np.uint64) != last[1].view(np.uint64)).any(axis=1)
+        changed |= dts.view(np.uint64) != last[2].view(np.uint64)
+        if not changed.any():
+            return last[3]
+        fresh = np.flatnonzero(changed)
     try:
-        return _cached_unitaries(template, rows, dts)
+        u = _segment_unitaries(template, rows[fresh], dts[fresh])
     except SingularityError as err:
-        t_start = float(times[err.row])
+        t_start = float(times[fresh[err.row]])
         raise EvolutionError(
             f"singular Hamiltonian at t={t_start} ns (transmon "
             f"{err.transmon}): {err}",
             time=t_start,
             transmon=err.transmon,
         ) from err
+    if last is not None:
+        stack = last[3].copy()
+        stack[fresh] = u
+        u = stack
+    _LAST_RUNS = (template, rows, dts, u)
+    return u
 
 
 def evolve(device, waveform, trotter=TrotterConfig(), basis=None):
@@ -172,9 +167,9 @@ def evolve(device, waveform, trotter=TrotterConfig(), basis=None):
 
     The waveform is sampled once, at all Trotter-step midpoints.  Runs of
     consecutive identical samples merge into one step of ``count * step``
-    ns; the merged steps missing from the step cache are exponentiated in
-    one batch (one stacked eigh per excitation block), and the step
-    unitaries are multiplied in time order, pairwise.
+    ns; the merged steps that differ from the previous call's are
+    exponentiated in one batch (one stacked eigh per excitation block), and
+    the step unitaries are multiplied in time order, pairwise.
 
     Parameters
     ----------
@@ -204,13 +199,13 @@ def evolve(device, waveform, trotter=TrotterConfig(), basis=None):
     if trotter.n_steps(waveform.duration) == 0:
         return np.eye(basis.dimension, dtype=complex)
     times, rows, counts = _sampled_runs(waveform, trotter)
-    steps = _run_unitaries(
+    u = _run_unitaries(
         _template(device, basis), times, rows, counts * trotter.step
     )
     # Pairwise products keep the time order (later steps on the left) and
     # take a few stacked matmul calls instead of one call per step.
-    u = np.stack(steps)
     while len(u) > 1:
         pairs = u[1::2] @ u[0:len(u) - 1:2]
         u = np.concatenate([pairs, u[-1:]]) if len(u) % 2 else pairs
-    return u[0]
+    # A copy, so a one-run pulse does not hand out the reused stack.
+    return u[0].copy()

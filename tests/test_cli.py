@@ -94,6 +94,24 @@ class TestSimulate:
         assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "qpt"])
+def test_pole_crossing_pulse_reports_error(workdir, capsys, command):
+    # Qubit M detuned by 1.8 GHz in the first segment sits on a resonator
+    # pole: a clean error and exit code 2, not a traceback.
+    pulse = load_toy_pulse()
+    det = pulse.detunings.copy()
+    det[1, 0] = 1.8
+    save_schedule_json(pulse.with_detunings(det), workdir / "pole.json")
+    rc = main([
+        command, "--device", str(workdir / "device.json"),
+        "--pulses", str(workdir / "pole.json"), "--out", "out.json",
+        *(["--report", "report.json"] if command == "qpt" else []),
+    ])
+    assert rc == 2
+    assert "error: singular Hamiltonian at t=0.05 ns (transmon 1)" in \
+        capsys.readouterr().err
+
+
 class TestOptimize:
     def run_optimize(self, workdir, seed=3, gens=4, extra=()):
         de = workdir / "de.json"

@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from fluxgate import optimizer, propagator
+from fluxgate import optimizer
 from fluxgate.errors import EvaluationError, InfeasibilityError
 from fluxgate.optimizer import (
     ConstraintSet,
@@ -196,11 +196,10 @@ class TestRunSussade:
         assert np.array_equal(runs[0].best_chromosome, runs[1].best_chromosome)
         assert runs[0].history == runs[1].history
 
-    def test_threads_survive_step_cache_eviction(self, monkeypatch):
-        # Concurrent misses at a full step cache must not evict the same
-        # entry twice; a tiny cap and a short switch interval make nearly
-        # every fitness call evict while other threads do the same.
-        monkeypatch.setattr(propagator, "_STEP_CACHE_CAP", 8)
+    def test_threads_racing_on_step_reuse_keep_scores(self):
+        # Every evolve reuses the steps of whichever call ran last, in any
+        # thread; a short switch interval makes threads swap that record
+        # under each other, which must never change a score.
         fitness = ccphase_fitness(toy_two_transmon_chain(), TOY_REFERENCES, 1.0)
         pop = seed_population(DEConfig(population_size=32, seed=5),
                               toy_constraints(), TOY_REFERENCES, 10)

@@ -1,7 +1,7 @@
 """Propagator tests: the eigendecomposition exponential against a
 scaling-and-squaring oracle, the batched block propagator against one
 scipy exponential per segment, unitarity, exact block structure, batch and
-cache invariance, Trotter convergence, and full-space agreement."""
+step-reuse invariance, Trotter convergence, and full-space agreement."""
 
 import numpy as np
 import pytest
@@ -140,19 +140,41 @@ class TestEvolve:
             assert np.array_equal(batch[i], alone[0])
 
     def test_cold_and_warm_cache_bit_equal(self, device, monkeypatch):
-        sched = random_schedules(1, seed=23)[0]
+        sched, second = random_schedules(2, seed=23)
         other = sched.with_detunings(
             np.concatenate([sched.detunings[:, :25],
-                            np.zeros((3, 25))], axis=1))
-        monkeypatch.setattr(propagator, "_STEP_CACHE", {})
+                            second.detunings[:, 25:]], axis=1))
+        batches = []
+        segment_unitaries = propagator._segment_unitaries
+
+        def counting(template, rows, dts):
+            batches.append(len(rows))
+            return segment_unitaries(template, rows, dts)
+
+        monkeypatch.setattr(propagator, "_segment_unitaries", counting)
+        monkeypatch.setattr(propagator, "_LAST_RUNS", None)
         cold = evolve(device, PiecewiseConstantWaveform(sched))
         warm = evolve(device, PiecewiseConstantWaveform(sched))
-        # Half the segments cached by another schedule's batch, half fresh.
-        monkeypatch.setattr(propagator, "_STEP_CACHE", {})
+        # Half the segments reused from another schedule's batch, half fresh.
+        monkeypatch.setattr(propagator, "_LAST_RUNS", None)
         evolve(device, PiecewiseConstantWaveform(other))
         mixed = evolve(device, PiecewiseConstantWaveform(sched))
+        assert batches == [50, 50, 25]
         assert np.array_equal(cold, warm)
         assert np.array_equal(cold, mixed)
+
+    def test_writing_into_a_result_leaves_reuse_intact(self, device,
+                                                       idle_schedule,
+                                                       monkeypatch):
+        # One run (the idle pulse) and 50 runs: the caller owns the result,
+        # and the next evolve of the same pulse reuses the stored steps.
+        for sched in (idle_schedule, random_schedules(1, seed=29)[0]):
+            wf = PiecewiseConstantWaveform(sched)
+            monkeypatch.setattr(propagator, "_LAST_RUNS", None)
+            cold = evolve(device, wf)
+            want = cold.copy()
+            cold[...] = 0.0
+            assert np.array_equal(evolve(device, wf), want)
 
     def test_trotter_halving(self, device):
         rng = np.random.default_rng(3)
@@ -202,9 +224,26 @@ class TestEvolve:
         det[2, 1] = 1.2
         det[0, 3] = 3.05
         sched = PulseSchedule(det, 1.0, (5.0, 6.0, 7.0))
-        monkeypatch.setattr(propagator, "_STEP_CACHE", {})
+        monkeypatch.setattr(propagator, "_LAST_RUNS", None)
         with pytest.raises(EvolutionError) as err:
             evolve(device, PiecewiseConstantWaveform(sched))
+        assert err.value.transmon == 2
+        assert err.value.time == pytest.approx(1.05)
+
+    def test_earliest_pole_among_changed_runs_is_reported(self, device):
+        # A clean pulse of the same shape leaves segments 0, 2 and 4 to
+        # reuse, so only segments 1 and 3 are exponentiated; the pole's
+        # position in that batch must map back to segment 1.
+        clean = np.zeros((3, 5))
+        clean[2, 1] = clean[0, 3] = 0.1
+        poles = np.zeros((3, 5))
+        poles[2, 1] = 1.2
+        poles[0, 3] = 3.05
+        evolve(device, PiecewiseConstantWaveform(
+            PulseSchedule(clean, 1.0, (5.0, 6.0, 7.0))))
+        with pytest.raises(EvolutionError) as err:
+            evolve(device, PiecewiseConstantWaveform(
+                PulseSchedule(poles, 1.0, (5.0, 6.0, 7.0))))
         assert err.value.transmon == 2
         assert err.value.time == pytest.approx(1.05)
 

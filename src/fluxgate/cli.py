@@ -240,6 +240,7 @@ def cmd_optimize(args):
             "final_fidelity": best_f,
             "generations": result.history[-1].generation,
             "evaluations": result.history[-1].evaluations,
+            "pole_failures": fitness.pole_failures,
         },
     )
     with open(out, "w") as fh:

@@ -325,6 +325,18 @@ def _attachments(device):
     ])
 
 
+def _pole_denominators(frequencies, pairs, offsets, floor):
+    """Offsets broadcast per attachment, the dispersive denominators and
+    the mask of those within ``floor`` of a pole; see
+    :func:`_dispersive_denominators`, which raises on the mask."""
+    offsets = np.broadcast_to(offsets, (len(pairs.transmon), np.shape(offsets)[-1]))
+    den = (
+        frequencies[:, :, None] - pairs.resonator_frequency[:, None]
+        + offsets * pairs.anharmonicity[:, None]
+    )
+    return offsets, den, np.abs(den) <= floor
+
+
 def _dispersive_denominators(frequencies, pairs, offsets, floor, level_shift=0):
     """Dispersive denominators f - w_r + j*delta in GHz, checked against the floor.
 
@@ -356,12 +368,7 @@ def _dispersive_denominators(frequencies, pairs, offsets, floor, level_shift=0):
         At the first denominator within the floor: earliest row, then
         transmon, then resonator, then level.  ``row`` names the row.
     """
-    offsets = np.broadcast_to(offsets, (len(pairs.transmon), np.shape(offsets)[-1]))
-    den = (
-        frequencies[:, :, None] - pairs.resonator_frequency[:, None]
-        + offsets * pairs.anharmonicity[:, None]
-    )
-    bad = np.abs(den) <= floor
+    offsets, den, bad = _pole_denominators(frequencies, pairs, offsets, floor)
     if bad.any():
         row, a, j = np.unravel_index(np.argmax(bad), bad.shape)
         k = int(pairs.transmon[a])
@@ -518,6 +525,14 @@ class _HamiltonianTemplate:
         self.blocks = tuple(
             np.flatnonzero(excitation == e) for e in sorted(set(excitation.tolist()))
         )
+
+    def pole_rows(self, frequencies):
+        """Mask of the frequency rows that :meth:`build` refuses, because a
+        level lies within the dispersive floor of a resonator pole."""
+        return _pole_denominators(
+            frequencies[:, self.pairs.transmon], self.pairs,
+            np.arange(self.levels - 1), self.device.dispersive_floor,
+        )[2].any(axis=(1, 2))
 
     def build(self, frequencies):
         """Dense real symmetric matrices in angular units (rad/ns).

@@ -14,7 +14,9 @@ and the result is scored against a target with
 The first term penalizes leakage out of the computational subspace (the
 projection of a leaky unitary is a contraction), the second rewards
 closeness to the target up to a global phase.  :func:`score_waveform` runs
-the whole chain, from evolution to score, for every caller.
+the whole chain, from evolution to score, for every caller; it is the
+one-waveform case of ``_score_waveforms``, which scores many waveforms with
+one evolution batch per chunk (the noise sweep).
 """
 
 import math
@@ -22,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import basis_for
-from .errors import DegenerateUnitaryError
-from .propagator import TrotterConfig, evolve
+from .device import _template, basis_for
+from .errors import DegenerateUnitaryError, EvolutionError
+from .propagator import TrotterConfig, _evolve_chunks
 
 __all__ = [
     "controlled_phase_ideal",
@@ -300,6 +302,25 @@ def fidelity_report(u, target, refine=True):
     return FidelityReport(fid, phases, compensated)
 
 
+def _score_waveforms(device, waveforms, target, trotter=TrotterConfig()):
+    """Score many waveforms as :func:`score_waveform` does, in chunks.
+
+    Each chunk of waveforms is evolved in one batch (see
+    ``propagator._evolve_chunks``) and projected in one gather; each member
+    is then fitted and scored on its own.  Yields, per waveform in order,
+    its FidelityReport, or the EvolutionError that :func:`score_waveform`
+    raises for it.  A member's report is bit-identical to the one it gets
+    when scored alone.
+    """
+    basis = basis_for(device)
+    idx = np.asarray(computational_indices(basis))
+    chunks = _evolve_chunks(_template(device, basis), waveforms, trotter)
+    for unitaries, errors in chunks:
+        projected = unitaries[:, idx[:, None], idx]
+        for u, error in zip(projected, errors):
+            yield fidelity_report(u, target) if error is None else error
+
+
 def score_waveform(device, waveform, target, trotter=TrotterConfig()):
     """Evolve a waveform on the device's working basis, project it to the
     computational subspace, fit the Z compensation and score it.
@@ -310,6 +331,7 @@ def score_waveform(device, waveform, target, trotter=TrotterConfig()):
         If the waveform crosses a resonator pole; see
         :func:`~fluxgate.propagator.evolve`.
     """
-    basis = basis_for(device)
-    u = evolve(device, waveform, trotter, basis=basis)
-    return fidelity_report(project_to_computational(u, basis), target)
+    (result,) = _score_waveforms(device, [waveform], target, trotter)
+    if isinstance(result, EvolutionError):
+        raise result
+    return result

@@ -45,7 +45,13 @@ import numpy as np
 from .device import _template, full_basis
 from .errors import TomographyError
 from .fidelity import computational_indices, controlled_phase_ideal, score_waveform
-from .propagator import TrotterConfig, _run_unitaries, _sampled_runs, evolve
+from .propagator import (
+    TrotterConfig,
+    _pole_error,
+    _run_unitaries,
+    _sampled_runs,
+    evolve,
+)
 from .pulses import PiecewiseConstantWaveform, PulseSchedule
 
 __all__ = [
@@ -180,12 +186,12 @@ class _StackEvolution:
         if trotter.n_steps(waveform.duration) == 0:
             return
         times, rows, counts = _sampled_runs(waveform, trotter)
-        halves = [
-            _blocks_of(u, self.order, self.slices)
-            for u in _run_unitaries(
-                template, times, rows, np.full(len(rows), 0.5 * dt)
-            )
-        ]
+        units, poles = _run_unitaries(
+            template, rows, np.full(len(rows), 0.5 * dt)
+        )
+        if poles is not None:
+            raise _pole_error(template, times, rows)
+        halves = [_blocks_of(u, self.order, self.slices) for u in units]
         self.steps = tuple(
             halves[r] for r in np.repeat(np.arange(len(halves)), counts).tolist()
         )

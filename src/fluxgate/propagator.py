@@ -15,9 +15,15 @@ exponentiated for the whole batch by one stacked eigendecomposition: H is
 exactly Hermitian and small, so this is both accurate and unitary to
 machine precision, and entries between blocks are exactly zero.  Merged
 steps bit-identical to the previous call's are reused, not recomputed.
+
+Many waveforms evolve together in chunks: the runs of a chunk share one
+exponential batch, and the waveforms with equal run counts are multiplied
+out as one stack.  Every step and every product is computed exactly as for
+a lone waveform, so a waveform's unitary does not depend on its batch.
 """
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -112,9 +118,30 @@ def _sampled_runs(waveform, trotter):
     times = (np.arange(k) + 0.5) * trotter.step
     samples = np.ascontiguousarray(waveform.sample(times), dtype=float)
     bits = samples.view(np.uint64)
-    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
-    counts = np.diff(np.r_[starts, k])
-    return times[starts], samples[starts], counts
+    new_run = np.empty(k, dtype=bool)
+    new_run[0] = True
+    (bits[1:] != bits[:-1]).any(axis=1, out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[-1] = k
+    return times[starts], samples[starts], ends - starts
+
+
+def _exponentiate(template, rows, dts):
+    """:func:`_segment_unitaries` that survives resonator poles.
+
+    Returns (unitaries, poles): ``poles`` is None, or the mask of the rows
+    on a pole, whose unitaries are left zero; the other rows still share
+    one batch.
+    """
+    try:
+        return _segment_unitaries(template, rows, dts), None
+    except SingularityError:
+        poles = template.pole_rows(rows)
+        u = np.zeros((len(rows), template.dim, template.dim), dtype=complex)
+        u[~poles] = _segment_unitaries(template, rows[~poles], dts[~poles])
+        return u, poles
 
 
 # The previous call's (template, rows, dts, unitaries).  A local-search move
@@ -125,14 +152,13 @@ def _sampled_runs(waveform, trotter):
 _LAST_RUNS = None
 
 
-def _run_unitaries(template, times, rows, dts):
-    """exp(-i H(rows[s]) dts[s]) for sampled runs, shape (S, dim, dim).
+def _run_unitaries(template, rows, dts):
+    """:func:`_exponentiate` with reuse of the previous call's runs.
 
     Runs bit-identical to the same run of the previous call (same template
     and row shape) reuse its unitary; the others are exponentiated in one
     batch.  The result may be the stored stack, so callers never write into
-    it.  A resonator pole raises EvolutionError at the start time of the
-    earliest offending run.
+    it.  Runs that cross a pole are not kept for reuse.
     """
     global _LAST_RUNS
     last = _LAST_RUNS
@@ -142,24 +168,131 @@ def _run_unitaries(template, times, rows, dts):
         changed = (rows.view(np.uint64) != last[1].view(np.uint64)).any(axis=1)
         changed |= dts.view(np.uint64) != last[2].view(np.uint64)
         if not changed.any():
-            return last[3]
+            return last[3], None
         fresh = np.flatnonzero(changed)
-    try:
-        u = _segment_unitaries(template, rows[fresh], dts[fresh])
-    except SingularityError as err:
-        t_start = float(times[fresh[err.row]])
-        raise EvolutionError(
-            f"singular Hamiltonian at t={t_start} ns (transmon "
-            f"{err.transmon}): {err}",
-            time=t_start,
-            transmon=err.transmon,
-        ) from err
+    u, fresh_poles = _exponentiate(template, rows[fresh], dts[fresh])
     if last is not None:
         stack = last[3].copy()
         stack[fresh] = u
         u = stack
-    _LAST_RUNS = (template, rows, dts, u)
-    return u
+    if fresh_poles is None:
+        _LAST_RUNS = (template, rows, dts, u)
+        return u, None
+    poles = np.zeros(len(rows), dtype=bool)
+    poles[fresh[fresh_poles]] = True
+    return u, poles
+
+
+def _pole_error(template, times, rows):
+    """The EvolutionError of sampled runs that cross a resonator pole, at
+    the start time of the earliest offending run."""
+    try:
+        template.build(rows)
+    except SingularityError as err:
+        t_start = float(times[err.row])
+        error = EvolutionError(
+            f"singular Hamiltonian at t={t_start} ns (transmon "
+            f"{err.transmon}): {err}",
+            time=t_start,
+            transmon=err.transmon,
+        )
+        error.__cause__ = err
+        return error
+
+
+def _ordered_product(u):
+    """u[..., S-1, :, :] @ ... @ u[..., 0, :, :] over a stack of S steps.
+
+    Pairwise products keep the time order (later steps on the left) and
+    take a few stacked matmul calls instead of one call per step.  Each
+    product is one matmul of two contiguous matrices, so a member's result
+    does not depend on the other members of the stack.
+    """
+    while u.shape[-3] > 1:
+        n = u.shape[-3]
+        pairs = u[..., 1::2, :, :] @ u[..., 0:n - 1:2, :, :]
+        u = np.concatenate([pairs, u[..., -1:, :, :]], axis=-3) if n % 2 else pairs
+    return u[..., 0, :, :]
+
+
+def _evolve_runs(template, runs, step):
+    """Total unitaries of sampled waveforms, and their pole errors.
+
+    ``runs`` holds, per waveform, its ``_sampled_runs`` triple, or None for
+    a zero-duration waveform (the identity).  The runs of all waveforms
+    are exponentiated in one batch, ordered by run count, so the waveforms
+    with S runs are multiplied out as one (P, S, dim, dim) view of it.
+    Returns the unitaries, shape (P, dim, dim), and per waveform None or
+    the EvolutionError that :func:`evolve` raises for it (its unitary is
+    then zero).
+    """
+    out = np.zeros((len(runs), template.dim, template.dim), dtype=complex)
+    errors = [None] * len(runs)
+    for p in range(len(runs)):
+        if runs[p] is None:
+            out[p] = np.eye(template.dim)
+    # A stable sort: members of one run count keep their order.
+    order = sorted(
+        (p for p in range(len(runs)) if runs[p] is not None),
+        key=lambda p: len(runs[p][1]),
+    )
+    if not order:
+        return out, errors
+    rows = np.concatenate([runs[p][1] for p in order])
+    dts = np.concatenate([runs[p][2] for p in order]) * step
+    # Only a lone waveform is compared with, and kept as, the previous
+    # call's runs: the members of a batch are distinct samples or trials,
+    # so the next call does not share their runs.
+    if len(order) == 1:
+        u, poles = _run_unitaries(template, rows, dts)
+    else:
+        u, poles = _exponentiate(template, rows, dts)
+    start = 0
+    for length, group in groupby(order, key=lambda p: len(runs[p][1])):
+        group = list(group)
+        stop = start + length * len(group)
+        # A member on a pole has a zero step, so its product stays zero.
+        out[group] = _ordered_product(
+            u[start:stop].reshape(len(group), length, *out.shape[1:])
+        )
+        if poles is not None:
+            for p, hit in zip(group, poles[start:stop].reshape(len(group), -1)):
+                if hit.any():
+                    times, member_rows, _counts = runs[p]
+                    errors[p] = _pole_error(template, times, member_rows)
+        start = stop
+    return out, errors
+
+
+# Step unitaries held per chunk of waveforms, in bytes.  It bounds the
+# memory of a batch whatever the number of waveforms: the chunk's
+# Hamiltonians, step unitaries and products take a few times this much.
+_CHUNK_BYTES = 1 << 19
+
+
+def _evolve_chunks(template, waveforms, trotter):
+    """Total unitaries of many waveforms, a chunk at a time.
+
+    Each waveform is sampled once.  Consecutive waveforms are gathered
+    until their matrices fill ``_CHUNK_BYTES``: a step unitary per run, or
+    one identity for a zero-duration waveform.  Each chunk is then evolved
+    by :func:`_evolve_runs`, and its (unitaries, errors) pair is yielded.
+    ``waveforms`` may be any iterable; it is read lazily.
+    """
+    budget = max(1, _CHUNK_BYTES // (16 * template.dim ** 2))
+    chunk, rows = [], 0
+    for waveform in waveforms:
+        if trotter.n_steps(waveform.duration) == 0:
+            chunk.append(None)
+            rows += 1
+        else:
+            chunk.append(_sampled_runs(waveform, trotter))
+            rows += len(chunk[-1][1])
+        if rows >= budget:
+            yield _evolve_runs(template, chunk, trotter.step)
+            chunk, rows = [], 0
+    if chunk:
+        yield _evolve_runs(template, chunk, trotter.step)
 
 
 def evolve(device, waveform, trotter=TrotterConfig(), basis=None):
@@ -196,16 +329,9 @@ def evolve(device, waveform, trotter=TrotterConfig(), basis=None):
     """
     if basis is None:
         basis = basis_for(device)
-    if trotter.n_steps(waveform.duration) == 0:
-        return np.eye(basis.dimension, dtype=complex)
-    times, rows, counts = _sampled_runs(waveform, trotter)
-    u = _run_unitaries(
-        _template(device, basis), times, rows, counts * trotter.step
+    unitaries, errors = next(
+        _evolve_chunks(_template(device, basis), [waveform], trotter)
     )
-    # Pairwise products keep the time order (later steps on the left) and
-    # take a few stacked matmul calls instead of one call per step.
-    while len(u) > 1:
-        pairs = u[1::2] @ u[0:len(u) - 1:2]
-        u = np.concatenate([pairs, u[-1:]]) if len(u) % 2 else pairs
-    # A copy, so a one-run pulse does not hand out the reused stack.
-    return u[0].copy()
+    if errors[0] is not None:
+        raise errors[0]
+    return unitaries[0]

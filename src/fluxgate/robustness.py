@@ -19,13 +19,14 @@ the resulting gate fidelities; noisy samples deliberately skip the
 design-constraint checks (noise models hardware, not design).
 """
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EvolutionError
-from .fidelity import controlled_phase_ideal, score_waveform
+from .fidelity import _score_waveforms, controlled_phase_ideal, score_waveform
 from .propagator import TrotterConfig
 from .pulses import PiecewiseConstantWaveform, Waveform
 
@@ -39,6 +40,8 @@ __all__ = [
     "RobustnessReport",
     "noise_sweep",
 ]
+
+logger = logging.getLogger(__name__)
 
 MHZ_TO_GHZ = 1e-3
 
@@ -187,39 +190,51 @@ def noise_sweep(schedule, device, config=NoiseSweepConfig(),
     converted to GHz) independently to each (qubit, segment) detuning,
     evolves, and scores the compensated gate fidelity; singular evolutions
     score 0 and are counted per amplitude in the report's
-    ``singular_counts`` (the CLI's CSV column ``singular``).  Per-sample
-    seeds derive deterministically from (master seed, amplitude index,
-    sample index), so repeated sweeps are bit-identical.  At amplitude 0
-    every sample reproduces the baseline exactly and the reported mean
-    equals it bit-for-bit.
+    ``singular_counts`` (the CLI's CSV column ``singular``).  The first
+    singular sample is logged as a warning, later ones at debug level.
+    Per-sample seeds derive deterministically from (master seed, amplitude
+    index, sample index), so repeated sweeps are bit-identical.  At
+    amplitude 0 every sample reproduces the baseline exactly and the
+    reported mean equals it bit-for-bit.
+
+    The baseline and the samples, in that order, are scored in chunks of
+    consecutive members, each evolved as one batch, so memory stays
+    bounded whatever ``config.samples`` is; a member scores exactly as it
+    does alone through :func:`~fluxgate.fidelity.score_waveform`.
     """
     if target is None:
         target = controlled_phase_ideal(device.n_transmons)
-
-    def score(noisy_schedule):
-        """The fidelity, or None for a singular evolution."""
-        waveform = PiecewiseConstantWaveform(noisy_schedule)
-        try:
-            return score_waveform(device, waveform, target, trotter).fidelity
-        except EvolutionError:
-            return None
-
-    baseline = score(schedule)
-    if baseline is None:
-        baseline = 0.0
-    means, errors, singular = [], [], []
     shape = schedule.detunings.shape
 
-    def sample(a_idx, amp_ghz, s_idx):
-        rng = _sample_rng(config.seed, a_idx, s_idx)
-        noise = amp_ghz * rng.uniform(-1.0, 1.0, size=shape)
-        return score(schedule.with_detunings(schedule.detunings + noise))
+    def waveforms():
+        yield PiecewiseConstantWaveform(schedule)
+        for a_idx, amp in enumerate(config.amplitudes_mhz):
+            amp_ghz = amp * MHZ_TO_GHZ
+            for s_idx in range(config.samples):
+                rng = _sample_rng(config.seed, a_idx, s_idx)
+                noise = amp_ghz * rng.uniform(-1.0, 1.0, size=shape)
+                yield PiecewiseConstantWaveform(
+                    schedule.with_detunings(schedule.detunings + noise)
+                )
 
+    results = _score_waveforms(device, waveforms(), target, trotter)
+    first = next(results)
+    baseline = 0.0 if isinstance(first, EvolutionError) else first.fidelity
+    means, errors, singular = [], [], []
+    failures = 0  # singular samples so far, over all amplitudes
     for a_idx, amp in enumerate(config.amplitudes_mhz):
-        amp_ghz = amp * MHZ_TO_GHZ
-        scores = [sample(a_idx, amp_ghz, s) for s in range(config.samples)]
-        singular.append(sum(f is None for f in scores))
-        fids = np.array([0.0 if f is None else f for f in scores])
+        fids = np.zeros(config.samples)
+        before = failures
+        for s_idx, result in zip(range(config.samples), results):
+            if isinstance(result, EvolutionError):
+                log = logger.debug if failures else logger.warning
+                log("noise sample %d of amplitude %d (%s MHz) is singular at "
+                    "t=%s ns (transmon %s), scoring 0", s_idx, a_idx, amp,
+                    result.time, result.transmon)
+                failures += 1
+            else:
+                fids[s_idx] = result.fidelity
+        singular.append(failures - before)
         if (fids == fids[0]).all():
             # The mean of identical values is that value; avoids FP drift.
             means.append(float(fids[0]))

@@ -136,7 +136,8 @@ class TestOptimize:
         history = (workdir / "history.csv").read_text().splitlines()
         assert history[1] == "generation,best_fidelity,mean_fidelity,evaluations"
         assert len(history) == 2 + 5  # generations 0..4
-        assert (workdir / "pulses.manifest.json").exists()
+        manifest = json.loads((workdir / "pulses.manifest.json").read_text())
+        assert manifest["results"]["pole_failures"] == 0
         assert (workdir / "pulses.json").exists()
 
     def test_history_monotone(self, workdir):

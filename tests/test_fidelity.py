@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from fluxgate import propagator
 from fluxgate.cli import main
 from fluxgate.device import basis_for, device_to_json, enumerate_basis
 from fluxgate.errors import DegenerateUnitaryError, EvolutionError
@@ -18,6 +19,7 @@ from fluxgate.fidelity import (
     fidelity_report,
     fit_phases,
     gate_fidelity,
+    _score_waveforms,
     project_to_computational,
     score_waveform,
 )
@@ -38,7 +40,12 @@ from fluxgate.pulses import (
     PulseSchedule,
     save_schedule_json,
 )
-from fluxgate.robustness import NoiseSweepConfig, distortion_report, noise_sweep
+from fluxgate.robustness import (
+    NoiseSweepConfig,
+    SmoothedWaveform,
+    distortion_report,
+    noise_sweep,
+)
 
 
 def single_qubit_phase_diag(theta0, thetas):
@@ -411,3 +418,59 @@ class TestScoreWaveform:
                            controlled_phase_ideal(2))
         assert err.value.time == 0.05  # the first Trotter-step midpoint
         assert err.value.transmon == 1
+
+    @pytest.mark.parametrize("chunk_bytes", [1, None])
+    def test_batch_core_matches_scalar(self, monkeypatch, chunk_bytes):
+        # One mixed batch: 10 runs (the pulse, an amplitude-0 copy of it
+        # and the pulse shifted by 2 MHz), 1 run (idle), 92 runs
+        # (Erf-smoothed), a pole crossing (qubit M 0.5 MHz inside the floor
+        # of the 7.8 GHz resonator in segment 1) and a zero-duration pulse.
+        # One chunk, then one member per chunk.
+        if chunk_bytes is not None:
+            monkeypatch.setattr(propagator, "_CHUNK_BYTES", chunk_bytes)
+        device = toy_two_transmon_chain()
+        target = controlled_phase_ideal(2)
+        pulse = load_toy_pulse()
+        pole = PulseSchedule(np.array([[0.0, 0.0], [0.0, 1.7005]]), 1.0,
+                             TOY_REFERENCES)
+        waveforms = [
+            PiecewiseConstantWaveform(pulse),
+            PiecewiseConstantWaveform(pulse.with_detunings(
+                pulse.detunings + 0.0 * np.ones_like(pulse.detunings))),
+            PiecewiseConstantWaveform(pulse.with_detunings(
+                np.zeros_like(pulse.detunings))),
+            PiecewiseConstantWaveform(pole),
+            SmoothedWaveform(pulse),
+            PiecewiseConstantWaveform(
+                PulseSchedule(np.zeros((2, 0)), 1.0, TOY_REFERENCES)),
+            PiecewiseConstantWaveform(pulse),
+            PiecewiseConstantWaveform(pulse.with_detunings(
+                pulse.detunings + 0.002)),
+        ]
+        batches = []
+        segment_unitaries = propagator._segment_unitaries
+
+        def counting(template, rows, dts):
+            batches.append(len(rows))
+            return segment_unitaries(template, rows, dts)
+
+        monkeypatch.setattr(propagator, "_segment_unitaries", counting)
+        results = list(_score_waveforms(device, iter(waveforms), target))
+        if chunk_bytes is None:
+            # The pole fails the whole batch once; the other members then
+            # share the second call, not one call each.
+            assert len(batches) == 2
+        assert len(results) == len(waveforms)
+        for i in (0, 1, 2, 4, 6, 7):
+            assert results[i].fidelity == score_waveform(
+                device, waveforms[i], target).fidelity
+        assert results[0].fidelity == results[1].fidelity == results[6].fidelity
+        with pytest.raises(EvolutionError) as err:
+            score_waveform(device, waveforms[3], target)
+        assert isinstance(results[3], EvolutionError)
+        assert (results[3].time, results[3].transmon) == (1.05, 1)
+        assert (err.value.time, err.value.transmon) == (1.05, 1)
+        assert str(results[3]) == str(err.value)
+        identity = fidelity_report(np.eye(4), target)
+        assert results[5].fidelity == identity.fidelity
+        assert np.array_equal(results[5].compensated, identity.compensated)

@@ -264,6 +264,24 @@ class TestEvolve:
                 @ per_step
         assert np.abs(evolve(device, wf, trotter) - per_step).max() < 1e-10
 
+    def test_chunks_bound_zero_duration_members(self, device, idle_schedule,
+                                                monkeypatch):
+        # A budget of three 20 x 20 matrices: zero-duration waveforms count
+        # one each, so a stream of them is flushed in chunks of three.
+        monkeypatch.setattr(propagator, "_CHUNK_BYTES", 3 * 16 * 20 ** 2)
+        empty = PiecewiseConstantWaveform(
+            PulseSchedule(np.zeros((3, 0)), 1.0, (5.0, 6.0, 7.0)))
+        idle = PiecewiseConstantWaveform(idle_schedule)  # one merged run
+        waveforms = [empty] * 7 + [idle] + [empty] * 2
+        chunks = list(propagator._evolve_chunks(
+            _template(device, basis_for(device)), iter(waveforms),
+            TrotterConfig()))
+        assert [len(u) for u, _ in chunks] == [3, 3, 3, 1]
+        unitaries = np.concatenate([u for u, _ in chunks])
+        for i in (0, 1, 2, 3, 4, 5, 6, 8, 9):
+            assert np.array_equal(unitaries[i], np.eye(20))
+        assert np.array_equal(unitaries[7], evolve(device, idle))
+
     def test_step_must_divide_duration(self, device, idle_schedule):
         with pytest.raises(ValueError, match="divide"):
             evolve(device, PiecewiseConstantWaveform(idle_schedule),

@@ -1,6 +1,7 @@
 """Robustness tests: Erf ramp shape, distortion scoring, and the
 deterministic noise sweep statistics."""
 
+import logging
 import math
 
 import numpy as np
@@ -153,14 +154,15 @@ class TestNoiseSweep:
         assert len(rep.rows()) == 3
         assert rep.samples == 3
 
-    def test_singular_samples_counted(self):
+    def test_singular_samples_counted(self, caplog):
         # Qubit M sits 0.5 MHz outside the 7.8 GHz resonator's 0.1 GHz
         # dispersive floor in its second segment, so 2 MHz noise pushes a
         # sample into the pole whenever that draw exceeds +0.5 MHz.
         sched = PulseSchedule(np.array([[0.0, 0.0], [0.0, 1.6995]]), 1.0,
                               TOY_REFERENCES)
         cfg = NoiseSweepConfig(amplitudes_mhz=(0.0, 2.0), samples=16, seed=4)
-        rep = noise_sweep(sched, self.dev, cfg, target=self.target)
+        with caplog.at_level(logging.DEBUG, logger="fluxgate.robustness"):
+            rep = noise_sweep(sched, self.dev, cfg, target=self.target)
 
         def singular(a_idx, amp_mhz, s_idx):
             rng = np.random.default_rng(np.random.SeedSequence([4, a_idx, s_idx]))
@@ -178,6 +180,16 @@ class TestNoiseSweep:
         assert rep.singular_counts[0] == 0
         assert 0 < rep.singular_counts[1] < 16
         assert rep.baseline_fidelity > 0.0
+        # The first singular sample warns with its indices and diagnosis;
+        # the others log at debug level.
+        first = next(s for s in range(16) if singular(1, 2.0, s))
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert warnings[0].startswith(f"noise sample {first} of amplitude 1 ")
+        assert "t=1.05 ns (transmon 1)" in warnings[0]
+        debug = [r for r in caplog.records if r.levelno == logging.DEBUG]
+        assert len(debug) == expected[1] - 1
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

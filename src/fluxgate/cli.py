@@ -392,6 +392,7 @@ def cmd_verify(args):
     from .profiles import (
         THREE_QUBIT_REFERENCES,
         TOY_REFERENCES,
+        load_ccphase_pulse,
         load_toy_pulse,
         three_qubit_constraints,
         three_transmon_chain,
@@ -436,6 +437,24 @@ def cmd_verify(args):
         "batched evolution vs per-segment exponentials",
         np.abs(u - dense).max() < 1e-10,
     ))
+
+    # One-segment moves of the shipped CCZ pulse: evolved right after the
+    # pulse, only the product-tree nodes above the moved segment are
+    # multiplied again; evolved after the idle pulse (one run), every node
+    # is.  Both must give the same bits.
+    ccz = load_ccphase_pulse()
+    idle = PiecewiseConstantWaveform(sched.with_detunings(np.zeros((3, 1))))
+    move_rng = np.random.default_rng(9)
+    same = True
+    for _ in range(20):
+        det = ccz.detunings.copy()
+        det[move_rng.integers(3), move_rng.integers(ccz.n_segments)] += 1e-3
+        moved = PiecewiseConstantWaveform(ccz.with_detunings(det))
+        evolve(device, PiecewiseConstantWaveform(ccz))
+        warm = evolve(device, moved)
+        evolve(device, idle)
+        same &= np.array_equal(warm, evolve(device, moved))
+    checks.append(("incremental product tree vs cold product", same))
 
     # Nudging any fitted qubit phase by +/-1e-6 rad must not raise the trace.
     u8 = project_to_computational(u, basis)

@@ -47,8 +47,8 @@ from .errors import TomographyError
 from .fidelity import computational_indices, controlled_phase_ideal, score_waveform
 from .propagator import (
     TrotterConfig,
+    _exponentiate,
     _pole_error,
-    _run_unitaries,
     _sampled_runs,
     evolve,
 )
@@ -186,7 +186,7 @@ class _StackEvolution:
         if trotter.n_steps(waveform.duration) == 0:
             return
         times, rows, counts = _sampled_runs(waveform, trotter)
-        units, poles = _run_unitaries(
+        units, poles = _exponentiate(
             template, rows, np.full(len(rows), 0.5 * dt)
         )
         if poles is not None:

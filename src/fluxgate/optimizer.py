@@ -190,6 +190,47 @@ def validate_constraints(chromosome, constraints, references):
     return out
 
 
+def _move_is_feasible(y, genes, constraints, references):
+    """``not validate_constraints(y, ...)`` for a flat chromosome ``y`` that
+    differs from a feasible one only at the flat indices in range ``genes``.
+
+    Only a moved gene can break a rule, so this checks just its range, its
+    steps to the neighbouring segments, the boundary rule at the first and
+    last segment and its separation from the adjacent qubits in the same
+    segment, with the same float arithmetic as :func:`validate_constraints`.
+    """
+    cs = constraints
+    n = cs.n_qubits
+    n_seg = len(y) // n
+    max_step = None if cs.max_step is None else cs.max_step + STEP_TOL
+    boundary = None if cs.boundary_step is None else cs.boundary_step + STEP_TOL
+    min_gap = None if cs.min_separation is None else cs.min_separation - STEP_TOL
+    for g in genes:
+        k, s = divmod(g, n_seg)
+        v = float(y[g])
+        if not cs.ranges[k].contains(v):
+            return False
+        if max_step is not None:
+            if s > 0 and abs(v - float(y[g - 1])) > max_step:
+                return False
+            if s < n_seg - 1 and abs(float(y[g + 1]) - v) > max_step:
+                return False
+        here = float(references[k]) + v
+        if boundary is not None and s in (0, n_seg - 1):
+            if abs(here - float(cs.idle_frequencies[k])) > boundary:
+                return False
+        if min_gap is not None:
+            if k > 0 and abs(
+                    here - (float(references[k - 1]) + float(y[g - n_seg]))
+            ) < min_gap:
+                return False
+            if k < n - 1 and abs(
+                    float(references[k + 1]) + float(y[g + n_seg]) - here
+            ) < min_gap:
+                return False
+    return True
+
+
 def _separated(refs, column, min_gap):
     """Whether adjacent absolute frequencies of a column are min_gap apart."""
     below = refs[0] + column[0]
@@ -549,12 +590,14 @@ def local_search(chromosome, fitness, config, constraints, references):
             eps_used.append(eps)
             improved_sweep = False
             for start in range(0, x.size, config.window):
-                genes = slice(start, min(start + config.window, x.size))
+                stop = min(start + config.window, x.size)
                 while True:
                     for sign in (1.0, -1.0):
                         y = x.copy()
-                        y[genes] += sign * eps
-                        if validate_constraints(y, cs, references):
+                        y[start:stop] += sign * eps
+                        # x is feasible: only the moved genes can break a rule.
+                        if not _move_is_feasible(y, range(start, stop), cs,
+                                                 references):
                             continue
                         fy = fitness(y)
                         if fy > f:

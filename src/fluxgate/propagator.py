@@ -16,6 +16,13 @@ exactly Hermitian and small, so this is both accurate and unitary to
 machine precision, and entries between blocks are exactly zero.  Merged
 steps bit-identical to the previous call's are reused, not recomputed.
 
+The step unitaries are multiplied pairwise, level by level, in a tree
+whose shape depends only on the step count.  A lone waveform keeps its
+tree, so when it changes a few steps from the previous call (a
+local-search move) only the nodes above those steps are multiplied again:
+about log2(S) products instead of S - 1.  Each node is one matmul of the
+same two child matrices either way, so the result has the same bits.
+
 Many waveforms evolve together in chunks: the runs of a chunk share one
 exponential batch, and the waveforms with equal run counts are multiplied
 out as one stack.  Every step and every product is computed exactly as for
@@ -144,21 +151,27 @@ def _exponentiate(template, rows, dts):
         return u, poles
 
 
-# The previous call's (template, rows, dts, unitaries).  A local-search move
-# changes one segment, so nearly all of its runs equal the call before.  The
-# tuple is replaced whole and its stack is never written into, so threads
-# need no lock: a race loses reuse, never correctness, because a row's
-# unitary does not depend on the batch it was computed in.
+# The previous lone call's (template, rows, dts, tree): ``tree`` holds the
+# levels of its pairwise product (see _product_tree), its step unitaries
+# first.  A local-search move changes one segment, so nearly all of its runs
+# and most tree nodes equal the call before.  The tuple is replaced whole
+# and its arrays are never written into, so threads need no lock: a race
+# loses reuse, never correctness, because a node's bits do not depend on
+# the batch or the tree it was computed in.
 _LAST_RUNS = None
 
 
 def _run_unitaries(template, rows, dts):
-    """:func:`_exponentiate` with reuse of the previous call's runs.
+    """The product tree of a lone waveform's runs, and their poles.
 
     Runs bit-identical to the same run of the previous call (same template
     and row shape) reuse its unitary; the others are exponentiated in one
-    batch.  The result may be the stored stack, so callers never write into
-    it.  Runs that cross a pole are not kept for reuse.
+    batch.  When few runs changed, only the tree nodes above them are
+    multiplied again.  Returns (levels, poles): the levels of
+    :func:`_product_tree` of the step unitaries, and None or the mask of
+    the runs on a pole (their unitaries are zero).  The levels may be the
+    stored ones, so callers never write into them.  Calls that cross a
+    pole are not kept for reuse.
     """
     global _LAST_RUNS
     last = _LAST_RUNS
@@ -172,15 +185,20 @@ def _run_unitaries(template, rows, dts):
         fresh = np.flatnonzero(changed)
     u, fresh_poles = _exponentiate(template, rows[fresh], dts[fresh])
     if last is not None:
-        stack = last[3].copy()
+        stack = last[3][0].copy()
         stack[fresh] = u
         u = stack
-    if fresh_poles is None:
-        _LAST_RUNS = (template, rows, dts, u)
-        return u, None
-    poles = np.zeros(len(rows), dtype=bool)
-    poles[fresh[fresh_poles]] = True
-    return u, poles
+    if fresh_poles is not None:
+        poles = np.zeros(len(rows), dtype=bool)
+        poles[fresh[fresh_poles]] = True
+        return _product_tree(u), poles
+    # A changed run costs one product per level; the full tree, S - 1.
+    if last is not None and len(fresh) * (len(last[3]) - 1) < len(rows):
+        levels = _update_tree(last[3], u, fresh)
+    else:
+        levels = _product_tree(u)
+    _LAST_RUNS = (template, rows, dts, levels)
+    return levels, None
 
 
 def _pole_error(template, times, rows):
@@ -200,19 +218,53 @@ def _pole_error(template, times, rows):
         return error
 
 
-def _ordered_product(u):
-    """u[..., S-1, :, :] @ ... @ u[..., 0, :, :] over a stack of S steps.
+def _product_tree(u):
+    """The levels of the pairwise product of a stack of S steps.
 
-    Pairwise products keep the time order (later steps on the left) and
-    take a few stacked matmul calls instead of one call per step.  Each
-    product is one matmul of two contiguous matrices, so a member's result
-    does not depend on the other members of the stack.
+    Level 0 is ``u``.  Node j of the next level above a level L is
+    ``L[2j + 1] @ L[2j]`` (later steps on the left), or L[2j] carried up
+    when L has no node 2j + 1.  The last level holds the one product,
+    u[..., S-1, :, :] @ ... @ u[..., 0, :, :].  Each level is a few stacked
+    matmul calls, not one call per step.  Each product is one matmul of two
+    contiguous matrices, so a member's result does not depend on the other
+    members of the stack.
     """
+    levels = [u]
     while u.shape[-3] > 1:
         n = u.shape[-3]
         pairs = u[..., 1::2, :, :] @ u[..., 0:n - 1:2, :, :]
         u = np.concatenate([pairs, u[..., -1:, :, :]], axis=-3) if n % 2 else pairs
-    return u[..., 0, :, :]
+        levels.append(u)
+    return levels
+
+
+def _ordered_product(u):
+    """u[..., S-1, :, :] @ ... @ u[..., 0, :, :] over a stack of S steps."""
+    return _product_tree(u)[-1][..., 0, :, :]
+
+
+def _update_tree(levels, u, fresh):
+    """:func:`_product_tree` of ``u`` from ``levels``, the tree of a stack
+    that differs from ``u`` only at the sorted indices ``fresh``.
+
+    Only the nodes above ``fresh`` are multiplied again, one matmul each;
+    the others are taken from ``levels``, which is left as it is.  The new
+    levels above ``u`` are lists of matrices.
+    """
+    tree = [u]
+    dirty = fresh.tolist()
+    for old in levels[1:]:
+        below = tree[-1]
+        n = len(below)
+        level = list(old)
+        dirty = list(dict.fromkeys(j // 2 for j in dirty))
+        for j in dirty:
+            if 2 * j + 1 < n:
+                level[j] = below[2 * j + 1] @ below[2 * j]
+            else:
+                level[j] = below[2 * j]
+        tree.append(level)
+    return tree
 
 
 def _evolve_runs(template, runs, step):
@@ -243,8 +295,9 @@ def _evolve_runs(template, runs, step):
     # Only a lone waveform is compared with, and kept as, the previous
     # call's runs: the members of a batch are distinct samples or trials,
     # so the next call does not share their runs.
-    if len(order) == 1:
-        u, poles = _run_unitaries(template, rows, dts)
+    lone = len(order) == 1
+    if lone:
+        levels, poles = _run_unitaries(template, rows, dts)
     else:
         u, poles = _exponentiate(template, rows, dts)
     start = 0
@@ -252,9 +305,12 @@ def _evolve_runs(template, runs, step):
         group = list(group)
         stop = start + length * len(group)
         # A member on a pole has a zero step, so its product stays zero.
-        out[group] = _ordered_product(
-            u[start:stop].reshape(len(group), length, *out.shape[1:])
-        )
+        if lone:
+            out[group] = levels[-1][0]
+        else:
+            out[group] = _ordered_product(
+                u[start:stop].reshape(len(group), length, *out.shape[1:])
+            )
         if poles is not None:
             for p, hit in zip(group, poles[start:stop].reshape(len(group), -1)):
                 if hit.any():

@@ -214,6 +214,39 @@ class TestRunSussade:
         finally:
             sys.setswitchinterval(old_interval)
 
+    def test_threads_racing_on_tree_reuse_keep_scores(self):
+        # A one-segment move updates the product tree the previous call
+        # kept.  Threads that interleave their move sequences swap that
+        # tree under each other, which must never change a score.
+        fitness = ccphase_fitness(toy_two_transmon_chain(), TOY_REFERENCES, 1.0)
+        starts = seed_population(DEConfig(population_size=4, seed=7),
+                                 toy_constraints(), TOY_REFERENCES, 10)
+        rng = np.random.default_rng(7)
+        sequences = []
+        for x in starts:
+            moves = []
+            for _ in range(40):
+                y = x.copy()
+                y[rng.integers(x.size)] += rng.choice([-1e-3, 1e-3])
+                moves.append(y)
+                if rng.random() < 0.3:
+                    x = y
+            sequences.append(moves)
+
+        def score(moves):
+            return [fitness(c) for c in moves]
+
+        serial = [score(moves) for moves in sequences]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    threaded = list(pool.map(score, sequences, timeout=120))
+                assert threaded == serial
+        finally:
+            sys.setswitchinterval(old_interval)
+
     def test_every_evaluated_chromosome_feasible(self):
         cs = toy_constraints()
         cfg = DEConfig(population_size=8, max_generations=10, seed=9,
@@ -655,3 +688,73 @@ class TestValidateOracle:
                 assert got == reference_validate(det, cs, refs)
                 seen.update(v.rule for v in got)
         assert seen == {"range", "step", "boundary", "separation"}
+
+
+def near_bound(rng, x, g, cs, refs):
+    """A value for gene g of x within a few STEP_TOL of one of its rule
+    bounds (picked at random), or a random nudge of it."""
+    n = cs.n_qubits
+    n_seg = x.size // n
+    k, seg = divmod(g, n_seg)
+    off = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) * STEP_TOL
+    side = rng.choice([-1.0, 1.0])
+    targets = [rng.choice([cs.ranges[k].lo, cs.ranges[k].hi]) + off]
+    if cs.max_step is not None:
+        for nb in (seg - 1, seg + 1):
+            if 0 <= nb < n_seg:
+                targets.append(x[k * n_seg + nb]
+                               + side * (cs.max_step + STEP_TOL + off))
+    if cs.boundary_step is not None and seg in (0, n_seg - 1):
+        targets.append(cs.idle_frequencies[k] - refs[k]
+                       + side * (cs.boundary_step + STEP_TOL + off))
+    if cs.min_separation is not None:
+        for nb in (k - 1, k + 1):
+            if 0 <= nb < n:
+                targets.append(refs[nb] + x[nb * n_seg + seg] - refs[k]
+                               + side * (cs.min_separation - STEP_TOL + off))
+    if rng.random() < 0.2:
+        return x[g] + rng.uniform(-0.3, 0.3)
+    return targets[rng.integers(len(targets))]
+
+
+class TestMoveFeasibility:
+    """local_search checks a move of a feasible chromosome on the moved
+    genes only; that must agree with validate_constraints on the whole."""
+
+    @pytest.mark.parametrize("window", [1, 3])
+    def test_agrees_with_validate_constraints(self, window):
+        cases = [
+            (three_qubit_constraints("references"), THREE_QUBIT_REFERENCES, 6),
+            (toy_constraints(), TOY_REFERENCES, 5),
+            (WIDE, WIDE_REFS, 4),
+            (EXCLUSIVE, (5.0, 6.0), 4),  # the boundary rule binds first
+            (three_qubit_constraints("references"), THREE_QUBIT_REFERENCES, 1),
+        ]
+        rng = np.random.default_rng(100 + window)
+        outcomes, rules = [], set()
+        for cs, refs, n_seg in cases:
+            x = seed_population(DEConfig(population_size=4, seed=window), cs,
+                                refs, n_seg)[0]
+            size = x.size
+            # The first and last segment of every qubit, plus any gene.
+            edges = sorted({k * n_seg + s for k in range(cs.n_qubits)
+                            for s in (0, n_seg - 1)})
+            for _ in range(200):
+                start = edges[rng.integers(len(edges))] if rng.random() < 0.7 \
+                    else int(rng.integers(size))
+                start = min(start, size - 1)
+                genes = range(start, min(start + window, size))
+                g = genes[rng.integers(len(genes))]
+                eps = near_bound(rng, x, g, cs, refs) - x[g]
+                y = x.copy()
+                y[genes.start:genes.stop] += eps
+                violations = validate_constraints(y, cs, refs)
+                got = optimizer._move_is_feasible(y, genes, cs, refs)
+                assert got == (not violations), (y, genes, violations)
+                outcomes.append(got)
+                rules.update(v.rule for v in violations)
+                if got and rng.random() < 0.5:
+                    x = y
+        assert len(outcomes) == 1000
+        assert 100 < sum(outcomes) < 900
+        assert rules == {"range", "step", "boundary", "separation"}

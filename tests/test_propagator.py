@@ -82,6 +82,35 @@ def random_schedules(count, seed):
             for c in population[:count]]
 
 
+def cold_evolve(device, waveform):
+    """evolve with nothing reused from earlier calls; what they kept for
+    reuse is left as it was."""
+    kept = propagator._LAST_RUNS
+    propagator._LAST_RUNS = None
+    try:
+        return evolve(device, waveform)
+    finally:
+        propagator._LAST_RUNS = kept
+
+
+def counting_updates(monkeypatch):
+    """Record the changed runs of each incremental product-tree update."""
+    updates = []
+    update_tree = propagator._update_tree
+
+    def counting(levels, u, fresh):
+        updates.append(fresh.tolist())
+        return update_tree(levels, u, fresh)
+
+    monkeypatch.setattr(propagator, "_update_tree", counting)
+    return updates
+
+
+def pulse(detunings):
+    return PiecewiseConstantWaveform(
+        PulseSchedule(detunings, 1.0, (5.0, 6.0, 7.0)))
+
+
 def excitation_cross(basis):
     exc = np.array([sum(s) for s in basis.states])
     return exc[:, None] != exc[None, :]
@@ -167,14 +196,25 @@ class TestEvolve:
                                                        idle_schedule,
                                                        monkeypatch):
         # One run (the idle pulse) and 50 runs: the caller owns the result,
-        # and the next evolve of the same pulse reuses the stored steps.
+        # and the next evolve of the same pulse reuses the stored steps and
+        # tree, as does a one-segment move of it and the move back.
+        updates = counting_updates(monkeypatch)
         for sched in (idle_schedule, random_schedules(1, seed=29)[0]):
             wf = PiecewiseConstantWaveform(sched)
+            det = sched.detunings.copy()
+            det[1, 17] += 1e-3
+            moved = PiecewiseConstantWaveform(sched.with_detunings(det))
             monkeypatch.setattr(propagator, "_LAST_RUNS", None)
             cold = evolve(device, wf)
             want = cold.copy()
             cold[...] = 0.0
             assert np.array_equal(evolve(device, wf), want)
+            warm = evolve(device, moved)
+            assert np.array_equal(warm, cold_evolve(device, moved))
+            warm[...] = 0.0
+            assert np.array_equal(evolve(device, wf), want)
+        # The 50-run pulse's move and move back update the kept tree.
+        assert updates == [[17], [17]]
 
     def test_trotter_halving(self, device):
         rng = np.random.default_rng(3)
@@ -286,6 +326,72 @@ class TestEvolve:
         with pytest.raises(ValueError, match="divide"):
             evolve(device, PiecewiseConstantWaveform(idle_schedule),
                    TrotterConfig(0.3))
+
+
+class TestProductTree:
+    """A lone waveform keeps its pairwise product tree, and the next one
+    multiplies again only the nodes above the runs that changed."""
+
+    @pytest.mark.parametrize("segments", [1, 2, 3, 7, 50])
+    def test_warm_tree_equals_cold_product(self, device, segments,
+                                           monkeypatch):
+        rng = np.random.default_rng(segments)
+        updates = counting_updates(monkeypatch)
+        monkeypatch.setattr(propagator, "_LAST_RUNS", None)
+        last = segments - 1
+        # Moves of one run (the last one is carried up every odd level),
+        # of two runs, and of every run.
+        moves = [[0], [last], [segments // 2], [0, last],
+                 [segments // 2, last], list(range(segments)), [last]]
+        det = rng.uniform(-0.1, 0.1, size=(3, segments))
+        evolve(device, pulse(det))
+        for k, moved in enumerate(moves):
+            det = det.copy()
+            det[k % 3, moved] += rng.uniform(1e-4, 1e-3, size=len(moved))
+            wf = pulse(det)
+            assert np.array_equal(evolve(device, wf), cold_evolve(device, wf))
+        # A change of run count starts a new tree, which moves then update.
+        det = np.concatenate([det, det[:, -1:] + 0.01], axis=1)
+        for k in range(3):
+            if k:
+                det = det.copy()
+                det[k, -1] += 1e-3
+            wf = pulse(det)
+            assert np.array_equal(evolve(device, wf), cold_evolve(device, wf))
+        assert len(updates) >= 5
+        assert [last] in updates
+
+    def test_pole_call_between_moves_keeps_tree(self, device, monkeypatch):
+        rng = np.random.default_rng(41)
+        updates = counting_updates(monkeypatch)
+        monkeypatch.setattr(propagator, "_LAST_RUNS", None)
+        det = rng.uniform(-0.1, 0.1, size=(3, 7))
+        evolve(device, pulse(det))
+        poles = det.copy()
+        poles[2, 3] = 1.2  # qubit R onto its 8.2 GHz resonator
+        with pytest.raises(EvolutionError):
+            evolve(device, pulse(poles))
+        moved = det.copy()
+        moved[0, 5] += 1e-3
+        wf = pulse(moved)
+        assert np.array_equal(evolve(device, wf), cold_evolve(device, wf))
+        # The pole call kept nothing: the move updates the tree before it.
+        assert updates == [[5]]
+
+    def test_levels_match_stacked_loop(self):
+        # Every node of an updated tree, not only the product, has the
+        # bits of the same node built by the stacked pairwise loop.
+        rng = np.random.default_rng(43)
+        u = rng.normal(size=(13, 6, 6)) + 1j * rng.normal(size=(13, 6, 6))
+        levels = propagator._product_tree(u)
+        for fresh in ([12], [3, 4], [0, 5, 11], [12]):
+            u = u.copy()
+            u[fresh] = rng.normal(size=(len(fresh), 6, 6))
+            levels = propagator._update_tree(levels, u, np.array(fresh))
+            cold = propagator._product_tree(u)
+            assert len(levels) == len(cold)
+            for got, want in zip(levels, cold):
+                assert np.array_equal(np.array(got), want)
 
 
 class TestTrotterConfig:

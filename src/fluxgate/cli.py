@@ -374,7 +374,12 @@ def cmd_robustness(args):
 
 def cmd_verify(args):
     """Fast self-checks of the numerical core; prints PASS/FAIL lines."""
-    from .device import ResonatorCoupling, TransmonSpec, build_hamiltonian
+    from .device import (
+        ResonatorCoupling,
+        TransmonSpec,
+        _template,
+        build_hamiltonian,
+    )
     from .fidelity import (
         CompensationPhases,
         compensation_matrix,
@@ -398,7 +403,12 @@ def cmd_verify(args):
         three_transmon_chain,
         toy_two_transmon_chain,
     )
-    from .propagator import expm_skew, step_unitary
+    from .propagator import (
+        _expm_stack,
+        _segment_unitaries,
+        expm_skew,
+        step_unitary,
+    )
     from .pulses import PulseSchedule
 
     checks = []
@@ -455,6 +465,26 @@ def cmd_verify(args):
         evolve(device, idle)
         same &= np.array_equal(warm, evolve(device, moved))
     checks.append(("incremental product tree vs cold product", same))
+
+    # The CCZ pulse's 50 segment exponentials, each alone and all as one
+    # batch, checked once for exact symmetry, against every block
+    # exponentiated with its own toleranced check: the same bytes.
+    template = _template(device, basis)
+    rows = ccz.absolute_frequencies().T
+    dts = np.full(len(rows), ccz.segment_duration)
+    h = template.build(rows)
+    oracle = np.zeros(h.shape, dtype=complex)
+    for index in template.block_index:
+        oracle[index] = _expm_stack(h[index], dts)
+    alone = np.concatenate([
+        _segment_unitaries(template, rows[s:s + 1], dts[s:s + 1])
+        for s in range(len(rows))
+    ])
+    batch = _segment_unitaries(template, rows, dts)
+    checks.append((
+        "exponential without per-block checks vs per-block oracle",
+        alone.tobytes() == oracle.tobytes() == batch.tobytes(),
+    ))
 
     # Nudging any fitted qubit phase by +/-1e-6 rad must not raise the trace.
     u8 = project_to_computational(u, basis)

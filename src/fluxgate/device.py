@@ -326,15 +326,14 @@ def _attachments(device):
 
 
 def _pole_denominators(frequencies, pairs, offsets, floor):
-    """Offsets broadcast per attachment, the dispersive denominators and
-    the mask of those within ``floor`` of a pole; see
-    :func:`_dispersive_denominators`, which raises on the mask."""
-    offsets = np.broadcast_to(offsets, (len(pairs.transmon), np.shape(offsets)[-1]))
+    """The dispersive denominators and the mask of those within ``floor``
+    of a pole; see :func:`_dispersive_denominators`, which raises on the
+    mask."""
     den = (
         frequencies[:, :, None] - pairs.resonator_frequency[:, None]
-        + offsets * pairs.anharmonicity[:, None]
+        + np.multiply(offsets, pairs.anharmonicity[:, None])
     )
-    return offsets, den, np.abs(den) <= floor
+    return den, np.abs(den) <= floor
 
 
 def _dispersive_denominators(frequencies, pairs, offsets, floor, level_shift=0):
@@ -351,7 +350,7 @@ def _dispersive_denominators(frequencies, pairs, offsets, floor, level_shift=0):
     pairs : _Pairs
         The attachments (transmon, resonator, anharmonicity, resonator
         frequency, g).
-    offsets : ndarray of int, shape (levels,) or (n_pairs, levels)
+    offsets : array_like of int, shape (levels,) or (n_pairs, levels)
         Level offsets j; the denominator of level j' is offset j' - 1.
     floor : float
         Minimum allowed |denominator| in GHz.
@@ -368,11 +367,11 @@ def _dispersive_denominators(frequencies, pairs, offsets, floor, level_shift=0):
         At the first denominator within the floor: earliest row, then
         transmon, then resonator, then level.  ``row`` names the row.
     """
-    offsets, den, bad = _pole_denominators(frequencies, pairs, offsets, floor)
+    den, bad = _pole_denominators(frequencies, pairs, offsets, floor)
     if bad.any():
         row, a, j = np.unravel_index(np.argmax(bad), bad.shape)
         k = int(pairs.transmon[a])
-        level = int(offsets[a, j]) + level_shift
+        level = int(np.broadcast_to(offsets, bad.shape[1:])[a, j]) + level_shift
         w_r = float(pairs.resonator_frequency[a])
         raise SingularityError(
             f"transmon {k} level {level} at {float(frequencies[row, a])} GHz "
@@ -463,10 +462,12 @@ class _HamiltonianTemplate:
     """Precomputed sparsity pattern of the chain Hamiltonian on a basis.
 
     The basis graph (which state pairs exchange an excitation through which
-    resonator) and the total-excitation blocks are frequency-independent,
-    so they are built once; ``build`` then only evaluates the dressed
-    energies and couplings for a stack of frequency rows and scatters them
-    into dense matrices.
+    resonator), the total-excitation blocks and every term of the
+    Hamiltonian that does not depend on frequency (the level ramp, the
+    static energies, the Lamb-shift numerators and the flat scatter
+    indices) are built once; ``build`` then only evaluates the
+    frequency-dependent terms for a stack of frequency rows and scatters
+    them into dense matrices.
     """
 
     def __init__(self, device, basis):
@@ -509,65 +510,91 @@ class _HamiltonianTemplate:
                 jk.append(state[k])
                 jk1.append(state[k + 1] - 1)
                 fac.append(np.sqrt((state[k] + 1) * state[k + 1]))
-        self.rows = np.array(rows, dtype=np.intp)
-        self.cols = np.array(cols, dtype=np.intp)
-        self.left = np.array(left, dtype=np.intp)
-        self.right = np.array(right, dtype=np.intp)
-        self.jk = np.array(jk, dtype=np.intp)
-        self.jk1 = np.array(jk1, dtype=np.intp)
-        self.fac = np.array(fac)
-        self.g2 = self.pairs.g[self.left] * self.pairs.g[self.right]
-        self.anharmonicities = np.array([t.anharmonicity for t in device.transmons])
+
+        # Everything of build that does not depend on the frequencies, each
+        # value computed with the operations build used to run per call, so
+        # the matrices keep their bits.
+        g = self.pairs.g
+        j = np.arange(levels)
+        delta = np.array([t.anharmonicity for t in device.transmons])[:, None]
+        self._offsets = np.arange(levels - 1)
+        self._ramp = j
+        self._static = 0.5 * delta * (j - 1) * j
+        self._lamb_numerators = j[1:] * g[:, None] * g[:, None]
+        # Lamb shifts are added one attachment at a time, in attachment
+        # order, so the middle transmon's two shifts keep their order.
+        self._lamb_targets = tuple(
+            (int(k), a) for a, k in enumerate(self.pairs.transmon)
+        )
+        self._transmon_axis = np.arange(n)
+        self._left = np.array(left, dtype=np.intp)
+        self._right = np.array(right, dtype=np.intp)
+        self._jk = np.array(jk, dtype=np.intp)
+        self._jk1 = np.array(jk1, dtype=np.intp)
+        self._g2 = g[self._left] * g[self._right]
+        self._two_pi_fac = TWO_PI * np.array(fac)
+        # Flat scatter indices into the (S, dim * dim) matrices.
+        rows = np.array(rows, dtype=np.intp)
+        cols = np.array(cols, dtype=np.intp)
+        self._diag_scatter = np.arange(self.dim) * (self.dim + 1)
+        self._upper = rows * self.dim + cols
+        self._lower = cols * self.dim + rows
 
         # Total excitation is conserved, so H is block diagonal over these
         # index sets (1/3/6/10 states for the 20-state working basis).
+        # block_index[b] selects block b from an (S, dim, dim) stack.
         excitation = occ.sum(axis=1)
         self.blocks = tuple(
             np.flatnonzero(excitation == e) for e in sorted(set(excitation.tolist()))
+        )
+        self.block_index = tuple(
+            (slice(None), block[:, None], block) for block in self.blocks
         )
 
     def pole_rows(self, frequencies):
         """Mask of the frequency rows that :meth:`build` refuses, because a
         level lies within the dispersive floor of a resonator pole."""
         return _pole_denominators(
-            frequencies[:, self.pairs.transmon], self.pairs,
-            np.arange(self.levels - 1), self.device.dispersive_floor,
-        )[2].any(axis=(1, 2))
+            frequencies[:, self.pairs.transmon], self.pairs, self._offsets,
+            self.device.dispersive_floor,
+        )[1].any(axis=(1, 2))
 
     def build(self, frequencies):
         """Dense real symmetric matrices in angular units (rad/ns).
 
         ``frequencies`` has shape (S, n_transmons), one row of qubit
         frequencies in GHz per matrix; the result has shape (S, dim, dim).
-        Every entry is real, so the float64 result is Hermitian.  A
+        Every entry is real and each coupling is written to both triangles,
+        so the float64 result is exactly symmetric, hence Hermitian.  A
         resonator pole raises SingularityError naming the earliest row.
+
+        The level ramp, the static energies, the Lamb-shift numerators and
+        the flat scatter indices come from the template; a call only
+        evaluates the frequency-dependent terms and writes them into one
+        flat (S, dim * dim) array.
         """
-        n = self.device.n_transmons
         count = len(frequencies)
         den = _dispersive_denominators(
-            frequencies[:, self.pairs.transmon], self.pairs,
-            np.arange(self.levels - 1), self.device.dispersive_floor,
-            level_shift=1,
+            frequencies[:, self.pairs.transmon], self.pairs, self._offsets,
+            self.device.dispersive_floor, level_shift=1,
         )
         # Dressed energies w[s, k, j] of level j of transmon k.
-        j = np.arange(self.levels)
-        delta = self.anharmonicities[:, None]
-        w = j * frequencies[:, :, None] + 0.5 * delta * (j - 1) * j
-        for a, (k, g) in enumerate(zip(self.pairs.transmon, self.pairs.g)):
-            w[:, k, 1:] += j[1:] * g * g / den[:, a, :]
-        diag = w[:, np.arange(n), self.occupations].sum(axis=-1)
-        h = np.zeros((count, self.dim, self.dim))
-        index = np.arange(self.dim)
-        h[:, index, index] = TWO_PI * diag
-        if len(self.rows):
-            den_l = den[:, self.left, self.jk]
-            den_r = den[:, self.right, self.jk1]
-            amps = TWO_PI * self.fac * (
-                self.g2 * (den_l + den_r) / (2.0 * den_l * den_r)
+        w = self._ramp * frequencies[:, :, None] + self._static
+        lamb = self._lamb_numerators / den
+        for k, a in self._lamb_targets:
+            w[:, k, 1:] += lamb[:, a]
+        diag = w[:, self._transmon_axis, self.occupations].sum(axis=-1)
+        h = np.zeros((count, self.dim * self.dim))
+        h[:, self._diag_scatter] = TWO_PI * diag
+        if len(self._upper):
+            den_l = den[:, self._left, self._jk]
+            den_r = den[:, self._right, self._jk1]
+            amps = self._two_pi_fac * (
+                self._g2 * (den_l + den_r) / (2.0 * den_l * den_r)
             )
-            h[:, self.rows, self.cols] = amps
-            h[:, self.cols, self.rows] = amps
-        return h
+            h[:, self._upper] = amps
+            h[:, self._lower] = amps
+        return h.reshape(count, self.dim, self.dim)
 
 
 @lru_cache(maxsize=64)

@@ -21,6 +21,7 @@ one evolution batch per chunk (the noise sweep).
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -145,28 +146,35 @@ def compensation_matrix(phases):
     return np.diag(_compensation_phasors(phases))
 
 
-def _contract_except(c, z, k):
-    """(A, B) from c, viewed as a 2x...x2 tensor, contracted with (1, z_j)
-    over every qubit axis j != k; 2**n - 2 scalar multiply-adds."""
-    n = len(z)
+@lru_cache(maxsize=8)
+def _contraction_plan(n):
+    """Per qubit k, the stages that contract c, viewed as a 2x...x2 tensor,
+    with (1, z_j) over every qubit axis j != k, leaving the pair (A, B).
+
+    A stage is (j, first, second): the new entries are
+    ``a + z[j] * b for a, b in zip(v[first], v[second])``.  Leading axes
+    (qubit j is the leading axis: the first half has bit j = 0) pair
+    ``v[:half]`` with ``v[half:]``; trailing ones (even entries have bit
+    j = 0) pair ``v[0::2]`` with ``v[1::2]``.  A neighbour of k, ``last``,
+    is contracted last, as the leading or trailing axis of the four
+    entries left; with one qubit there is nothing to contract.  2**n - 2
+    scalar multiply-adds per k.  The plan depends only on n.
+    """
     if n == 1:
-        return c[0], c[1]
-    # A neighbour of k is contracted last, written out on four entries.
-    last = k + 1 if k + 1 < n else k - 1
-    v = c
-    for j in range(min(k, last)):
-        # The leading axis is qubit j: the first half has bit j = 0.
-        half = len(v) >> 1
-        zj = z[j]
-        v = [v[i] + zj * v[i + half] for i in range(half)]
-    for j in range(n - 1, max(k, last), -1):
-        # The trailing axis is qubit j: even entries have bit j = 0.
-        zj = z[j]
-        v = [v[i] + zj * v[i + 1] for i in range(0, len(v), 2)]
-    zl = z[last]
-    if last > k:
-        return v[0] + zl * v[1], v[2] + zl * v[3]
-    return v[0] + zl * v[2], v[1] + zl * v[3]
+        return ((),)
+    trailing = (slice(0, None, 2), slice(1, None, 2))
+    plan = []
+    for k in range(n):
+        last = k + 1 if k + 1 < n else k - 1
+        axes = [*range(min(k, last)), *range(n - 1, max(k, last), -1), last]
+        stages = []
+        for j in axes:
+            # Before stage s, v holds 2**(n - s) entries.
+            half = 1 << (n - 1 - len(stages))
+            leading = (slice(None, half), slice(half, None))
+            stages.append((j, *(leading if j < k else trailing)))
+        plan.append(tuple(stages))
+    return tuple(plan)
 
 
 def _refine(u, target, theta_qubits, tol, max_rounds):
@@ -177,17 +185,23 @@ def _refine(u, target, theta_qubits, tol, max_rounds):
     runs on Python complex scalars and carries the unit phasors
     z_j = exp(-i t_j), updated as A conj(B) / (|A| |B|), so no exponential
     is taken inside the loop; the global phase drops out of the modulus
-    and is left untouched.
+    and is left untouched.  (A, B) come from the stages of
+    :func:`_contraction_plan`, built once per qubit count.
     """
     n = len(theta_qubits)
     # c[b] collects everything that multiplies the b-th compensation phase.
     c = (np.conj(target) * np.asarray(u)).sum(axis=0).tolist()
     theta = list(theta_qubits)
     z = [complex(math.cos(t), -math.sin(t)) for t in theta]
+    plan = _contraction_plan(n)
     for _ in range(max_rounds):
         moved = 0.0
-        for k in range(n):
-            a, b = _contract_except(c, z, k)
+        for k, stages in enumerate(plan):
+            v = c
+            for j, first, second in stages:
+                zj = z[j]
+                v = [x + zj * y for x, y in zip(v[first], v[second])]
+            a, b = v
             abs_a, abs_b = abs(a), abs(b)
             if abs_a < 1e-15 or abs_b < 1e-15:
                 continue

@@ -9,12 +9,15 @@ with the waveform sampled at every Trotter-step midpoint tau_i in one
 vectorized call.  Consecutive steps with identical samples share one
 constant Hamiltonian, so they merge into one exponential over their
 combined duration (one per segment for piecewise-constant pulses).  The
-Hamiltonians of all merged steps are built in one batch, and because H
-conserves the total excitation number each excitation block is
-exponentiated for the whole batch by one stacked eigendecomposition: H is
-exactly Hermitian and small, so this is both accurate and unitary to
-machine precision, and entries between blocks are exactly zero.  Merged
-steps bit-identical to the previous call's are reused, not recomputed.
+Hamiltonians of all merged steps are built in one batch from the device's
+precomputed template, which holds every term and index that does not
+depend on frequency, and because H conserves the total excitation number
+each excitation block is exponentiated for the whole batch by one stacked
+eigendecomposition: H is exactly Hermitian and small, so this is both
+accurate and unitary to machine precision, and entries between blocks are
+exactly zero.  The batch is checked once, for exact symmetry, not block by
+block.  Merged steps bit-identical to the previous call's are reused, not
+recomputed.
 
 The step unitaries are multiplied pairwise, level by level, in a tree
 whose shape depends only on the step count.  A lone waveform keeps its
@@ -68,22 +71,33 @@ class TrotterConfig:
             )
 
 
-def _expm_stack(h, dts, herm_tol=1e-12):
-    """exp(-i*h[s]*dts[s]) for a stack of Hermitian matrices, shape (S, d, d).
+def _check_dts(dts):
+    if (dts < 0).any():
+        raise ValueError(f"dt must be >= 0, got {dts.min()}")
+
+
+def _eigh_expm(h, dts):
+    """exp(-i*h[s]*dts[s]) for a stack of Hermitian matrices, unchecked.
 
     One stacked eigendecomposition.  numpy's stacked ``eigh`` and matmul
     treat each matrix on its own, so a matrix's result is the same, bit
     for bit, whatever else is in the stack (tests/test_propagator.py).
     """
+    w, v = np.linalg.eigh(h)
+    phases = np.exp(-1j * w * dts[:, None])
+    return (v * phases[:, None, :]) @ v.conj().swapaxes(-2, -1)
+
+
+def _expm_stack(h, dts, herm_tol=1e-12):
+    """:func:`_eigh_expm` after checking that each matrix of the stack is
+    Hermitian within ``herm_tol`` relative to its largest entry (at least
+    1) and that each dt is >= 0."""
     scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1), initial=0.0))
     asym = np.abs(h - h.conj().swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
     if (asym > herm_tol * scale).any():
         raise ValueError("matrix is not Hermitian within tolerance")
-    if (dts < 0).any():
-        raise ValueError(f"dt must be >= 0, got {dts.min()}")
-    w, v = np.linalg.eigh(h)
-    phases = np.exp(-1j * w * dts[:, None])
-    return (v * phases[:, None, :]) @ v.conj().swapaxes(-2, -1)
+    _check_dts(dts)
+    return _eigh_expm(h, dts)
 
 
 def expm_skew(h, dt, herm_tol=1e-12):
@@ -98,14 +112,25 @@ def expm_skew(h, dt, herm_tol=1e-12):
 def _segment_unitaries(template, rows, dts):
     """exp(-i H(rows[s]) dts[s]) for every row, shape (S, dim, dim).
 
-    One Hamiltonian batch, then one stacked eigh per excitation block; the
-    entries between blocks stay exactly zero.
+    One Hamiltonian batch, then one stacked eigh per excitation block (the
+    template's ``block_index``); the entries between blocks stay exactly
+    zero.  ``build`` makes every matrix exactly symmetric, so one test of
+    exact symmetry over the whole batch stands in for a check per block.
+    A batch that fails it (NaN entries, or a stand-in for ``build``) is
+    exponentiated block by block through :func:`_expm_stack`, whose
+    toleranced check raises or passes as it always has; both ways give
+    the same bits for the same matrices.  Every row count takes this one
+    path.
     """
     h = template.build(rows)
+    if (h == h.swapaxes(-2, -1)).all():
+        _check_dts(dts)
+        expm = _eigh_expm
+    else:
+        expm = _expm_stack
     u = np.zeros(h.shape, dtype=complex)
-    for block in template.blocks:
-        index = (slice(None), block[:, None], block)
-        u[index] = _expm_stack(h[index], dts)
+    for index in template.block_index:
+        u[index] = expm(h[index], dts)
     return u
 
 
@@ -290,15 +315,16 @@ def _evolve_runs(template, runs, step):
     )
     if not order:
         return out, errors
-    rows = np.concatenate([runs[p][1] for p in order])
-    dts = np.concatenate([runs[p][2] for p in order]) * step
     # Only a lone waveform is compared with, and kept as, the previous
     # call's runs: the members of a batch are distinct samples or trials,
     # so the next call does not share their runs.
     lone = len(order) == 1
     if lone:
-        levels, poles = _run_unitaries(template, rows, dts)
+        _times, rows, counts = runs[order[0]]
+        levels, poles = _run_unitaries(template, rows, counts * step)
     else:
+        rows = np.concatenate([runs[p][1] for p in order])
+        dts = np.concatenate([runs[p][2] for p in order]) * step
         u, poles = _exponentiate(template, rows, dts)
     start = 0
     for length, group in groupby(order, key=lambda p: len(runs[p][1])):

@@ -279,11 +279,13 @@ class TestVerify:
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 9
+        assert out.count("PASS") == 10
         assert "PASS  batched evolution vs per-segment exponentials" in out
         assert "PASS  phase fit is a local maximum" in out
         assert "PASS  stacked density evolution vs dense dissipator" in out
         assert "PASS  incremental product tree vs cold product" in out
+        assert ("PASS  exponential without per-block checks vs per-block "
+                "oracle") in out
 
 
 class TestManifest:

@@ -8,6 +8,8 @@ import pytest
 
 from fluxgate.device import (
     DeviceChain,
+    _attachments,
+    _template,
     ResonatorCoupling,
     TransmonSpec,
     basis_for,
@@ -20,7 +22,12 @@ from fluxgate.device import (
     full_basis,
 )
 from fluxgate.errors import SingularityError
-from fluxgate.profiles import three_transmon_chain
+from fluxgate.profiles import (
+    THREE_QUBIT_REFERENCES,
+    TOY_REFERENCES,
+    three_transmon_chain,
+    toy_two_transmon_chain,
+)
 
 TWO_PI = 2 * np.pi
 
@@ -308,3 +315,103 @@ def test_coupling_vanishes_linearly_in_g():
         values.append(coupling_strength(left, 0, right, 0, res))
     assert values[1] == pytest.approx(values[0] / 2, rel=1e-12)
     assert values[2] == pytest.approx(values[0] / 4, rel=1e-12)
+
+
+def frozen_build(device, basis, frequencies):
+    """Oracle: the Hamiltonian batch as the template built it before its
+    frequency-independent terms and flat scatter indices were precomputed
+    (frozen copy; only the pole check is left out, so pole rows are not
+    valid input)."""
+    n = device.n_transmons
+    levels = device.levels_per_transmon
+    occupations = basis.occupations()
+    dim = basis.dimension
+    pairs = _attachments(device)
+    pair_of = {
+        (int(k), int(r)): a
+        for a, (k, r) in enumerate(zip(pairs.transmon, pairs.resonator))
+    }
+    rows, cols, left, right, jk, jk1, fac = [], [], [], [], [], [], []
+    for p, state in enumerate(basis.states):
+        for k in range(n - 1):
+            if state[k] + 1 >= levels or state[k + 1] < 1:
+                continue
+            partner = list(state)
+            partner[k] += 1
+            partner[k + 1] -= 1
+            rows.append(basis.index_of(partner))
+            cols.append(p)
+            left.append(pair_of[k, k])
+            right.append(pair_of[k + 1, k])
+            jk.append(state[k])
+            jk1.append(state[k + 1] - 1)
+            fac.append(np.sqrt((state[k] + 1) * state[k + 1]))
+    rows = np.array(rows, dtype=np.intp)
+    cols = np.array(cols, dtype=np.intp)
+    left = np.array(left, dtype=np.intp)
+    right = np.array(right, dtype=np.intp)
+    jk = np.array(jk, dtype=np.intp)
+    jk1 = np.array(jk1, dtype=np.intp)
+    fac = np.array(fac)
+    g2 = pairs.g[left] * pairs.g[right]
+    anharmonicities = np.array([t.anharmonicity for t in device.transmons])
+
+    count = len(frequencies)
+    offsets = np.broadcast_to(np.arange(levels - 1),
+                              (len(pairs.transmon), levels - 1))
+    den = (
+        frequencies[:, pairs.transmon][:, :, None]
+        - pairs.resonator_frequency[:, None]
+        + offsets * pairs.anharmonicity[:, None]
+    )
+    j = np.arange(levels)
+    delta = anharmonicities[:, None]
+    w = j * frequencies[:, :, None] + 0.5 * delta * (j - 1) * j
+    for a, (k, g) in enumerate(zip(pairs.transmon, pairs.g)):
+        w[:, k, 1:] += j[1:] * g * g / den[:, a, :]
+    diag = w[:, np.arange(n), occupations].sum(axis=-1)
+    h = np.zeros((count, dim, dim))
+    index = np.arange(dim)
+    h[:, index, index] = TWO_PI * diag
+    if len(rows):
+        den_l = den[:, left, jk]
+        den_r = den[:, right, jk1]
+        amps = TWO_PI * fac * (g2 * (den_l + den_r) / (2.0 * den_l * den_r))
+        h[:, rows, cols] = amps
+        h[:, cols, rows] = amps
+    return h
+
+
+def oracle_bases():
+    """(device, basis, reference frequencies): the 20-state three-transmon
+    working basis, the 10-state toy basis and the 64-state full basis of
+    the three-transmon chain at 4 levels."""
+    chain = three_transmon_chain()
+    toy = toy_two_transmon_chain()
+    return [
+        (chain, basis_for(chain), THREE_QUBIT_REFERENCES),
+        (toy, basis_for(toy), TOY_REFERENCES),
+        (chain, full_basis(chain), THREE_QUBIT_REFERENCES),
+    ]
+
+
+def seeded_rows(references, count, seed):
+    rng = np.random.default_rng(seed)
+    return np.asarray(references) + rng.uniform(-0.4, 0.4,
+                                                size=(count, len(references)))
+
+
+def same_bytes(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 50])
+@pytest.mark.parametrize("which", range(3), ids=["three", "toy", "full64"])
+def test_build_matches_frozen_oracle_bytes(which, count):
+    # Byte equality, so that a -0.0 where the oracle has +0.0 also fails.
+    device, basis, references = oracle_bases()[which]
+    rows = seeded_rows(references, count, seed=100 * which + count)
+    got = _template(device, basis).build(rows)
+    assert same_bytes(got, frozen_build(device, basis, rows))

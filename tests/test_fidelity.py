@@ -2,11 +2,12 @@
 phase fitting round trips, and the fidelity formula's invariances."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from fluxgate import propagator
+from fluxgate import fidelity, propagator
 from fluxgate.cli import main
 from fluxgate.device import basis_for, device_to_json, enumerate_basis
 from fluxgate.errors import DegenerateUnitaryError, EvolutionError
@@ -374,6 +375,86 @@ class TestPhaseFitOracle:
         phases = fit_phases(u, np.eye(4))
         assert phases.qubit_phases[0] == 0.0
         assert phases.qubit_phases[1] == pytest.approx(phi, abs=1e-15)
+
+
+def frozen_contract_except(c, z, k):
+    """Oracle: (A, B) from c, contracted with (1, z_j) over every qubit
+    axis j != k, as computed before the per-n contraction plan (frozen
+    copy)."""
+    n = len(z)
+    if n == 1:
+        return c[0], c[1]
+    last = k + 1 if k + 1 < n else k - 1
+    v = c
+    for j in range(min(k, last)):
+        half = len(v) >> 1
+        zj = z[j]
+        v = [v[i] + zj * v[i + half] for i in range(half)]
+    for j in range(n - 1, max(k, last), -1):
+        zj = z[j]
+        v = [v[i] + zj * v[i + 1] for i in range(0, len(v), 2)]
+    zl = z[last]
+    if last > k:
+        return v[0] + zl * v[1], v[2] + zl * v[3]
+    return v[0] + zl * v[2], v[1] + zl * v[3]
+
+
+def frozen_refine(u, target, theta_qubits, tol, max_rounds):
+    """Oracle: the scalar coordinate ascent with frozen_contract_except
+    called per coordinate (frozen copy)."""
+    n = len(theta_qubits)
+    c = (np.conj(target) * np.asarray(u)).sum(axis=0).tolist()
+    theta = list(theta_qubits)
+    z = [complex(math.cos(t), -math.sin(t)) for t in theta]
+    for _ in range(max_rounds):
+        moved = 0.0
+        for k in range(n):
+            a, b = frozen_contract_except(c, z, k)
+            abs_a, abs_b = abs(a), abs(b)
+            if abs_a < 1e-15 or abs_b < 1e-15:
+                continue
+            new = math.atan2(b.imag, b.real) - math.atan2(a.imag, a.real)
+            step = abs((theta[k] - new + math.pi) % math.tau - math.pi)
+            if step > moved:
+                moved = step
+            theta[k] = new
+            z[k] = a * b.conjugate() / (abs_a * abs_b)
+        if moved < tol:
+            break
+    return tuple(theta)
+
+
+class TestRefineOracle:
+    """The per-n contraction plan gives the bits of the per-call
+    contraction it replaced."""
+
+    def assert_same_bits(self, u, target, start):
+        got = fidelity._refine(u, target, start, 1e-9, 200)
+        want = frozen_refine(u, target, start, 1e-9, 200)
+        assert len(got) == len(want)
+        assert np.array_equal(np.array(got).view(np.uint64),
+                              np.array(want).view(np.uint64))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_sub_unitaries(self, n):
+        rng = np.random.default_rng(200 + n)
+        target = controlled_phase_ideal(n)
+        for _ in range(100):
+            # A leaky projection: a unitary with its columns shrunk.
+            u = haar_unitary(rng, 2 ** n) * rng.uniform(0.5, 1.0, size=2 ** n)
+            start = tuple(rng.uniform(-np.pi, np.pi, size=n))
+            self.assert_same_bits(u, target, start)
+
+    def test_shipped_pulses(self):
+        for device, pulse, n in (
+            (toy_two_transmon_chain(), load_toy_pulse(), 2),
+            (three_transmon_chain(), load_ccphase_pulse(), 3),
+        ):
+            u = projected(device, pulse)
+            anchors = [2 ** (n - 1 - k) for k in range(n)]
+            theta0 = float(np.angle(u[0, 0]))
+            start = tuple(float(np.angle(u[i, i])) - theta0 for i in anchors)
+            self.assert_same_bits(u, controlled_phase_ideal(n), start)
 
 
 class TestScoreWaveform:

@@ -9,15 +9,17 @@ import scipy.linalg
 
 from fluxgate import propagator
 from fluxgate.device import _template, basis_for, build_hamiltonian, full_basis
-from fluxgate.errors import EvolutionError
+from fluxgate.errors import EvolutionError, SingularityError
 from fluxgate.fidelity import computational_indices, fidelity_report, \
     project_to_computational
 from fluxgate.optimizer import DEConfig, chromosome_to_schedule, seed_population
 from fluxgate.propagator import TrotterConfig, evolve, expm_skew
 from fluxgate.profiles import (
     THREE_QUBIT_REFERENCES,
+    TOY_REFERENCES,
     three_qubit_constraints,
     three_transmon_chain,
+    toy_two_transmon_chain,
 )
 from fluxgate.pulses import PiecewiseConstantWaveform, PulseSchedule
 
@@ -392,6 +394,132 @@ class TestProductTree:
             assert len(levels) == len(cold)
             for got, want in zip(levels, cold):
                 assert np.array_equal(np.array(got), want)
+
+
+def frozen_expm_stack(h, dts, herm_tol=1e-12):
+    """Oracle: the per-block exponential with its own Hermiticity and dt
+    checks, as every block was exponentiated before the one symmetry test
+    of _segment_unitaries (frozen copy)."""
+    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1), initial=0.0))
+    asym = np.abs(h - h.conj().swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
+    if (asym > herm_tol * scale).any():
+        raise ValueError("matrix is not Hermitian within tolerance")
+    if (dts < 0).any():
+        raise ValueError(f"dt must be >= 0, got {dts.min()}")
+    w, v = np.linalg.eigh(h)
+    phases = np.exp(-1j * w * dts[:, None])
+    return (v * phases[:, None, :]) @ v.conj().swapaxes(-2, -1)
+
+
+def frozen_segment_unitaries(template, h, dts):
+    """Oracle: the stack h exponentiated block by block by
+    frozen_expm_stack."""
+    u = np.zeros(h.shape, dtype=complex)
+    for block in template.blocks:
+        index = (slice(None), block[:, None], block)
+        u[index] = frozen_expm_stack(h[index], dts)
+    return u
+
+
+def same_bytes(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
+def oracle_templates():
+    """The 20-state three-transmon working basis, the 10-state toy basis
+    and the 64-state full basis of the three-transmon chain at 4 levels,
+    each with its reference frequencies."""
+    chain = three_transmon_chain()
+    toy = toy_two_transmon_chain()
+    return [
+        (_template(chain, basis_for(chain)), THREE_QUBIT_REFERENCES),
+        (_template(toy, basis_for(toy)), TOY_REFERENCES),
+        (_template(chain, full_basis(chain)), THREE_QUBIT_REFERENCES),
+    ]
+
+
+class TestSegmentUnitaries:
+    """One exact symmetry test per batch in place of a toleranced check per
+    block: the same bits, and the same errors for the same inputs."""
+
+    def batch(self, which, count, seed):
+        template, references = oracle_templates()[which]
+        rng = np.random.default_rng(seed)
+        rows = np.asarray(references) + rng.uniform(
+            -0.4, 0.4, size=(count, len(references)))
+        return template, rows, rng.uniform(0.05, 1.0, size=count)
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 50])
+    @pytest.mark.parametrize("which", range(3),
+                             ids=["three", "toy", "full64"])
+    def test_matches_per_block_oracle_bytes(self, which, count):
+        template, rows, dts = self.batch(which, count, seed=7 * count + which)
+        got = propagator._segment_unitaries(template, rows, dts)
+        want = frozen_segment_unitaries(template, template.build(rows), dts)
+        assert same_bytes(got, want)
+
+    def asymmetric_build(self, monkeypatch, template, size):
+        """Make build return its matrices with ``size`` added to one entry
+        above the diagonal of the template's largest excitation block."""
+        cls = type(template)
+        build = cls.build
+        block = max(template.blocks, key=len)
+        i, j = block[0], block[1]
+
+        def skewed(self, rows):
+            h = build(self, rows)
+            h[:, i, j] += size
+            return h
+
+        monkeypatch.setattr(cls, "build", skewed)
+        return skewed
+
+    def test_asymmetry_beyond_tolerance_raises(self, monkeypatch):
+        template, rows, dts = self.batch(0, 3, seed=5)
+        self.asymmetric_build(monkeypatch, template, 1e-6)
+        with pytest.raises(ValueError, match="Hermitian"):
+            propagator._segment_unitaries(template, rows, dts)
+
+    def test_asymmetry_within_tolerance_exponentiates(self, monkeypatch):
+        # The entries reach about 100 rad/ns, so 1e-12 relative allows
+        # about 1e-10 of asymmetry; the per-block path exponentiated such
+        # a matrix, and so does the fallback, with the same bits.
+        template, rows, dts = self.batch(0, 3, seed=6)
+        skewed = self.asymmetric_build(monkeypatch, template, 1e-11)
+        h = skewed(template, rows)
+        assert not np.array_equal(h, h.swapaxes(-2, -1))
+        got = propagator._segment_unitaries(template, rows, dts)
+        assert same_bytes(got, frozen_segment_unitaries(template, h, dts))
+
+    def test_negative_dt_raises(self):
+        template, rows, dts = self.batch(0, 3, seed=8)
+        dts[1] = -0.1
+        with pytest.raises(ValueError, match="dt must be"):
+            propagator._segment_unitaries(template, rows, dts)
+
+    def test_pole_row_error_and_mask(self):
+        # Row 3 drives qubit R (7 GHz) onto its 8.2 GHz resonator: level 1
+        # of transmon 2 sits on the pole.
+        template, rows, dts = self.batch(0, 5, seed=9)
+        rows[3] = (5.0, 6.0, 8.2)
+        with pytest.raises(SingularityError) as err:
+            propagator._segment_unitaries(template, rows, dts)
+        assert (err.value.row, err.value.transmon, err.value.level) == (3, 2, 1)
+        u, poles = propagator._exponentiate(template, rows, dts)
+        assert poles.tolist() == [False, False, False, True, False]
+        assert not u[3].any()
+        keep = ~poles
+        assert same_bytes(u[keep], propagator._segment_unitaries(
+            template, rows[keep], dts[keep]))
+
+    def test_all_pole_batch(self):
+        template, rows, dts = self.batch(0, 3, seed=10)
+        rows[:, 2] = 8.2
+        u, poles = propagator._exponentiate(template, rows, dts)
+        assert poles.all()
+        assert u.shape == (3, 20, 20) and not u.any()
 
 
 class TestTrotterConfig:

@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .optimizer import (
     ccphase_fitness,
     chromosome_to_schedule,
     load_constraints,
-    local_search,
+    local_search_iterations,
     run_sussade,
     seed_population,
 )
@@ -49,6 +50,11 @@ from .pulses import (
 from .robustness import NoiseSweepConfig, noise_sweep
 
 SCHEMA_VERSION = 2
+_CHECKPOINT_EVERY = 25  # DE generations between optimize checkpoints
+# The local-search entry of an optimize checkpoint, in the order written.
+_LOCAL_SEARCH_KEYS = (
+    "chromosome", "fidelity", "iterations", "stopped", "pole_failures",
+)
 
 
 def _out_dir():
@@ -167,20 +173,67 @@ def _history_csv(history, manifest_hash):
     return "\n".join(lines) + "\n"
 
 
+def _read_config(cls, path):
+    """The JSON object of ``cls`` fields in ``path``; a key that names no
+    field is a ValueError."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object of {cls.__name__} "
+                         "fields")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"{path}: unknown {cls.__name__} field(s): "
+                         f"{', '.join(unknown)}")
+    return doc
+
+
+def _read_checkpoint(path, n_genes, population_size):
+    """The DE state and local-search entry (or None) of a ``--state-out``
+    checkpoint, checked against this run's gene count and population."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"resume state {path} is not a JSON object")
+    try:
+        state = SussadeState.from_json(doc)
+        entry = doc.get("local_search")
+        if entry is not None:
+            entry = {key: entry[key] for key in _LOCAL_SEARCH_KEYS}
+    except KeyError as err:
+        raise ValueError(f"resume state {path} lacks {err}") from None
+    ls_genes = n_genes if entry is None else len(entry["chromosome"])
+    for what, got, want in (
+        ("members (DE population_size)", len(state.population),
+         population_size),
+        ("genes per member (qubits x --segments)",
+         state.population.shape[-1], n_genes),
+        ("local-search genes", ls_genes, n_genes),
+    ):
+        if got != want:
+            raise ValueError(f"resume state {path} holds {got} {what}; "
+                             f"this run needs {want}")
+    return state, entry
+
+
+def _write_checkpoint(path, doc):
+    """Write ``doc`` through a temp file and ``os.replace``, so a kill
+    during the write leaves the previous checkpoint whole."""
+    _write_json(path + ".tmp", doc)
+    os.replace(path + ".tmp", path)
+
+
 def cmd_optimize(args):
     device = load_device(args.device)
     constraints = load_constraints(args.constraints)
-    de_doc = {}
-    if args.de_config:
-        with open(args.de_config) as fh:
-            de_doc = json.load(fh)
+    de_doc = _read_config(DEConfig, args.de_config) if args.de_config else {}
     if args.seed is not None:
         de_doc["seed"] = args.seed
     de_config = DEConfig(**de_doc)
-    ls_doc = None
+    ls_doc = ls_config = None
     if args.local_search:
-        with open(args.local_search) as fh:
-            ls_doc = json.load(fh)
+        ls_doc = _read_config(LocalSearchConfig, args.local_search)
+        ls_config = LocalSearchConfig(**ls_doc)
     references = (
         tuple(args.references)
         if args.references
@@ -199,34 +252,74 @@ def cmd_optimize(args):
         "target": args.target,
         "seed": de_config.seed,
     }
+    manifest_hash = _manifest_hash(config)
 
     fitness = ccphase_fitness(
         device, references, args.segment_duration,
         TrotterConfig(args.trotter_step), target=target,
     )
-    t0 = time.perf_counter()
-    state = None
-    population = None
+    state = entry = population = None
     if args.resume:
-        with open(args.resume) as fh:
-            state = SussadeState.from_json(json.load(fh))
+        state, entry = _read_checkpoint(
+            args.resume, device.n_transmons * args.segments,
+            de_config.population_size,
+        )
     else:
         population = seed_population(
             de_config, constraints, references, args.segments
         )
-    result = run_sussade(
-        fitness, de_config, constraints, references,
-        population=population, state=state,
-    )
+
+    def checkpoint(state, entry):
+        if args.state_out:
+            doc = state.to_json()
+            doc["manifest_hash"] = manifest_hash
+            if entry is not None:
+                doc["local_search"] = entry
+            _write_checkpoint(_resolve(args.state_out), doc)
+
+    # Evolution runs _CHECKPOINT_EVERY generations per run_sussade call,
+    # each resumed from the last; a local-search entry means it finished.
+    # Progress goes to stderr, so stdout and the artifacts stay the same.
+    t0 = time.perf_counter()
+    last = de_config.max_generations if entry is None else state.generation
+    while True:
+        done = state.generation if state else 0
+        stop = (done // _CHECKPOINT_EVERY + 1) * _CHECKPOINT_EVERY
+        result = run_sussade(
+            fitness, replace(de_config, max_generations=min(stop, last)),
+            constraints, references, population=population, state=state,
+        )
+        state = result.state
+        rec = result.history[-1]
+        print(f"DE generation {rec.generation}: best F "
+              f"{rec.best_fidelity:.6f}, mean F {rec.mean_fidelity:.6f}",
+              file=sys.stderr)
+        checkpoint(state, entry)
+        if (state.generation >= last
+                or result.best_fidelity >= de_config.target_fidelity):
+            break
     de_elapsed = time.perf_counter() - t0
     best, best_f = result.best_chromosome, result.best_fidelity
     ls_elapsed = 0.0
-    if ls_doc is not None:
-        ls_config = LocalSearchConfig(**ls_doc)
+    if ls_config is not None:
         t1 = time.perf_counter()
-        refined = local_search(best, fitness, ls_config, constraints, references)
+        fidelity, iterations, stopped = None, 0, False
+        if entry is not None:
+            best = np.array(entry["chromosome"])
+            best_f = fidelity = entry["fidelity"]
+            iterations, stopped = entry["iterations"], entry["stopped"]
+            fitness.pole_failures = entry["pole_failures"]
+        steps = () if stopped else local_search_iterations(
+            best, fitness, ls_config, constraints, references, fidelity,
+            iterations)
+        for best, best_f, iterations, _, stopped in steps:
+            print(f"local-search iteration {iterations}: F {best_f:.9f}",
+                  file=sys.stderr)
+            checkpoint(state, dict(zip(_LOCAL_SEARCH_KEYS, (
+                best.tolist(), best_f, iterations, stopped,
+                fitness.pole_failures,
+            ))))
         ls_elapsed = time.perf_counter() - t1
-        best, best_f = refined.chromosome, refined.fidelity
 
     schedule = chromosome_to_schedule(
         best, device.n_transmons, args.segment_duration, references
@@ -258,10 +351,6 @@ def cmd_optimize(args):
     if args.log:
         with open(_resolve(args.log), "w") as fh:
             fh.write(_history_csv(result.history, manifest["manifest_hash"]))
-    if args.state_out:
-        doc = result.state.to_json()
-        doc["manifest_hash"] = manifest["manifest_hash"]
-        _write_json(_resolve(args.state_out), doc)
     print(f"best fidelity: {best_f:.6f} "
           f"({result.history[-1].generation} generations)")
     return 0
@@ -602,9 +691,11 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None,
                    help="overrides the DE config seed")
     p.add_argument("--resume", default=None,
-                   help="resume from a saved population snapshot")
+                   help="continue from a --state-out checkpoint, in "
+                        "whichever stage it reached")
     p.add_argument("--state-out", default=None,
-                   help="write the final population snapshot")
+                   help=f"checkpoint file, rewritten every {_CHECKPOINT_EVERY} "
+                        "DE generations and after each local-search iteration")
     p.add_argument("--out", required=True, help="pulses CSV (a JSON twin is "
                                                 "written alongside)")
     p.add_argument("--log", default=None, help="per-generation history CSV")

@@ -20,7 +20,7 @@ conversion factors.
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -250,6 +250,22 @@ class TruncatedBasis:
     def occupations(self):
         """States as an integer array of shape (dimension, n_transmons)."""
         return np.array(self.states, dtype=np.intp)
+
+    @cached_property
+    def qubit_indices(self):
+        """Read-only index array of the computational states (every level 0
+        or 1), in basis (so binary) order; scanned once per basis."""
+        idx = np.array(
+            [i for i, s in enumerate(self.states) if max(s) <= 1], dtype=np.intp
+        )
+        n = self.n_transmons
+        if len(idx) != 2 ** n:
+            raise ValueError(
+                f"basis holds {len(idx)} computational states, expected "
+                f"{2 ** n} (excitation cap below the qubit count?)"
+            )
+        idx.flags.writeable = False
+        return idx
 
 
 def enumerate_basis(n, j_max, e_max):

@@ -63,19 +63,12 @@ def computational_indices(basis):
     The leftmost transmon is the most significant bit, so lexicographic
     basis ordering already yields binary order.
     """
-    idx = [i for i, s in enumerate(basis.states) if max(s) <= 1]
-    n = basis.n_transmons
-    if len(idx) != 2 ** n:
-        raise ValueError(
-            f"basis holds {len(idx)} computational states, expected {2 ** n} "
-            "(excitation cap below the qubit count?)"
-        )
-    return tuple(idx)
+    return tuple(basis.qubit_indices.tolist())
 
 
 def project_to_computational(u, basis):
     """Submatrix of ``u`` on the computational states; sub-unitary if leaky."""
-    idx = np.asarray(computational_indices(basis))
+    idx = basis.qubit_indices
     return np.asarray(u)[np.ix_(idx, idx)]
 
 
@@ -327,7 +320,7 @@ def _score_waveforms(device, waveforms, target, trotter=TrotterConfig()):
     when scored alone.
     """
     basis = basis_for(device)
-    idx = np.asarray(computational_indices(basis))
+    idx = basis.qubit_indices
     chunks = _evolve_chunks(_template(device, basis), waveforms, trotter)
     for unitaries, errors in chunks:
         projected = unitaries[:, idx[:, None], idx]

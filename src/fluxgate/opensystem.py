@@ -44,7 +44,7 @@ import numpy as np
 
 from .device import _template, full_basis
 from .errors import TomographyError
-from .fidelity import computational_indices, controlled_phase_ideal, score_waveform
+from .fidelity import controlled_phase_ideal, score_waveform
 from .propagator import (
     TrotterConfig,
     _exponentiate,
@@ -522,7 +522,7 @@ def run_qpt(device, schedule, trotter=TrotterConfig(), lindblad=None, target=Non
 
     comp_diag = _embed_compensation(phases, n, lv)
     states = _qpt_input_states(n, lv)
-    idx = np.asarray(computational_indices(full_basis(device)))
+    idx = full_basis(device).qubit_indices
     evolve_stack = _StackEvolution(device, waveform, trotter, lindblad)
     outputs = []
     for start in range(0, len(states), _QPT_STACK):

@@ -49,6 +49,7 @@ __all__ = [
     "LocalSearchConfig",
     "LocalSearchResult",
     "local_search",
+    "local_search_iterations",
     "ccphase_fitness",
     "chromosome_to_schedule",
     "constraints_from_json",
@@ -574,18 +575,36 @@ def local_search(chromosome, fitness, config, constraints, references):
     the target fidelity, the iteration cap, or a sweep at the smallest eps
     that accepts no move.  The output fidelity is never below the input.
     """
+    eps_used = []
+    for x, f, iterations, eps, _ in local_search_iterations(
+            chromosome, fitness, config, constraints, references):
+        eps_used += eps
+    return LocalSearchResult(x, f, iterations, tuple(eps_used))
+
+
+def local_search_iterations(chromosome, fitness, config, constraints,
+                            references, fidelity=None, iterations=0):
+    """:func:`local_search` one finished iteration at a time.
+
+    Yields ``(chromosome, fidelity, iterations, eps_swept, stopped)`` for
+    the start and then after each finished iteration; ``stopped`` is true
+    on the last.  A search continued from a yielded tuple, by passing its
+    ``fidelity`` and ``iterations`` with its chromosome, goes on exactly as
+    the uninterrupted one; ``fidelity=None`` evaluates the start.
+    """
     cs = constraints
     x = np.array(chromosome, dtype=float).reshape(-1)
     if validate_constraints(x, cs, references):
         raise ValueError("local search requires a constraint-satisfying start")
-    f = fitness(x)
+    f = fitness(x) if fidelity is None else fidelity
     if math.isnan(f):
         raise EvaluationError("fitness returned NaN", chromosome=x)
-    iterations = 0
-    eps_used = []
-    done = f >= config.target_fidelity
-    while not done and iterations < config.max_iterations:
-        improved_at_min = False
+    stopped = (f >= config.target_fidelity
+               or iterations >= config.max_iterations)
+    yield x, float(f), iterations, (), stopped
+    while not stopped:
+        done = improved_at_min = False
+        eps_used = []
         for eps in config.eps_ladder():
             eps_used.append(eps)
             improved_sweep = False
@@ -614,9 +633,9 @@ def local_search(chromosome, fitness, config, constraints, references):
             if eps == config.eps_min:
                 improved_at_min = improved_sweep
         iterations += 1
-        if not done and not improved_at_min:
-            break
-    return LocalSearchResult(x, float(f), iterations, tuple(eps_used))
+        stopped = (done or not improved_at_min
+                   or iterations >= config.max_iterations)
+        yield x, float(f), iterations, tuple(eps_used), stopped
 
 
 def chromosome_to_schedule(chromosome, n_qubits, segment_duration, references):

@@ -117,10 +117,13 @@ def load_toy_pulse():
 def load_ccphase_pulse():
     """The learned 50 ns three-qubit controlled-controlled-phase pulse.
 
-    Produced in-repo by ``demos/06_learn_ccphase_pulse.py``: the
-    two-stage search on the three-transmon chain with the feasible
-    constraint profile.  Its recorded closed-system fidelity and search
-    settings are stored alongside the detunings.
+    Produced in-repo by an earlier version of
+    ``demos/06_learn_ccphase_pulse.py``: the two-stage search on the
+    three-transmon chain with the feasible constraint profile.  Its
+    recorded closed-system fidelity and search settings are stored
+    alongside the detunings; the fidelity predates a 1-2 ulp change in
+    scoring, and whether a rerun of the demo retraces the pulse is
+    unverified.
     """
     return _load_packaged_pulse("ccphase_pulse_3q.json")
 

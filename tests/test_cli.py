@@ -2,16 +2,28 @@
 hash contract, and byte-identical reruns."""
 
 import json
+import os
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fluxgate.cli import main
-from fluxgate.device import device_to_json
-from fluxgate.optimizer import constraints_to_json
+from fluxgate import cli
+from fluxgate.cli import build_parser, main
+from fluxgate.device import device_to_json, load_device
+from fluxgate.optimizer import (
+    DEConfig,
+    LocalSearchConfig,
+    constraints_to_json,
+    load_constraints,
+)
 from fluxgate.profiles import (
+    THREE_QUBIT_REFERENCES,
     TOY_REFERENCES,
     load_toy_pulse,
+    three_qubit_constraints,
+    three_transmon_chain,
     toy_constraints,
     toy_two_transmon_chain,
 )
@@ -174,6 +186,216 @@ class TestOptimize:
         ])
         assert rc == 0
         assert (workdir / "resumed.csv").read_bytes() == full
+
+
+class InterruptingFitness:
+    """A fitness that raises KeyboardInterrupt on its ``after``-th call,
+    as Ctrl-C would, and shares the pole-failure count of the real one."""
+
+    def __init__(self, inner, after):
+        self.inner, self.after, self.calls = inner, after, 0
+
+    def __call__(self, chromosome):
+        self.calls += 1
+        if self.calls == self.after:
+            raise KeyboardInterrupt
+        return self.inner(chromosome)
+
+    @property
+    def pole_failures(self):
+        return self.inner.pole_failures
+
+    @pole_failures.setter
+    def pole_failures(self, count):
+        self.inner.pole_failures = count
+
+
+class TestCheckpoints:
+    """``--state-out`` checkpoints both stages; ``--resume`` continues."""
+
+    # 30 generations of 8 members: 248 evaluations, with checkpoints after
+    # generations 25 and 30.  Local search then evaluates its start (call
+    # 249) and finishes iterations 1, 2 and 3 at calls 477, 612 and 743.
+    ARTIFACTS = (".csv", ".json", "_history.csv", "_state.json")
+
+    def args(self, workdir, name, *extra):
+        (workdir / "de.json").write_text(json.dumps({
+            "population_size": 8, "max_generations": 30,
+            "target_fidelity": 2.0, "seed": 3,
+        }))
+        (workdir / "ls.json").write_text(json.dumps({
+            "eps_max": 0.1, "eps_min": 1e-3, "max_iterations": 3,
+            "target_fidelity": 2.0,
+        }))
+        return [
+            "optimize", "--device", str(workdir / "device.json"),
+            "--constraints", str(workdir / "constraints.json"),
+            "--de-config", str(workdir / "de.json"),
+            "--local-search", str(workdir / "ls.json"), "--segments", "10",
+            "--out", f"{name}.csv", "--log", f"{name}_history.csv",
+            "--state-out", f"{name}_state.json", *extra,
+        ]
+
+    @pytest.mark.parametrize("after, generation, iterations", [
+        (220, 25, None),  # in generation 27
+        (249, 30, None),  # the local search's first evaluation
+        (550, 30, 1),     # in local-search iteration 2
+    ], ids=["mid-evolution", "between-stages", "mid-local-search"])
+    def test_interrupted_run_resumes_to_same_artifacts(
+            self, workdir, monkeypatch, after, generation, iterations):
+        assert main(self.args(workdir, "full")) == 0
+        real = cli.ccphase_fitness
+        monkeypatch.setattr(cli, "ccphase_fitness", lambda *a, **k:
+                            InterruptingFitness(real(*a, **k), after))
+        with pytest.raises(KeyboardInterrupt):
+            main(self.args(workdir, "cut"))
+        state = read_json(workdir / "cut_state.json")
+        assert state["generation"] == generation
+        entry = state.get("local_search")
+        assert (entry and entry["iterations"]) == iterations
+        assert not (workdir / "cut.csv").exists()
+
+        monkeypatch.setattr(cli, "ccphase_fitness", real)
+        rc = main(self.args(workdir, "cut", "--resume",
+                            str(workdir / "cut_state.json")))
+        assert rc == 0
+        for suffix in self.ARTIFACTS:
+            assert (workdir / f"cut{suffix}").read_bytes() == \
+                (workdir / f"full{suffix}").read_bytes(), suffix
+        assert read_json(workdir / "cut.manifest.json")["results"] == \
+            read_json(workdir / "full.manifest.json")["results"]
+
+    def test_state_keys_and_progress_lines(self, workdir, capsys):
+        assert main(self.args(workdir, "full")) == 0
+        state = read_json(workdir / "full_state.json")
+        assert list(state) == [
+            "schema_version", "generation", "population", "fitnesses",
+            "mutation_factors", "crossover_rates", "rng_state",
+            "evaluations", "history", "manifest_hash", "local_search",
+        ]
+        entry = state["local_search"]
+        assert entry["iterations"] == 3 and entry["stopped"]
+        assert entry["fidelity"] == \
+            read_json(workdir / "full.json")["fidelity"]
+        captured = capsys.readouterr()
+        assert captured.out.startswith("best fidelity:")
+        assert [line.split(":")[0] for line in captured.err.splitlines()] \
+            == ["DE generation 25", "DE generation 30"] + [
+                f"local-search iteration {i}" for i in range(4)]
+
+    def test_resume_keeps_recorded_pole_failures(self, workdir):
+        assert main(self.args(workdir, "full")) == 0
+        state = read_json(workdir / "full_state.json")
+        state["local_search"]["pole_failures"] = 7
+        (workdir / "seven.json").write_text(json.dumps(state))
+        assert main(self.args(workdir, "again", "--resume",
+                              str(workdir / "seven.json"))) == 0
+        results = read_json(workdir / "again.manifest.json")["results"]
+        assert results["pole_failures"] == 7
+        assert results["final_fidelity"] == state["local_search"]["fidelity"]
+
+
+class TestOptimizeInputErrors:
+    """Malformed or mismatched input to optimize: ``error:`` and exit 2."""
+
+    def optimize(self, workdir, segments=4, population=8, extra=()):
+        (workdir / "de.json").write_text(json.dumps({
+            "population_size": population, "max_generations": 2,
+            "seed": 3,
+        }))
+        return main([
+            "optimize", "--device", str(workdir / "device.json"),
+            "--constraints", str(workdir / "constraints.json"),
+            "--de-config", str(workdir / "de.json"),
+            "--segments", str(segments), "--out", "b.csv", *extra,
+        ])
+
+    def expect_error(self, capsys, rc, text):
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and text in err
+
+    def test_resume_with_other_segment_count(self, workdir, capsys):
+        assert self.optimize(workdir, extra=("--state-out", "st.json")) == 0
+        capsys.readouterr()
+        rc = self.optimize(workdir, segments=6,
+                           extra=("--resume", str(workdir / "st.json")))
+        self.expect_error(capsys, rc, "holds 8 genes per member (qubits x --segments); this run needs 12")
+
+    def test_resume_with_other_population_size(self, workdir, capsys):
+        assert self.optimize(workdir, extra=("--state-out", "st.json")) == 0
+        capsys.readouterr()
+        rc = self.optimize(workdir, population=10,
+                           extra=("--resume", str(workdir / "st.json")))
+        self.expect_error(capsys, rc, "holds 8 members (DE population_size); "
+                                       "this run needs 10")
+
+    def test_resume_with_short_local_search_chromosome(self, workdir, capsys):
+        assert self.optimize(workdir, extra=("--state-out", "st.json")) == 0
+        capsys.readouterr()
+        state = read_json(workdir / "st.json")
+        state["local_search"] = {
+            "chromosome": [0.0] * 6, "fidelity": 0.5, "iterations": 1,
+            "stopped": False, "pole_failures": 0,
+        }
+        (workdir / "st.json").write_text(json.dumps(state))
+        rc = self.optimize(workdir,
+                           extra=("--resume", str(workdir / "st.json")))
+        self.expect_error(capsys, rc, "holds 6 local-search genes")
+
+    def test_resume_without_population(self, workdir, capsys):
+        assert self.optimize(workdir, extra=("--state-out", "st.json")) == 0
+        capsys.readouterr()
+        state = read_json(workdir / "st.json")
+        del state["population"]
+        (workdir / "st.json").write_text(json.dumps(state))
+        rc = self.optimize(workdir,
+                           extra=("--resume", str(workdir / "st.json")))
+        self.expect_error(capsys, rc, "lacks 'population'")
+
+    def test_unknown_de_config_key(self, workdir, capsys):
+        (workdir / "de.json").write_text(json.dumps({"bogus": 1}))
+        rc = main([
+            "optimize", "--device", str(workdir / "device.json"),
+            "--constraints", str(workdir / "constraints.json"),
+            "--de-config", str(workdir / "de.json"), "--out", "b.csv",
+        ])
+        self.expect_error(capsys, rc, "unknown DEConfig field(s): bogus")
+
+    def test_unknown_local_search_key(self, workdir, capsys):
+        (workdir / "ls.json").write_text(json.dumps({"eps_max": 0.1,
+                                                     "bogus": 1}))
+        rc = self.optimize(workdir, extra=(
+            "--local-search", str(workdir / "ls.json")))
+        self.expect_error(capsys, rc,
+                          "unknown LocalSearchConfig field(s): bogus")
+        assert not (workdir / "b.csv").exists()
+
+
+def test_demo_06_arguments_parse(tmp_path):
+    # Loaded without running: the demo's main block needs __name__ set.
+    demo = runpy.run_path(str(
+        Path(__file__).resolve().parents[1] / "demos"
+        / "06_learn_ccphase_pulse.py"))
+    out, state = tmp_path / "ccz.csv", tmp_path / "ccz.state.json"
+    args = build_parser().parse_args(demo["optimize_args"](out, state))
+    assert args.func is cli.cmd_optimize
+    assert args.resume is None and args.state_out == str(state)
+    for path in (args.device, args.constraints, args.de_config,
+                 args.local_search):
+        assert os.path.isfile(path), path
+    assert load_device(args.device) == three_transmon_chain()
+    assert load_constraints(args.constraints) == \
+        three_qubit_constraints("references")
+    assert tuple(args.references) == THREE_QUBIT_REFERENCES
+    assert args.segments == 50
+    assert DEConfig(**read_json(args.de_config)) == DEConfig(
+        population_size=200, max_generations=100, seed=2019)
+    assert LocalSearchConfig(**read_json(args.local_search)) == \
+        LocalSearchConfig(eps_max=0.1, eps_min=1e-6, max_iterations=1000)
+    state.write_text("{}")
+    args = build_parser().parse_args(demo["optimize_args"](out, state))
+    assert args.resume == str(state)
 
 
 class TestQpt:

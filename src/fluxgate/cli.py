@@ -52,9 +52,7 @@ from .robustness import NoiseSweepConfig, noise_sweep
 SCHEMA_VERSION = 2
 _CHECKPOINT_EVERY = 25  # DE generations between optimize checkpoints
 # The local-search entry of an optimize checkpoint, in the order written.
-_LOCAL_SEARCH_KEYS = (
-    "chromosome", "fidelity", "iterations", "stopped", "pole_failures",
-)
+_LOCAL_SEARCH_KEYS = ("chromosome", "fidelity", "iterations", "stopped")
 
 
 def _out_dir():
@@ -189,14 +187,16 @@ def _read_config(cls, path):
 
 
 def _read_checkpoint(path, n_genes, population_size):
-    """The DE state and local-search entry (or None) of a ``--state-out``
-    checkpoint, checked against this run's gene count and population."""
+    """The DE state, pole-failure count and local-search entry (or None) of
+    a ``--state-out`` checkpoint, checked against this run's gene count and
+    population."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"resume state {path} is not a JSON object")
     try:
         state = SussadeState.from_json(doc)
+        pole_failures = doc["pole_failures"]
         entry = doc.get("local_search")
         if entry is not None:
             entry = {key: entry[key] for key in _LOCAL_SEARCH_KEYS}
@@ -213,7 +213,7 @@ def _read_checkpoint(path, n_genes, population_size):
         if got != want:
             raise ValueError(f"resume state {path} holds {got} {what}; "
                              f"this run needs {want}")
-    return state, entry
+    return state, pole_failures, entry
 
 
 def _write_checkpoint(path, doc):
@@ -260,8 +260,8 @@ def cmd_optimize(args):
     )
     state = entry = population = None
     if args.resume:
-        state, entry = _read_checkpoint(
-            args.resume, device.n_transmons * args.segments,
+        state, fitness.pole_failures, entry = _read_checkpoint(
+            _resolve(args.resume), device.n_transmons * args.segments,
             de_config.population_size,
         )
     else:
@@ -273,6 +273,7 @@ def cmd_optimize(args):
         if args.state_out:
             doc = state.to_json()
             doc["manifest_hash"] = manifest_hash
+            doc["pole_failures"] = fitness.pole_failures
             if entry is not None:
                 doc["local_search"] = entry
             _write_checkpoint(_resolve(args.state_out), doc)
@@ -308,7 +309,6 @@ def cmd_optimize(args):
             best = np.array(entry["chromosome"])
             best_f = fidelity = entry["fidelity"]
             iterations, stopped = entry["iterations"], entry["stopped"]
-            fitness.pole_failures = entry["pole_failures"]
         steps = () if stopped else local_search_iterations(
             best, fitness, ls_config, constraints, references, fidelity,
             iterations)
@@ -317,7 +317,6 @@ def cmd_optimize(args):
                   file=sys.stderr)
             checkpoint(state, dict(zip(_LOCAL_SEARCH_KEYS, (
                 best.tolist(), best_f, iterations, stopped,
-                fitness.pole_failures,
             ))))
         ls_elapsed = time.perf_counter() - t1
 
@@ -692,7 +691,9 @@ def build_parser():
                    help="overrides the DE config seed")
     p.add_argument("--resume", default=None,
                    help="continue from a --state-out checkpoint, in "
-                        "whichever stage it reached")
+                        "whichever stage it reached; a relative path is "
+                        "read under FLUXGATE_OUT_DIR, as --state-out is "
+                        "written")
     p.add_argument("--state-out", default=None,
                    help=f"checkpoint file, rewritten every {_CHECKPOINT_EVERY} "
                         "DE generations and after each local-search iteration")

@@ -15,6 +15,10 @@ returned by :func:`build_hamiltonian` are in angular units, rad/ns, i.e.
 every GHz value is multiplied by 2*pi on entry into a matrix.  Time is
 measured in ns throughout the library, so ``exp(-i H t)`` needs no further
 conversion factors.
+
+A dispersive denominator f - w_r + j*delta within the device's
+``dispersive_floor`` of a resonator pole raises SingularityError, which
+names the earliest offending sample row, its transmon and its level.
 """
 
 import itertools
@@ -124,8 +128,9 @@ class DeviceChain:
     3 supported) and ``max_total_excitation`` caps the total excitation
     number kept in the working basis.  ``dispersive_floor`` (GHz) is the
     minimum allowed distance of any modelled transition from a resonator
-    pole; constructions and evolutions that get closer raise
-    :class:`~fluxgate.errors.SingularityError`.
+    pole; constructions and Hamiltonians that get closer raise
+    :class:`~fluxgate.errors.SingularityError` (time evolution reports it
+    as an :class:`~fluxgate.errors.EvolutionError`).
     """
 
     transmons: tuple
@@ -341,17 +346,6 @@ def _attachments(device):
     ])
 
 
-def _pole_denominators(frequencies, pairs, offsets, floor):
-    """The dispersive denominators and the mask of those within ``floor``
-    of a pole; see :func:`_dispersive_denominators`, which raises on the
-    mask."""
-    den = (
-        frequencies[:, :, None] - pairs.resonator_frequency[:, None]
-        + np.multiply(offsets, pairs.anharmonicity[:, None])
-    )
-    return den, np.abs(den) <= floor
-
-
 def _dispersive_denominators(frequencies, pairs, offsets, floor, level_shift=0):
     """Dispersive denominators f - w_r + j*delta in GHz, checked against the floor.
 
@@ -383,7 +377,11 @@ def _dispersive_denominators(frequencies, pairs, offsets, floor, level_shift=0):
         At the first denominator within the floor: earliest row, then
         transmon, then resonator, then level.  ``row`` names the row.
     """
-    den, bad = _pole_denominators(frequencies, pairs, offsets, floor)
+    den = (
+        frequencies[:, :, None] - pairs.resonator_frequency[:, None]
+        + np.multiply(offsets, pairs.anharmonicity[:, None])
+    )
+    bad = np.abs(den) <= floor
     if bad.any():
         row, a, j = np.unravel_index(np.argmax(bad), bad.shape)
         k = int(pairs.transmon[a])
@@ -566,14 +564,6 @@ class _HamiltonianTemplate:
         self.block_index = tuple(
             (slice(None), block[:, None], block) for block in self.blocks
         )
-
-    def pole_rows(self, frequencies):
-        """Mask of the frequency rows that :meth:`build` refuses, because a
-        level lies within the dispersive floor of a resonator pole."""
-        return _pole_denominators(
-            frequencies[:, self.pairs.transmon], self.pairs, self._offsets,
-            self.device.dispersive_floor,
-        )[1].any(axis=(1, 2))
 
     def build(self, frequencies):
         """Dense real symmetric matrices in angular units (rad/ns).

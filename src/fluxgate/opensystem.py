@@ -43,13 +43,13 @@ from itertools import product
 import numpy as np
 
 from .device import _template, full_basis
-from .errors import TomographyError
+from .errors import SingularityError, TomographyError
 from .fidelity import controlled_phase_ideal, score_waveform
 from .propagator import (
     TrotterConfig,
-    _exponentiate,
     _pole_error,
     _sampled_runs,
+    _segment_unitaries,
     evolve,
 )
 from .pulses import PiecewiseConstantWaveform, PulseSchedule
@@ -186,11 +186,12 @@ class _StackEvolution:
         if trotter.n_steps(waveform.duration) == 0:
             return
         times, rows, counts = _sampled_runs(waveform, trotter)
-        units, poles = _exponentiate(
-            template, rows, np.full(len(rows), 0.5 * dt)
-        )
-        if poles is not None:
-            raise _pole_error(template, times, rows)
+        try:
+            units = _segment_unitaries(
+                template, rows, np.full(len(rows), 0.5 * dt)
+            )
+        except SingularityError as err:
+            raise _pole_error(err, times) from err
         halves = [_blocks_of(u, self.order, self.slices) for u in units]
         self.steps = tuple(
             halves[r] for r in np.repeat(np.arange(len(halves)), counts).tolist()

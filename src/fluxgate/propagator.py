@@ -30,6 +30,11 @@ Many waveforms evolve together in chunks: the runs of a chunk share one
 exponential batch, and the waveforms with equal run counts are multiplied
 out as one stack.  Every step and every product is computed exactly as for
 a lone waveform, so a waveform's unitary does not depend on its batch.
+
+A run on a resonator pole has no Hamiltonian: the batch's build raises the
+device's SingularityError at its earliest offending run.  That run's
+waveform gets the EvolutionError that names the run's start time and the
+transmon, and the batch is exponentiated again without it.
 """
 
 from dataclasses import dataclass
@@ -160,22 +165,6 @@ def _sampled_runs(waveform, trotter):
     return times[starts], samples[starts], ends - starts
 
 
-def _exponentiate(template, rows, dts):
-    """:func:`_segment_unitaries` that survives resonator poles.
-
-    Returns (unitaries, poles): ``poles`` is None, or the mask of the rows
-    on a pole, whose unitaries are left zero; the other rows still share
-    one batch.
-    """
-    try:
-        return _segment_unitaries(template, rows, dts), None
-    except SingularityError:
-        poles = template.pole_rows(rows)
-        u = np.zeros((len(rows), template.dim, template.dim), dtype=complex)
-        u[~poles] = _segment_unitaries(template, rows[~poles], dts[~poles])
-        return u, poles
-
-
 # The previous lone call's (template, rows, dts, tree): ``tree`` holds the
 # levels of its pairwise product (see _product_tree), its step unitaries
 # first.  A local-search move changes one segment, so nearly all of its runs
@@ -187,16 +176,17 @@ _LAST_RUNS = None
 
 
 def _run_unitaries(template, rows, dts):
-    """The product tree of a lone waveform's runs, and their poles.
+    """The levels of :func:`_product_tree` of a lone waveform's runs.
 
     Runs bit-identical to the same run of the previous call (same template
     and row shape) reuse its unitary; the others are exponentiated in one
     batch.  When few runs changed, only the tree nodes above them are
-    multiplied again.  Returns (levels, poles): the levels of
-    :func:`_product_tree` of the step unitaries, and None or the mask of
-    the runs on a pole (their unitaries are zero).  The levels may be the
-    stored ones, so callers never write into them.  Calls that cross a
-    pole are not kept for reuse.
+    multiplied again.  The levels may be the stored ones, so callers never
+    write into them.
+
+    A run on a pole raises the SingularityError of ``build``, its ``row``
+    the index of the earliest such run in ``rows``.  The reused runs are
+    clean, because a call that meets a pole keeps nothing for reuse.
     """
     global _LAST_RUNS
     last = _LAST_RUNS
@@ -206,41 +196,38 @@ def _run_unitaries(template, rows, dts):
         changed = (rows.view(np.uint64) != last[1].view(np.uint64)).any(axis=1)
         changed |= dts.view(np.uint64) != last[2].view(np.uint64)
         if not changed.any():
-            return last[3], None
+            return last[3]
         fresh = np.flatnonzero(changed)
-    u, fresh_poles = _exponentiate(template, rows[fresh], dts[fresh])
+    try:
+        u = _segment_unitaries(template, rows[fresh], dts[fresh])
+    except SingularityError as err:
+        err.row = int(fresh[err.row])
+        raise
     if last is not None:
         stack = last[3][0].copy()
         stack[fresh] = u
         u = stack
-    if fresh_poles is not None:
-        poles = np.zeros(len(rows), dtype=bool)
-        poles[fresh[fresh_poles]] = True
-        return _product_tree(u), poles
     # A changed run costs one product per level; the full tree, S - 1.
     if last is not None and len(fresh) * (len(last[3]) - 1) < len(rows):
         levels = _update_tree(last[3], u, fresh)
     else:
         levels = _product_tree(u)
     _LAST_RUNS = (template, rows, dts, levels)
-    return levels, None
+    return levels
 
 
-def _pole_error(template, times, rows):
-    """The EvolutionError of sampled runs that cross a resonator pole, at
-    the start time of the earliest offending run."""
-    try:
-        template.build(rows)
-    except SingularityError as err:
-        t_start = float(times[err.row])
-        error = EvolutionError(
-            f"singular Hamiltonian at t={t_start} ns (transmon "
-            f"{err.transmon}): {err}",
-            time=t_start,
-            transmon=err.transmon,
-        )
-        error.__cause__ = err
-        return error
+def _pole_error(err, times):
+    """The EvolutionError for ``err``, the SingularityError of a waveform's
+    sampled runs, at ``times[err.row]``, the start time of the run."""
+    t_start = float(times[err.row])
+    error = EvolutionError(
+        f"singular Hamiltonian at t={t_start} ns (transmon "
+        f"{err.transmon}): {err}",
+        time=t_start,
+        transmon=err.transmon,
+    )
+    error.__cause__ = err
+    return error
 
 
 def _product_tree(u):
@@ -301,7 +288,7 @@ def _evolve_runs(template, runs, step):
     with S runs are multiplied out as one (P, S, dim, dim) view of it.
     Returns the unitaries, shape (P, dim, dim), and per waveform None or
     the EvolutionError that :func:`evolve` raises for it (its unitary is
-    then zero).
+    then zero).  Each waveform on a pole costs the batch one more try.
     """
     out = np.zeros((len(runs), template.dim, template.dim), dtype=complex)
     errors = [None] * len(runs)
@@ -319,29 +306,35 @@ def _evolve_runs(template, runs, step):
     # call's runs: the members of a batch are distinct samples or trials,
     # so the next call does not share their runs.
     lone = len(order) == 1
-    if lone:
-        _times, rows, counts = runs[order[0]]
-        levels, poles = _run_unitaries(template, rows, counts * step)
-    else:
-        rows = np.concatenate([runs[p][1] for p in order])
-        dts = np.concatenate([runs[p][2] for p in order]) * step
-        u, poles = _exponentiate(template, rows, dts)
+    while order:
+        try:
+            if lone:
+                _times, rows, counts = runs[order[0]]
+                levels = _run_unitaries(template, rows, counts * step)
+            else:
+                rows = np.concatenate([runs[p][1] for p in order])
+                dts = np.concatenate([runs[p][2] for p in order]) * step
+                u = _segment_unitaries(template, rows, dts)
+            break
+        except SingularityError as err:
+            # The earliest pole row of the batch is the earliest of its
+            # member, whose runs are contiguous: that member gets its error
+            # and a zero unitary, and the others are tried again.
+            ends = np.cumsum([len(runs[p][1]) for p in order])
+            i = int(np.searchsorted(ends, err.row, side="right"))
+            p = order.pop(i)
+            err.row -= int(ends[i]) - len(runs[p][1])
+            errors[p] = _pole_error(err, runs[p][0])
     start = 0
     for length, group in groupby(order, key=lambda p: len(runs[p][1])):
         group = list(group)
         stop = start + length * len(group)
-        # A member on a pole has a zero step, so its product stays zero.
         if lone:
             out[group] = levels[-1][0]
         else:
             out[group] = _ordered_product(
                 u[start:stop].reshape(len(group), length, *out.shape[1:])
             )
-        if poles is not None:
-            for p, hit in zip(group, poles[start:stop].reshape(len(group), -1)):
-                if hit.any():
-                    times, member_rows, _counts = runs[p]
-                    errors[p] = _pole_error(template, times, member_rows)
         start = stop
     return out, errors
 

@@ -188,8 +188,8 @@ def noise_sweep(schedule, device, config=NoiseSweepConfig(),
 
     For each amplitude A, every sample adds A * uniform(-1, 1) (MHz,
     converted to GHz) independently to each (qubit, segment) detuning,
-    evolves, and scores the compensated gate fidelity; singular evolutions
-    score 0 and are counted per amplitude in the report's
+    evolves, and scores the compensated gate fidelity; singular noisy
+    samples score 0 and are counted per amplitude in the report's
     ``singular_counts`` (the CLI's CSV column ``singular``).  The first
     singular sample is logged as a warning, later ones at debug level.
     Per-sample seeds derive deterministically from (master seed, amplitude
@@ -201,6 +201,12 @@ def noise_sweep(schedule, device, config=NoiseSweepConfig(),
     consecutive members, each evolved as one batch, so memory stays
     bounded whatever ``config.samples`` is; a member scores exactly as it
     does alone through :func:`~fluxgate.fidelity.score_waveform`.
+
+    Raises
+    ------
+    EvolutionError
+        If the noiseless pulse itself crosses a resonator pole, as
+        :func:`~fluxgate.fidelity.score_waveform` does for it.
     """
     if target is None:
         target = controlled_phase_ideal(device.n_transmons)
@@ -219,7 +225,9 @@ def noise_sweep(schedule, device, config=NoiseSweepConfig(),
 
     results = _score_waveforms(device, waveforms(), target, trotter)
     first = next(results)
-    baseline = 0.0 if isinstance(first, EvolutionError) else first.fidelity
+    if isinstance(first, EvolutionError):
+        raise first
+    baseline = first.fidelity
     means, errors, singular = [], [], []
     failures = 0  # singular samples so far, over all amplitudes
     for a_idx, amp in enumerate(config.amplitudes_mhz):

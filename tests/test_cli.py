@@ -106,7 +106,7 @@ class TestSimulate:
         assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["simulate", "qpt"])
+@pytest.mark.parametrize("command", ["simulate", "qpt", "robustness"])
 def test_pole_crossing_pulse_reports_error(workdir, capsys, command):
     # Qubit M detuned by 1.8 GHz in the first segment sits on a resonator
     # pole: a clean error and exit code 2, not a traceback.
@@ -210,6 +210,19 @@ class InterruptingFitness:
         self.inner.pole_failures = count
 
 
+class GeneZeroFailures:
+    """A fitness that scores 0 and counts a pole failure whenever gene 0
+    exceeds 0.1."""
+
+    def __init__(self):
+        self.pole_failures = 0
+
+    def __call__(self, chromosome):
+        if chromosome[0] > 0.1:
+            self.pole_failures += 1
+        return 0.0
+
+
 class TestCheckpoints:
     """``--state-out`` checkpoints both stages; ``--resume`` continues."""
 
@@ -271,7 +284,8 @@ class TestCheckpoints:
         assert list(state) == [
             "schema_version", "generation", "population", "fitnesses",
             "mutation_factors", "crossover_rates", "rng_state",
-            "evaluations", "history", "manifest_hash", "local_search",
+            "evaluations", "history", "manifest_hash", "pole_failures",
+            "local_search",
         ]
         entry = state["local_search"]
         assert entry["iterations"] == 3 and entry["stopped"]
@@ -286,13 +300,53 @@ class TestCheckpoints:
     def test_resume_keeps_recorded_pole_failures(self, workdir):
         assert main(self.args(workdir, "full")) == 0
         state = read_json(workdir / "full_state.json")
-        state["local_search"]["pole_failures"] = 7
+        state["pole_failures"] = 7
         (workdir / "seven.json").write_text(json.dumps(state))
         assert main(self.args(workdir, "again", "--resume",
                               str(workdir / "seven.json"))) == 0
         results = read_json(workdir / "again.manifest.json")["results"]
         assert results["pole_failures"] == 7
         assert results["final_fidelity"] == state["local_search"]["fidelity"]
+
+    def test_mid_evolution_resume_keeps_pole_failures(
+            self, workdir, monkeypatch):
+        # Evolution alone, with a fitness that counts a failure whenever
+        # gene 0 exceeds 0.1; cut in generation 27, after the generation-25
+        # checkpoint, and resumed: the failures before the checkpoint are
+        # counted too.
+        def evolution_only(name, *extra):
+            args = self.args(workdir, name, *extra)
+            i = args.index("--local-search")
+            return args[:i] + args[i + 2:]
+
+        monkeypatch.setattr(cli, "ccphase_fitness",
+                            lambda *a, **k: GeneZeroFailures())
+        assert main(evolution_only("full")) == 0
+        full = read_json(workdir / "full.manifest.json")["results"]
+        assert full["pole_failures"] > 0
+        monkeypatch.setattr(cli, "ccphase_fitness", lambda *a, **k:
+                            InterruptingFitness(GeneZeroFailures(), 220))
+        with pytest.raises(KeyboardInterrupt):
+            main(evolution_only("cut"))
+        assert read_json(workdir / "cut_state.json")["generation"] == 25
+        monkeypatch.setattr(cli, "ccphase_fitness",
+                            lambda *a, **k: GeneZeroFailures())
+        assert main(evolution_only("cut", "--resume", "cut_state.json")) == 0
+        assert read_json(workdir / "cut.manifest.json")["results"] == full
+        assert (workdir / "cut.csv").read_bytes() == \
+            (workdir / "full.csv").read_bytes()
+
+    def test_resume_reads_under_out_dir(self, workdir, tmp_path_factory,
+                                        monkeypatch):
+        # Relative --state-out and --resume names both resolve under
+        # FLUXGATE_OUT_DIR, whatever the working directory.
+        monkeypatch.chdir(tmp_path_factory.mktemp("elsewhere"))
+        assert main(self.args(workdir, "full")) == 0
+        assert not os.path.exists("full_state.json")
+        assert main(self.args(workdir, "again", "--resume",
+                              "full_state.json")) == 0
+        assert (workdir / "again.csv").read_bytes() == \
+            (workdir / "full.csv").read_bytes()
 
 
 class TestOptimizeInputErrors:
@@ -336,7 +390,7 @@ class TestOptimizeInputErrors:
         state = read_json(workdir / "st.json")
         state["local_search"] = {
             "chromosome": [0.0] * 6, "fidelity": 0.5, "iterations": 1,
-            "stopped": False, "pole_failures": 0,
+            "stopped": False,
         }
         (workdir / "st.json").write_text(json.dumps(state))
         rc = self.optimize(workdir,
@@ -352,6 +406,16 @@ class TestOptimizeInputErrors:
         rc = self.optimize(workdir,
                            extra=("--resume", str(workdir / "st.json")))
         self.expect_error(capsys, rc, "lacks 'population'")
+
+    def test_resume_without_pole_failures(self, workdir, capsys):
+        assert self.optimize(workdir, extra=("--state-out", "st.json")) == 0
+        capsys.readouterr()
+        state = read_json(workdir / "st.json")
+        del state["pole_failures"]
+        (workdir / "st.json").write_text(json.dumps(state))
+        rc = self.optimize(workdir,
+                           extra=("--resume", str(workdir / "st.json")))
+        self.expect_error(capsys, rc, "lacks 'pole_failures'")
 
     def test_unknown_de_config_key(self, workdir, capsys):
         (workdir / "de.json").write_text(json.dumps({"bogus": 1}))

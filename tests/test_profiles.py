@@ -1,9 +1,17 @@
 """Shipped profile sanity: devices construct, constraints match the stated
-defaults, and the packaged pulses reproduce their recorded fidelities."""
+defaults, the CLI configs match the library profiles, and the packaged
+pulses reproduce their recorded fidelities."""
+
+from pathlib import Path
 
 import pytest
 
-from fluxgate.optimizer import ccphase_fitness, validate_constraints
+from fluxgate.device import load_device
+from fluxgate.optimizer import (
+    ccphase_fitness,
+    load_constraints,
+    validate_constraints,
+)
 from fluxgate.profiles import (
     THREE_QUBIT_REFERENCES,
     TOY_REFERENCES,
@@ -37,6 +45,27 @@ def test_three_qubit_constraint_defaults():
     highs = [(r.hi, r.hi_inclusive) for r in cs.ranges]
     assert lows == [(0.0, True), (-0.5, False), (-0.5, False)]
     assert highs == [(0.5, False), (0.5, False), (0.0, True)]
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+
+
+@pytest.mark.parametrize("name, profile", [
+    ("three_transmon_chain.json", three_transmon_chain),
+    ("toy_chain.json", toy_two_transmon_chain),
+])
+def test_device_config_matches_profile(name, profile):
+    assert load_device(CONFIGS / name) == profile()
+
+
+@pytest.mark.parametrize("name, profile", [
+    ("three_qubit_constraints.json", lambda: three_qubit_constraints("idle")),
+    ("three_qubit_constraints_feasible.json",
+     lambda: three_qubit_constraints("references")),
+    ("toy_constraints.json", toy_constraints),
+])
+def test_constraints_config_matches_profile(name, profile):
+    assert load_constraints(CONFIGS / name) == profile()
 
 
 def test_search_references():

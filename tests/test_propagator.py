@@ -499,7 +499,7 @@ class TestSegmentUnitaries:
         with pytest.raises(ValueError, match="dt must be"):
             propagator._segment_unitaries(template, rows, dts)
 
-    def test_pole_row_error_and_mask(self):
+    def test_pole_row_error(self):
         # Row 3 drives qubit R (7 GHz) onto its 8.2 GHz resonator: level 1
         # of transmon 2 sits on the pole.
         template, rows, dts = self.batch(0, 5, seed=9)
@@ -507,19 +507,80 @@ class TestSegmentUnitaries:
         with pytest.raises(SingularityError) as err:
             propagator._segment_unitaries(template, rows, dts)
         assert (err.value.row, err.value.transmon, err.value.level) == (3, 2, 1)
-        u, poles = propagator._exponentiate(template, rows, dts)
-        assert poles.tolist() == [False, False, False, True, False]
-        assert not u[3].any()
-        keep = ~poles
-        assert same_bytes(u[keep], propagator._segment_unitaries(
-            template, rows[keep], dts[keep]))
 
-    def test_all_pole_batch(self):
-        template, rows, dts = self.batch(0, 3, seed=10)
-        rows[:, 2] = 8.2
-        u, poles = propagator._exponentiate(template, rows, dts)
-        assert poles.all()
-        assert u.shape == (3, 20, 20) and not u.any()
+
+class TestPoleChunks:
+    """A chunk that holds pole members: each gets the error evolve raises
+    for it alone, and the others the unitaries they get alone."""
+
+    def evolve_chunk(self, device, waveforms, monkeypatch):
+        """The (unitaries, errors) of ``waveforms`` evolved as one chunk,
+        and the number of _segment_unitaries calls it made."""
+        calls = []
+        segment_unitaries = propagator._segment_unitaries
+
+        def counting(template, rows, dts):
+            calls.append(len(rows))
+            return segment_unitaries(template, rows, dts)
+
+        monkeypatch.setattr(propagator, "_segment_unitaries", counting)
+        chunks = list(propagator._evolve_chunks(
+            _template(device, basis_for(device)), waveforms, TrotterConfig()))
+        monkeypatch.setattr(propagator, "_segment_unitaries", segment_unitaries)
+        assert len(chunks) == 1
+        return chunks[0], len(calls)
+
+    def lone_error(self, device, waveform):
+        with pytest.raises(EvolutionError) as err:
+            evolve(device, waveform)
+        return err.value
+
+    def test_mixed_chunk(self, device, monkeypatch):
+        # Clean members of 5 and 7 runs; pole members of 5 runs (qubit R
+        # onto its 8.2 GHz resonator in segment 3), of 7 runs (qubit L onto
+        # its 8.05 GHz resonator in segment 1, qubit R in segment 4) and of
+        # 6 runs (qubit R in segment 0).  Sorted by run count, the poles
+        # sit between clean members, so rows must map back to members.
+        rng = np.random.default_rng(17)
+        dets = [rng.uniform(-0.1, 0.1, size=(3, n)) for n in (5, 5, 7, 7, 6, 5)]
+        dets[1][2, 3] = 1.2
+        dets[3][0, 1] = 3.05
+        dets[3][2, 4] = 1.2
+        dets[4][2, 0] = 1.2
+        poles = [1, 3, 4]
+        waveforms = [pulse(det) for det in dets]
+        (unitaries, errors), calls = self.evolve_chunk(
+            device, waveforms, monkeypatch)
+        assert calls == len(poles) + 1
+        for p, waveform in enumerate(waveforms):
+            if p in poles:
+                want = self.lone_error(device, waveform)
+                got = errors[p]
+                assert isinstance(got, EvolutionError)
+                assert (str(got), got.time, got.transmon) == \
+                    (str(want), want.time, want.transmon)
+                assert not unitaries[p].any()
+            else:
+                assert errors[p] is None
+                assert same_bytes(unitaries[p], evolve(device, waveform))
+        assert (errors[1].time, errors[1].transmon) == (pytest.approx(3.05), 2)
+        assert (errors[3].time, errors[3].transmon) == (pytest.approx(1.05), 0)
+        assert (errors[4].time, errors[4].transmon) == (0.05, 2)
+
+    def test_all_pole_chunk(self, device, monkeypatch):
+        rng = np.random.default_rng(18)
+        dets = [rng.uniform(-0.1, 0.1, size=(3, n)) for n in (4, 6, 4)]
+        for k, det in enumerate(dets):
+            det[2, k] = 1.2
+        waveforms = [pulse(det) for det in dets]
+        (unitaries, errors), calls = self.evolve_chunk(
+            device, waveforms, monkeypatch)
+        assert calls == len(waveforms)
+        assert unitaries.shape == (3, 20, 20) and not unitaries.any()
+        for waveform, got in zip(waveforms, errors):
+            want = self.lone_error(device, waveform)
+            assert (str(got), got.time, got.transmon) == \
+                (str(want), want.time, want.transmon)
 
 
 class TestTrotterConfig:

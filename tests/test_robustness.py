@@ -191,6 +191,21 @@ class TestNoiseSweep:
         debug = [r for r in caplog.records if r.levelno == logging.DEBUG]
         assert len(debug) == expected[1] - 1
 
+    def test_pole_crossing_baseline_raises(self):
+        # Qubit M detuned by 1.8 GHz in the first segment sits on the
+        # 7.8 GHz resonator's pole: the sweep raises the noiseless pulse's
+        # own error, as scoring it alone does, not a sweep of zeros.
+        det = self.sched.detunings.copy()
+        det[1, 0] = 1.8
+        sched = self.sched.with_detunings(det)
+        with pytest.raises(EvolutionError) as lone:
+            evolve(self.dev, PiecewiseConstantWaveform(sched))
+        cfg = NoiseSweepConfig(amplitudes_mhz=(0.0, 1.0), samples=3, seed=1)
+        with pytest.raises(EvolutionError) as err:
+            noise_sweep(sched, self.dev, cfg, target=self.target)
+        assert (err.value.time, err.value.transmon) == (0.05, 1)
+        assert str(err.value) == str(lone.value)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             NoiseSweepConfig(amplitudes_mhz=(-1.0,))

@@ -186,10 +186,15 @@ def _read_config(cls, path):
     return doc
 
 
-def _read_checkpoint(path, n_genes, population_size):
+def _read_checkpoint(path, n_genes, population_size, config):
     """The DE state, pole-failure count and local-search entry (or None) of
-    a ``--state-out`` checkpoint, checked against this run's gene count and
-    population."""
+    a ``--state-out`` checkpoint, checked against this run's gene count,
+    population and ``config``.
+
+    The checkpoint's manifest hash must be that of ``config``, or of
+    ``config`` with the DE ``max_generations`` at the checkpoint's
+    generation: a run that reached its generation limit may be continued
+    under a higher one."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -197,6 +202,7 @@ def _read_checkpoint(path, n_genes, population_size):
     try:
         state = SussadeState.from_json(doc)
         pole_failures = doc["pole_failures"]
+        written_by = doc["manifest_hash"]
         entry = doc.get("local_search")
         if entry is not None:
             entry = {key: entry[key] for key in _LOCAL_SEARCH_KEYS}
@@ -213,6 +219,13 @@ def _read_checkpoint(path, n_genes, population_size):
         if got != want:
             raise ValueError(f"resume state {path} holds {got} {what}; "
                              f"this run needs {want}")
+    manifest_hash = _manifest_hash(config)
+    limit_reached = dict(config, de_config=dict(
+        config["de_config"], max_generations=state.generation))
+    if written_by not in (manifest_hash, _manifest_hash(limit_reached)):
+        raise ValueError(f"resume state {path} was written under manifest "
+                         f"hash {written_by}; this run's configuration has "
+                         f"hash {manifest_hash}")
     return state, pole_failures, entry
 
 
@@ -262,7 +275,7 @@ def cmd_optimize(args):
     if args.resume:
         state, fitness.pole_failures, entry = _read_checkpoint(
             _resolve(args.resume), device.n_transmons * args.segments,
-            de_config.population_size,
+            de_config.population_size, config,
         )
     else:
         population = seed_population(
@@ -690,7 +703,8 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None,
                    help="overrides the DE config seed")
     p.add_argument("--resume", default=None,
-                   help="continue from a --state-out checkpoint, in "
+                   help="continue from a --state-out checkpoint of the "
+                        "same configuration (manifest hash), in "
                         "whichever stage it reached; a relative path is "
                         "read under FLUXGATE_OUT_DIR, as --state-out is "
                         "written")

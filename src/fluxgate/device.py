@@ -23,6 +23,7 @@ names the earliest offending sample row, its transmon and its level.
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -50,6 +51,15 @@ __all__ = [
 ]
 
 
+def _require_finite(owner, spec, *names):
+    """Raise ValueError unless each named float field of ``spec`` is finite:
+    JSON input may hold NaN or Infinity."""
+    for name in names:
+        value = getattr(spec, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{owner}: {name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class TransmonSpec:
     """Static parameters of one transmon in the chain.
@@ -73,13 +83,15 @@ class TransmonSpec:
     idle_frequency: float = None
 
     def __post_init__(self):
+        if self.idle_frequency is None:
+            object.__setattr__(self, "idle_frequency", self.bare_frequency)
+        _require_finite(f"transmon {self.index}", self, "bare_frequency",
+                        "anharmonicity", "idle_frequency")
         if self.bare_frequency <= 0:
             raise ValueError(
                 f"transmon {self.index}: bare_frequency must be positive, "
                 f"got {self.bare_frequency}"
             )
-        if self.idle_frequency is None:
-            object.__setattr__(self, "idle_frequency", self.bare_frequency)
 
 
 @dataclass(frozen=True)
@@ -103,6 +115,8 @@ class ResonatorCoupling:
                 "resonator couplings must link nearest neighbours: got "
                 f"({self.left_index}, {self.right_index})"
             )
+        _require_finite(f"resonator ({self.left_index}, {self.right_index})",
+                        self, "resonator_frequency", "g_left", "g_right")
 
     def g_for(self, transmon_index):
         """Coupling strength seen by one of the two attached transmons."""
@@ -142,6 +156,7 @@ class DeviceChain:
     def __post_init__(self):
         object.__setattr__(self, "transmons", _as_tuple(self.transmons))
         object.__setattr__(self, "couplings", _as_tuple(self.couplings))
+        _require_finite("device", self, "dispersive_floor")
         n = len(self.transmons)
         if n < 1:
             raise ValueError("chain needs at least one transmon")

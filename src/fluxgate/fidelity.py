@@ -43,6 +43,9 @@ __all__ = [
     "score_waveform",
 ]
 
+_FIT_TOL = 1e-9  # fit_phases refines until a round moves no phase this far
+_FIT_ROUNDS = 200  # or for this many rounds
+
 
 def controlled_phase_ideal(n_qubits=3):
     """diag(1, ..., 1, -1) on 2**n_qubits states: a -1 phase on |1...1> only."""
@@ -210,7 +213,7 @@ def _refine(u, target, theta_qubits, tol, max_rounds):
     return tuple(theta)
 
 
-def fit_phases(u, target=None, refine=True, tol=1e-9, max_rounds=200):
+def fit_phases(u, target=None, refine=True):
     """Single-qubit compensation phases for a computational-subspace matrix.
 
     Closed form: the global phase is the argument of the |0...0> diagonal
@@ -220,8 +223,8 @@ def fit_phases(u, target=None, refine=True, tol=1e-9, max_rounds=200):
     refinement then maximizes |Tr(T^dag U M)|, and with it the gate
     fidelity, against ``target`` (default: the controlled-phase gate),
     one qubit phase at a time in closed form on a scalar kernel, until a
-    round moves no phase by ``tol`` rad or more (at most ``max_rounds``
-    rounds).
+    round moves no phase by ``_FIT_TOL`` rad or more (at most
+    ``_FIT_ROUNDS`` rounds).
 
     Raises
     ------
@@ -246,7 +249,7 @@ def fit_phases(u, target=None, refine=True, tol=1e-9, max_rounds=200):
     if refine:
         if target is None:
             target = controlled_phase_ideal(n)
-        theta_qubits = _refine(u, target, theta_qubits, tol, max_rounds)
+        theta_qubits = _refine(u, target, theta_qubits, _FIT_TOL, _FIT_ROUNDS)
     return CompensationPhases(theta0, theta_qubits).reduced()
 
 

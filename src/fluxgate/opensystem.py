@@ -75,6 +75,11 @@ US_TO_NS = 1000.0
 # (64 states) stacks of 4 and 8 were the fastest of 2 to 64, and the peak
 # memory of a run grows with the stack: 4.5 MB at 8, 34 MB at 64.
 _QPT_STACK = 8
+# validate_density's bounds on asymmetry, trace error and eigenvalues.
+_DENSITY_HERM_TOL = 1e-10
+_DENSITY_TRACE_TOL = 1e-8
+_DENSITY_EIG_FLOOR = -1e-8
+_CHI_COND_LIMIT = 1e10  # largest input condition number estimate_chi inverts
 
 
 @dataclass(frozen=True)
@@ -115,16 +120,16 @@ class LindbladSpec:
         return tuple(out)
 
 
-def validate_density(rho, herm_tol=1e-10, trace_tol=1e-8, eig_floor=-1e-8):
+def validate_density(rho):
     """Raise ValueError unless rho is Hermitian, unit-trace and PSD."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > herm_tol:
+    if np.abs(rho - rho.conj().T).max() > _DENSITY_HERM_TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > trace_tol:
+    if abs(np.trace(rho).real - 1.0) > _DENSITY_TRACE_TOL:
         raise ValueError(f"density matrix trace {np.trace(rho)} != 1")
-    if np.linalg.eigvalsh(rho).min() < eig_floor:
+    if np.linalg.eigvalsh(rho).min() < _DENSITY_EIG_FLOOR:
         raise ValueError("density matrix has a negative eigenvalue")
 
 
@@ -278,22 +283,20 @@ class _StackEvolution:
         return np.ascontiguousarray(x[pos][:, :, pos].transpose(1, 0, 2))
 
 
-def evolve_density(rho0, device, waveform, trotter=TrotterConfig(), lindblad=None,
-                   validate=True):
+def evolve_density(rho0, device, waveform, trotter=TrotterConfig(), lindblad=None):
     """Evolve a density matrix on the full product space.
 
     Parameters
     ----------
     rho0 : ndarray
-        Initial density matrix of dimension levels**n.
+        Initial density matrix of dimension levels**n; it must pass
+        :func:`validate_density`.
     device : DeviceChain
     waveform : Waveform
     trotter : TrotterConfig
         Also sets the fixed integration step for the dissipator.
     lindblad : LindbladSpec, optional
         Decoherence model; omitted means purely unitary conjugation.
-    validate : bool
-        Check the density-matrix invariants of ``rho0`` on entry.
     """
     dim = full_basis(device).dimension
     rho = np.array(rho0, dtype=complex)
@@ -302,8 +305,7 @@ def evolve_density(rho0, device, waveform, trotter=TrotterConfig(), lindblad=Non
             f"expected a {dim}x{dim} density matrix for the full space, "
             f"got {rho.shape}"
         )
-    if validate:
-        validate_density(rho)
+    validate_density(rho)
     return _StackEvolution(device, waveform, trotter, lindblad)(rho[None])[0]
 
 
@@ -380,7 +382,7 @@ def _pauli_stack(n_qubits):
     return stack
 
 
-def estimate_chi(inputs, outputs, cond_limit=1e10):
+def estimate_chi(inputs, outputs):
     """Process matrix from matched input/output computational-subspace pairs.
 
     Linear inversion of E(rho) = sum_mn chi_mn P_m rho P_n^dag over the
@@ -403,7 +405,7 @@ def estimate_chi(inputs, outputs, cond_limit=1e10):
         )
     a = np.asarray(inputs, dtype=complex).reshape(len(inputs), -1).T
     b = np.asarray(outputs, dtype=complex).reshape(len(outputs), -1).T
-    if np.linalg.cond(a) > cond_limit:
+    if np.linalg.cond(a) > _CHI_COND_LIMIT:
         raise TomographyError("tomography input set is rank deficient")
     # Superoperator on row-major vectorized operators: S vec(rho) = vec(E(rho)).
     s = np.linalg.solve(a.T, b.T).T
@@ -481,17 +483,16 @@ class QptResult:
 
 
 def run_qpt(device, schedule, trotter=TrotterConfig(), lindblad=None, target=None,
-            levels=None, compensation=None):
+            levels=None):
     """Full tomography of a pulse: evolve the 4**n preparations and invert.
 
     The single-qubit phase compensation is fitted from a closed-system run
-    of the same pulse (unless ``compensation`` phases are given) and
-    applied as a virtual-Z conjugation of the input states, so the
-    characterized channel is the compensated gate.  The preparations are
-    evolved together, in stacks of :data:`_QPT_STACK`, and each output is
-    cut to its computational block at once.  Leakage out of the
-    computational subspace appears as trace loss absorbed by the PSD
-    projection inside :func:`estimate_chi`.
+    of the same pulse and applied as a virtual-Z conjugation of the input
+    states, so the characterized channel is the compensated gate.  The
+    preparations are evolved together, in stacks of :data:`_QPT_STACK`,
+    and each output is cut to its computational block at once.  Leakage
+    out of the computational subspace appears as trace loss absorbed by
+    the PSD projection inside :func:`estimate_chi`.
 
     Parameters
     ----------
@@ -504,7 +505,6 @@ def run_qpt(device, schedule, trotter=TrotterConfig(), lindblad=None, target=Non
         controlled-phase gate on n qubits).
     levels : int, optional
         Override the device's levels_per_transmon for this run.
-    compensation : CompensationPhases, optional
     """
     if levels is not None and levels != device.levels_per_transmon:
         device = device.with_levels(levels)
@@ -519,9 +519,7 @@ def run_qpt(device, schedule, trotter=TrotterConfig(), lindblad=None, target=Non
     )
 
     rep = score_waveform(device, waveform, target, trotter)
-    phases = compensation if compensation is not None else rep.phases
-
-    comp_diag = _embed_compensation(phases, n, lv)
+    comp_diag = _embed_compensation(rep.phases, n, lv)
     states = _qpt_input_states(n, lv)
     idx = full_basis(device).qubit_indices
     evolve_stack = _StackEvolution(device, waveform, trotter, lindblad)
@@ -532,4 +530,4 @@ def run_qpt(device, schedule, trotter=TrotterConfig(), lindblad=None, target=Non
         outputs.append(evolve_stack(stack, keep=idx))
     chi = estimate_chi(_outer(states[:, idx]), np.concatenate(outputs))
     report = qpt_metrics(chi, chi_ideal(target))
-    return QptResult(chi, report, phases, rep.fidelity)
+    return QptResult(chi, report, rep.phases, rep.fidelity)

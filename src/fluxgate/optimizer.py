@@ -658,6 +658,9 @@ def ccphase_fitness(device, references, segment_duration=1.0,
     n = device.n_transmons
     if len(references) != n:
         raise ValueError(f"need {n} references, got {len(references)}")
+    if not all(map(math.isfinite, references)):
+        raise ValueError(
+            f"search_references must be finite, got {tuple(references)}")
     trotter.validate_against(segment_duration)
     if target is None:
         target = controlled_phase_ideal(n)

@@ -47,6 +47,8 @@ from .errors import EvolutionError, SingularityError
 
 __all__ = ["TrotterConfig", "expm_skew", "evolve"]
 
+_HERM_TOL = 1e-12  # asymmetry expm_skew accepts, relative to max(1, |h|)
+
 
 @dataclass(frozen=True)
 class TrotterConfig:
@@ -93,25 +95,25 @@ def _eigh_expm(h, dts):
     return (v * phases[:, None, :]) @ v.conj().swapaxes(-2, -1)
 
 
-def _expm_stack(h, dts, herm_tol=1e-12):
+def _expm_stack(h, dts):
     """:func:`_eigh_expm` after checking that each matrix of the stack is
-    Hermitian within ``herm_tol`` relative to its largest entry (at least
+    Hermitian within ``_HERM_TOL`` relative to its largest entry (at least
     1) and that each dt is >= 0."""
     scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1), initial=0.0))
     asym = np.abs(h - h.conj().swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
-    if (asym > herm_tol * scale).any():
+    if (asym > _HERM_TOL * scale).any():
         raise ValueError("matrix is not Hermitian within tolerance")
     _check_dts(dts)
     return _eigh_expm(h, dts)
 
 
-def expm_skew(h, dt, herm_tol=1e-12):
+def expm_skew(h, dt):
     """exp(-i*h*dt) for Hermitian h (rad/ns) and dt (ns), via eigendecomposition.
 
-    Raises ValueError if h deviates from Hermiticity beyond ``herm_tol``
-    relative to its largest entry.
+    Raises ValueError if h deviates from Hermiticity by more than 1e-12
+    (``_HERM_TOL``) relative to its largest entry (at least 1).
     """
-    return _expm_stack(np.asarray(h)[None], np.array([dt], dtype=float), herm_tol)[0]
+    return _expm_stack(np.asarray(h)[None], np.array([dt], dtype=float))[0]
 
 
 def _segment_unitaries(template, rows, dts):
@@ -119,23 +121,19 @@ def _segment_unitaries(template, rows, dts):
 
     One Hamiltonian batch, then one stacked eigh per excitation block (the
     template's ``block_index``); the entries between blocks stay exactly
-    zero.  ``build`` makes every matrix exactly symmetric, so one test of
-    exact symmetry over the whole batch stands in for a check per block.
-    A batch that fails it (NaN entries, or a stand-in for ``build``) is
-    exponentiated block by block through :func:`_expm_stack`, whose
-    toleranced check raises or passes as it always has; both ways give
-    the same bits for the same matrices.  Every row count takes this one
-    path.
+    zero.  ``build`` writes every coupling to both triangles, so the
+    matrices of a finite batch are exactly symmetric, and one test of
+    exact symmetry over the whole batch stands in for a check per block:
+    a batch that fails it raises ValueError.  Every row count takes this
+    one path.
     """
     h = template.build(rows)
-    if (h == h.swapaxes(-2, -1)).all():
-        _check_dts(dts)
-        expm = _eigh_expm
-    else:
-        expm = _expm_stack
+    if not (h == h.swapaxes(-2, -1)).all():
+        raise ValueError("Hamiltonian batch is not exactly Hermitian")
+    _check_dts(dts)
     u = np.zeros(h.shape, dtype=complex)
     for index in template.block_index:
-        u[index] = expm(h[index], dts)
+        u[index] = _eigh_expm(h[index], dts)
     return u
 
 
@@ -149,11 +147,16 @@ def _sampled_runs(waveform, trotter):
     """The waveform sampled at every Trotter-step midpoint, merged into runs.
 
     Returns (start times, sample rows, counts): one entry per run of
-    consecutive bit-identical samples, in time order.
+    consecutive bit-identical samples, in time order.  A non-finite sample
+    is a ValueError that names its time and qubit.
     """
     k = trotter.n_steps(waveform.duration)
     times = (np.arange(k) + 0.5) * trotter.step
     samples = np.ascontiguousarray(waveform.sample(times), dtype=float)
+    if not np.isfinite(samples).all():
+        step, qubit = np.argwhere(~np.isfinite(samples))[0]
+        raise ValueError(f"waveform frequency {samples[step, qubit]} GHz at "
+                         f"t={times[step]:g} ns (qubit {qubit}) is not finite")
     bits = samples.view(np.uint64)
     new_run = np.empty(k, dtype=bool)
     new_run[0] = True

@@ -9,6 +9,7 @@ the same evolution code unchanged.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -52,6 +53,8 @@ class PulseSchedule:
         if search_references is None:
             raise ValueError("search_references is required")
         refs = tuple(float(r) for r in search_references)
+        if not all(map(math.isfinite, refs)):
+            raise ValueError(f"search_references must be finite, got {refs}")
         if len(refs) != det.shape[0]:
             raise ValueError(
                 f"{len(refs)} references for {det.shape[0]} qubit rows"

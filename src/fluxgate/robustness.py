@@ -7,11 +7,11 @@ the boundary; with local time tau measured from the window start,
 
     w(tau) = (w_i + w_{i+1})/2 + (w_{i+1} - w_i)/2 * Erf((tau - t_ramp/2)/(sqrt(2) sigma))
 
-with sigma = t_ramp / (4 sqrt(2)) unless overridden, so the waveform
-crosses the exact midpoint at the boundary itself and holds the segment
-value outside the window.  Centring keeps the distorted pulse aligned
-with the programmed one (a pure smearing, no net time shift), which also
-makes the fidelity penalty grow with the ramp length.
+with sigma = t_ramp / (4 sqrt(2)), so the waveform crosses the exact
+midpoint at the boundary itself and holds the segment value outside the
+window.  Centring keeps the distorted pulse aligned with the programmed
+one (a pure smearing, no net time shift), which also makes the fidelity
+penalty grow with the ramp length.
 
 Noise robustness is probed by adding i.i.d. uniform(-1, 1) draws, scaled
 by an amplitude in MHz, to every (qubit, segment) detuning and averaging
@@ -48,18 +48,17 @@ MHZ_TO_GHZ = 1e-3
 
 @dataclass(frozen=True)
 class SmoothingParams:
-    """Ramp length in ns; sigma defaults to t_ramp / (4 sqrt(2))."""
+    """Ramp length in ns; the Erf width sigma is t_ramp / (4 sqrt(2))."""
 
     t_ramp: float = 1.0
-    sigma: float = None
 
     def __post_init__(self):
         if self.t_ramp <= 0:
             raise ValueError("t_ramp must be positive")
-        if self.sigma is None:
-            object.__setattr__(self, "sigma", self.t_ramp / (4.0 * math.sqrt(2.0)))
-        elif self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+
+    @property
+    def sigma(self):
+        return self.t_ramp / (4.0 * math.sqrt(2.0))
 
 
 class SmoothedWaveform(Waveform):

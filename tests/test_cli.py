@@ -106,6 +106,50 @@ class TestSimulate:
         assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, pulse", [
+    ("simulate", "pulse.csv"), ("qpt", "pulse.csv"), ("robustness", "pulse.csv"),
+    ("optimize", None),
+])
+def test_non_finite_references_rejected(workdir, capsys, command, pulse):
+    # --references nan passed argparse's float(): a clean error and exit
+    # code 2, and no artifact.
+    rc = main([
+        command, "--device", str(workdir / "device.json"),
+        *(["--pulses", str(workdir / pulse)] if pulse else
+          ["--constraints", str(workdir / "constraints.json"),
+           "--segments", "4"]),
+        "--references", "nan", "6.0", "--out", "out.json",
+        *(["--report", "report.json"] if command == "qpt" else []),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: search_references must be finite, got (nan, 6.0)\n"
+    assert not list(workdir.glob("out*")) and not list(workdir.glob("report*"))
+
+
+def test_non_finite_json_input_rejected(workdir, capsys):
+    # json.load reads NaN: a NaN search reference in the pulse JSON used to
+    # end in "Eigenvalues did not converge", and a NaN bare frequency in
+    # the device JSON in a fidelity with exit code 0.
+    pulse = read_json(workdir / "pulse.json")
+    pulse["search_references_ghz"][0] = float("nan")
+    (workdir / "nan_pulse.json").write_text(json.dumps(pulse))
+    device = read_json(workdir / "device.json")
+    device["transmons"][0]["bare_frequency_ghz"] = float("nan")
+    (workdir / "nan_device.json").write_text(json.dumps(device))
+    for device_file, pulse_file, message in (
+        ("device.json", "nan_pulse.json",
+         "search_references must be finite"),
+        ("nan_device.json", "pulse.json",
+         "transmon 0: bare_frequency must be finite, got nan"),
+    ):
+        rc = main(["simulate", "--device", str(workdir / device_file),
+                   "--pulses", str(workdir / pulse_file), "--out", "out.json"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not list(workdir.glob("out*"))
+
+
 @pytest.mark.parametrize("command", ["simulate", "qpt", "robustness"])
 def test_pole_crossing_pulse_reports_error(workdir, capsys, command):
     # Qubit M detuned by 1.8 GHz in the first segment sits on a resonator
@@ -416,6 +460,26 @@ class TestOptimizeInputErrors:
         rc = self.optimize(workdir,
                            extra=("--resume", str(workdir / "st.json")))
         self.expect_error(capsys, rc, "lacks 'pole_failures'")
+
+    def test_resume_under_other_configuration(self, workdir, capsys):
+        # A state written with seed 3 and the ccphase target, resumed with
+        # another seed and target: refused before any evaluation or write.
+        assert self.optimize(workdir, extra=("--state-out", "st.json")) == 0
+        capsys.readouterr()
+        state = (workdir / "st.json").read_bytes()
+        other = ("--seed", "99", "--target", "identity")
+        assert self.optimize(workdir, extra=("--out", "other.csv", *other)) == 0
+        other_hash = read_json(workdir / "other.manifest.json")["manifest_hash"]
+        capsys.readouterr()
+        rc = self.optimize(workdir, extra=(
+            "--out", "resumed.csv", "--log", "resumed_history.csv",
+            "--state-out", "st.json", "--resume", "st.json", *other))
+        self.expect_error(capsys, rc, (
+            f"was written under manifest hash "
+            f"{json.loads(state)['manifest_hash']}; this run's configuration "
+            f"has hash {other_hash}"))
+        assert not list(workdir.glob("resumed*"))
+        assert (workdir / "st.json").read_bytes() == state
 
     def test_unknown_de_config_key(self, workdir, capsys):
         (workdir / "de.json").write_text(json.dumps({"bogus": 1}))

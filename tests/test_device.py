@@ -273,6 +273,42 @@ class TestConstruction:
         with pytest.raises(ValueError, match="bare_frequency"):
             TransmonSpec(0, -5.0, -0.3)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", [
+        "bare_frequency", "anharmonicity", "idle_frequency"])
+    def test_non_finite_transmon_rejected(self, field, value):
+        spec = dict(index=0, bare_frequency=5.0, anharmonicity=-0.3)
+        spec[field] = value
+        with pytest.raises(ValueError, match=f"transmon 0: {field} must be "
+                                             "finite"):
+            TransmonSpec(**spec)
+
+    @pytest.mark.parametrize("field", [
+        "resonator_frequency", "g_left", "g_right"])
+    def test_non_finite_coupling_rejected(self, field):
+        spec = dict(left_index=0, right_index=1, resonator_frequency=8.05,
+                    g_left=0.2, g_right=0.2)
+        spec[field] = float("nan")
+        with pytest.raises(ValueError, match=f"resonator \\(0, 1\\): {field} "
+                                             "must be finite"):
+            ResonatorCoupling(**spec)
+
+    def test_non_finite_dispersive_floor_rejected(self):
+        # A NaN floor passed every pole comparison, so build returned
+        # non-finite matrices on a resonator instead of raising.
+        doc = device_to_json(toy_two_transmon_chain())
+        doc["dispersive_floor_ghz"] = float("nan")
+        with pytest.raises(ValueError, match="dispersive_floor must be "
+                                             "finite"):
+            device_from_json(doc)
+
+    def test_non_finite_device_json_rejected(self):
+        doc = device_to_json(toy_two_transmon_chain())
+        doc["transmons"][1]["bare_frequency_ghz"] = float("nan")
+        with pytest.raises(ValueError, match="transmon 1: bare_frequency "
+                                             "must be finite"):
+            device_from_json(doc)
+
     def test_non_adjacent_coupling_rejected(self):
         with pytest.raises(ValueError, match="nearest"):
             ResonatorCoupling(0, 2, 8.0, 0.2, 0.2)

@@ -398,6 +398,11 @@ class TestFitnessPipeline:
         c = np.linspace(-0.05, 0.05, 20)
         assert fitness(c) == fitness(c)
 
+    def test_non_finite_references_rejected(self):
+        with pytest.raises(ValueError, match="search_references must be "
+                                             "finite"):
+            ccphase_fitness(toy_two_transmon_chain(), (5.7, float("nan")))
+
     def test_zero_chromosome_in_range(self):
         dev = toy_two_transmon_chain()
         fitness = ccphase_fitness(dev, TOY_REFERENCES, 1.0)

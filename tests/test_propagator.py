@@ -289,6 +289,19 @@ class TestEvolve:
         assert err.value.transmon == 2
         assert err.value.time == pytest.approx(1.05)
 
+    def test_non_finite_sample_names_time_and_qubit(self, device):
+        class Broken(PiecewiseConstantWaveform):
+            def sample(self, times):
+                samples = super().sample(times)
+                samples[times > 2.0, 1] = np.nan
+                return samples
+
+        sched = PulseSchedule(np.zeros((3, 5)), 1.0, (5.0, 6.0, 7.0))
+        with pytest.raises(ValueError, match=r"frequency nan GHz at "
+                                             r"t=2\.05 ns \(qubit 1\) is "
+                                             "not finite"):
+            evolve(device, Broken(sched))
+
     def test_step_not_dividing_segments_keeps_assignment(self, device):
         # 0.3 ns steps divide the 3 ns pulse but not its 1 ns segments:
         # every midpoint keeps the segment the scalar lookup gives it, and
@@ -442,7 +455,8 @@ def oracle_templates():
 
 class TestSegmentUnitaries:
     """One exact symmetry test per batch in place of a toleranced check per
-    block: the same bits, and the same errors for the same inputs."""
+    block: the same bits as the per-block path, and a ValueError for any
+    batch that is not exactly symmetric."""
 
     def batch(self, which, count, seed):
         template, references = oracle_templates()[which]
@@ -477,21 +491,16 @@ class TestSegmentUnitaries:
         return skewed
 
     def test_asymmetry_beyond_tolerance_raises(self, monkeypatch):
+        # The entries reach about 100 rad/ns, so expm_skew's 1e-12 relative
+        # tolerance would let 1e-11 through; the batch test is exact.
         template, rows, dts = self.batch(0, 3, seed=5)
-        self.asymmetric_build(monkeypatch, template, 1e-6)
-        with pytest.raises(ValueError, match="Hermitian"):
-            propagator._segment_unitaries(template, rows, dts)
-
-    def test_asymmetry_within_tolerance_exponentiates(self, monkeypatch):
-        # The entries reach about 100 rad/ns, so 1e-12 relative allows
-        # about 1e-10 of asymmetry; the per-block path exponentiated such
-        # a matrix, and so does the fallback, with the same bits.
-        template, rows, dts = self.batch(0, 3, seed=6)
-        skewed = self.asymmetric_build(monkeypatch, template, 1e-11)
-        h = skewed(template, rows)
-        assert not np.array_equal(h, h.swapaxes(-2, -1))
-        got = propagator._segment_unitaries(template, rows, dts)
-        assert same_bytes(got, frozen_segment_unitaries(template, h, dts))
+        for size in (1e-6, 1e-11):
+            with monkeypatch.context() as patch:
+                skewed = self.asymmetric_build(patch, template, size)
+                h = skewed(template, rows)
+                assert not np.array_equal(h, h.swapaxes(-2, -1))
+                with pytest.raises(ValueError, match="Hermitian"):
+                    propagator._segment_unitaries(template, rows, dts)
 
     def test_negative_dt_raises(self):
         template, rows, dts = self.batch(0, 3, seed=8)

@@ -37,6 +37,12 @@ class TestPulseSchedule:
         with pytest.raises(ValueError):
             PulseSchedule([[0.0, np.inf]], 1.0, (5.0,))
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_rejects_non_finite_reference(self, value):
+        with pytest.raises(ValueError, match="search_references must be "
+                                             "finite"):
+            PulseSchedule(np.zeros((2, 4)), 1.0, (5.0, value))
+
     def test_rejects_reference_mismatch(self):
         with pytest.raises(ValueError):
             PulseSchedule(np.zeros((2, 4)), 1.0, (5.0,))

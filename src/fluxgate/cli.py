@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .device import basis_for, load_device
-from .errors import EvolutionError
+from .errors import EvolutionError, InfeasibilityError
 from .fidelity import controlled_phase_ideal, project_to_computational, \
     score_waveform
 from .opensystem import LindbladSpec, run_qpt
@@ -752,7 +752,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, json.JSONDecodeError, EvolutionError) as err:
+    except (OSError, ValueError, json.JSONDecodeError, EvolutionError,
+            InfeasibilityError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -123,11 +123,15 @@ def _wrap(theta):
     return float(wrapped)
 
 
+@lru_cache(maxsize=8)
 def _phase_exponents(n_qubits):
-    """exponent[b, k] = bit k (from the left) of basis index b."""
+    """exponent[b, k] = bit k (from the left) of basis index b; read-only,
+    built once per qubit count."""
     b = np.arange(2 ** n_qubits)
     shifts = np.arange(n_qubits - 1, -1, -1)
-    return (b[:, None] >> shifts[None, :]) & 1
+    exponents = (b[:, None] >> shifts[None, :]) & 1
+    exponents.setflags(write=False)
+    return exponents
 
 
 def _compensation_phasors(phases):
@@ -173,44 +177,74 @@ def _contraction_plan(n):
     return tuple(plan)
 
 
+@lru_cache(maxsize=8)
+def _refine_kernel(n):
+    """The coordinate ascent of :func:`_refine` for n qubits, as one
+    generated Python function ``kernel(c, theta, tol, max_rounds)``.
+
+    The stages of :func:`_contraction_plan` are written out as one
+    ``x + zj * y`` statement per multiply-add, on locals: c0, c1, ... for
+    c, z0, z1, ... for the phasors and t0, t1, ... for the angles.  Every
+    operation, and its order, is that of the loop over the plan that the
+    kernel replaces, so the bits are too (tests/test_fidelity.py).
+    """
+    d = 1 << n
+    ts = ", ".join(f"t{j}" for j in range(n))
+    body = [
+        "def kernel(c, theta, tol, max_rounds):",
+        f"    {', '.join(f'c{i}' for i in range(d))}, = c",
+        f"    {ts}, = theta",
+        *(f"    z{j} = complex(cos(t{j}), -sin(t{j}))" for j in range(n)),
+        "    for _ in range(max_rounds):",
+        "        moved = 0.0",
+    ]
+    for k, stages in enumerate(_contraction_plan(n)):
+        v = [f"c{i}" for i in range(d)]
+        for s, (j, first, second) in enumerate(stages):
+            new = [f"v{s}_{i}" for i in range(len(v) // 2)]
+            body += [f"        {w} = {x} + z{j} * {y}"
+                     for w, x, y in zip(new, v[first], v[second])]
+            v = new
+        a, b = v
+        body += [
+            f"        abs_a, abs_b = abs({a}), abs({b})",
+            "        if not (abs_a < 1e-15 or abs_b < 1e-15):",
+            f"            new = atan2({b}.imag, {b}.real) - atan2({a}.imag, {a}.real)",
+            # abs(_wrap(new - t_k)), inlined: it runs on every update.
+            f"            step = abs((t{k} - new + pi) % tau - pi)",
+            "            if step > moved:",
+            "                moved = step",
+            f"            t{k} = new",
+            f"            z{k} = {a} * {b}.conjugate() / (abs_a * abs_b)",
+        ]
+    body += [
+        "        if moved < tol:",
+        "            break",
+        f"    return ({ts},)",
+    ]
+    namespace = {"cos": math.cos, "sin": math.sin, "atan2": math.atan2,
+                 "pi": math.pi, "tau": math.tau}
+    exec(compile("\n".join(body), f"<refine kernel, n={n}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 def _refine(u, target, theta_qubits, tol, max_rounds):
     """Exact coordinate ascent of |Tr(T^dag U M)| over the per-qubit phases.
 
     With all other phases fixed, the trace is A + B*exp(-i t_k), so each
-    coordinate update is closed-form: t_k = arg(B) - arg(A).  The kernel
-    runs on Python complex scalars and carries the unit phasors
-    z_j = exp(-i t_j), updated as A conj(B) / (|A| |B|), so no exponential
-    is taken inside the loop; the global phase drops out of the modulus
-    and is left untouched.  (A, B) come from the stages of
-    :func:`_contraction_plan`, built once per qubit count.
+    coordinate update is closed-form: t_k = arg(B) - arg(A); a coordinate
+    whose |A| or |B| is below 1e-15 is skipped.  The kernel runs on Python
+    complex scalars and carries the unit phasors z_j = exp(-i t_j), updated
+    as A conj(B) / (|A| |B|), so no exponential is taken inside the loop;
+    the global phase drops out of the modulus and is left untouched.
+    (A, B) come from the stages of :func:`_contraction_plan`, which
+    :func:`_refine_kernel` writes out as straight-line code once per qubit
+    count.  Rounds stop when none moves a phase by ``tol`` or more, or
+    after ``max_rounds``.
     """
-    n = len(theta_qubits)
     # c[b] collects everything that multiplies the b-th compensation phase.
     c = (np.conj(target) * np.asarray(u)).sum(axis=0).tolist()
-    theta = list(theta_qubits)
-    z = [complex(math.cos(t), -math.sin(t)) for t in theta]
-    plan = _contraction_plan(n)
-    for _ in range(max_rounds):
-        moved = 0.0
-        for k, stages in enumerate(plan):
-            v = c
-            for j, first, second in stages:
-                zj = z[j]
-                v = [x + zj * y for x, y in zip(v[first], v[second])]
-            a, b = v
-            abs_a, abs_b = abs(a), abs(b)
-            if abs_a < 1e-15 or abs_b < 1e-15:
-                continue
-            new = math.atan2(b.imag, b.real) - math.atan2(a.imag, a.real)
-            # abs(_wrap(new - theta[k])), inlined: it runs on every update.
-            step = abs((theta[k] - new + math.pi) % math.tau - math.pi)
-            if step > moved:
-                moved = step
-            theta[k] = new
-            z[k] = a * b.conjugate() / (abs_a * abs_b)
-        if moved < tol:
-            break
-    return tuple(theta)
+    return _refine_kernel(len(theta_qubits))(c, theta_qubits, tol, max_rounds)
 
 
 def fit_phases(u, target=None, refine=True):

@@ -8,7 +8,9 @@ short constant-Hamiltonian exponentials,
 with the waveform sampled at every Trotter-step midpoint tau_i in one
 vectorized call.  Consecutive steps with identical samples share one
 constant Hamiltonian, so they merge into one exponential over their
-combined duration (one per segment for piecewise-constant pulses).  The
+combined duration.  A piecewise-constant pulse whose segments the step
+divides is not sampled: its runs are its segments, neighbours with the
+same bits merged, with the times, rows and counts sampling would give.  The
 Hamiltonians of all merged steps are built in one batch from the device's
 precomputed template, which holds every term and index that does not
 depend on frequency, and because H conserves the total excitation number
@@ -24,7 +26,10 @@ whose shape depends only on the step count.  A lone waveform keeps its
 tree, so when it changes a few steps from the previous call (a
 local-search move) only the nodes above those steps are multiplied again:
 about log2(S) products instead of S - 1.  Each node is one matmul of the
-same two child matrices either way, so the result has the same bits.
+same two child matrices either way, so the result has the same bits.  The
+updated tree's levels, its steps too, are new lists that share every
+unchanged matrix with the kept tree, so a move copies no step stack; only
+a full rebuild stacks the steps into one array.
 
 Many waveforms evolve together in chunks: the runs of a chunk share one
 exponential batch, and the waveforms with equal run counts are multiplied
@@ -44,6 +49,7 @@ import numpy as np
 
 from .device import _template, basis_for
 from .errors import EvolutionError, SingularityError
+from .pulses import PiecewiseConstantWaveform
 
 __all__ = ["TrotterConfig", "expm_skew", "evolve"]
 
@@ -143,36 +149,75 @@ def step_unitary(device, basis, frequencies, dt):
     return _segment_unitaries(_template(device, basis), rows, np.array([dt], float))[0]
 
 
+def _runs_of(values):
+    """(starts, counts) of the runs of consecutive columns with the same
+    bits in ``values``, shape (n_qubits, n) with n >= 1."""
+    bits = values.view(np.uint64)
+    new_run = np.empty(bits.shape[1], dtype=bool)
+    new_run[0] = True
+    (bits[:, 1:] != bits[:, :-1]).any(axis=0, out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[-1] = len(new_run)
+    return starts, ends - starts
+
+
+def _segment_runs(waveform, step, k):
+    """:func:`_sampled_runs` of a PiecewiseConstantWaveform read from its
+    segment columns, without sampling, or None when the step does not
+    divide the segments or a frequency is not finite.
+
+    The step divides the segments when the k steps are m per segment;
+    ``sample`` then puts steps s*m to s*m + m - 1 in segment s, because k
+    is the rounded duration / step, so no midpoint drifts by the half step
+    that separates it from a segment boundary.  Neighbouring segments with
+    the same bits merge, and a run's start time is the midpoint of its
+    first step, ``(start + 0.5) * step``: the times, rows and counts have
+    the bits and dtypes of sampling every midpoint (tests/test_pulses.py).
+    """
+    m, rest = divmod(k, waveform.schedule.n_segments)
+    if rest:
+        return None
+    segments, counts = _runs_of(waveform._absolute)
+    rows = waveform._absolute.T[segments]
+    if not np.isfinite(rows).all():
+        return None
+    starts = segments * m
+    return (starts + 0.5) * step, rows, counts * m
+
+
 def _sampled_runs(waveform, trotter):
     """The waveform sampled at every Trotter-step midpoint, merged into runs.
 
     Returns (start times, sample rows, counts): one entry per run of
     consecutive bit-identical samples, in time order.  A non-finite sample
-    is a ValueError that names its time and qubit.
+    is a ValueError that names its time and qubit.  A
+    PiecewiseConstantWaveform whose ``sample`` is not overridden gives the
+    same runs from its segments (:func:`_segment_runs`) when the step
+    divides them.
     """
     k = trotter.n_steps(waveform.duration)
+    if type(waveform).sample is PiecewiseConstantWaveform.sample:
+        runs = _segment_runs(waveform, trotter.step, k)
+        if runs is not None:
+            return runs
     times = (np.arange(k) + 0.5) * trotter.step
     samples = np.ascontiguousarray(waveform.sample(times), dtype=float)
     if not np.isfinite(samples).all():
         step, qubit = np.argwhere(~np.isfinite(samples))[0]
         raise ValueError(f"waveform frequency {samples[step, qubit]} GHz at "
                          f"t={times[step]:g} ns (qubit {qubit}) is not finite")
-    bits = samples.view(np.uint64)
-    new_run = np.empty(k, dtype=bool)
-    new_run[0] = True
-    (bits[1:] != bits[:-1]).any(axis=1, out=new_run[1:])
-    starts = np.flatnonzero(new_run)
-    ends = np.empty_like(starts)
-    ends[:-1] = starts[1:]
-    ends[-1] = k
-    return times[starts], samples[starts], ends - starts
+    starts, counts = _runs_of(samples.T)
+    return times[starts], samples[starts], counts
 
 
 # The previous lone call's (template, rows, dts, tree): ``tree`` holds the
 # levels of its pairwise product (see _product_tree), its step unitaries
 # first.  A local-search move changes one segment, so nearly all of its runs
 # and most tree nodes equal the call before.  The tuple is replaced whole
-# and its arrays are never written into, so threads need no lock: a race
+# and nothing it holds is ever written into (a new tree shares the kept
+# tree's matrices, it does not copy them), so threads need no lock: a race
 # loses reuse, never correctness, because a node's bits do not depend on
 # the batch or the tree it was computed in.
 _LAST_RUNS = None
@@ -206,15 +251,15 @@ def _run_unitaries(template, rows, dts):
     except SingularityError as err:
         err.row = int(fresh[err.row])
         raise
-    if last is not None:
-        stack = last[3][0].copy()
-        stack[fresh] = u
-        u = stack
     # A changed run costs one product per level; the full tree, S - 1.
-    if last is not None and len(fresh) * (len(last[3]) - 1) < len(rows):
+    if last is None:
+        levels = _product_tree(u)
+    elif len(fresh) * (len(last[3]) - 1) < len(rows):
         levels = _update_tree(last[3], u, fresh)
     else:
-        levels = _product_tree(u)
+        stack = np.array(last[3][0])
+        stack[fresh] = u
+        levels = _product_tree(stack)
     _LAST_RUNS = (template, rows, dts, levels)
     return levels
 
@@ -259,15 +304,19 @@ def _ordered_product(u):
 
 
 def _update_tree(levels, u, fresh):
-    """:func:`_product_tree` of ``u`` from ``levels``, the tree of a stack
-    that differs from ``u`` only at the sorted indices ``fresh``.
+    """:func:`_product_tree` of the steps of ``levels`` with the steps at
+    the sorted indices ``fresh`` replaced by ``u``, one matrix each.
 
     Only the nodes above ``fresh`` are multiplied again, one matmul each;
-    the others are taken from ``levels``, which is left as it is.  The new
-    levels above ``u`` are lists of matrices.
+    the others are taken from ``levels``, which is left as it is.  Every
+    new level, the steps too, is a list of matrices that shares the
+    unchanged ones with ``levels``: nothing is copied.
     """
-    tree = [u]
     dirty = fresh.tolist()
+    steps = list(levels[0])
+    for j, step in zip(dirty, u):
+        steps[j] = step
+    tree = [steps]
     for old in levels[1:]:
         below = tree[-1]
         n = len(below)

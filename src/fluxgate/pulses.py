@@ -5,7 +5,9 @@ relative to per-qubit search reference frequencies.  A :class:`Waveform`
 maps continuous time in ns to absolute per-qubit frequencies in GHz; the
 propagator samples it at all Trotter-step midpoints in one
 :meth:`Waveform.sample` call, so smoothed (distorted) pulse shapes reuse
-the same evolution code unchanged.
+the same evolution code unchanged.  A :class:`PiecewiseConstantWaveform`
+is not sampled when the step divides its segments: the propagator reads
+its runs from the segment columns, with the same result.
 """
 
 import json
@@ -110,6 +112,7 @@ class PiecewiseConstantWaveform(Waveform):
     def __init__(self, schedule):
         self.schedule = schedule
         self.duration = schedule.duration
+        # (n_qubits, n_segments); the propagator reads runs from its columns.
         self._absolute = schedule.absolute_frequencies()
 
     def frequencies(self, t):

@@ -481,6 +481,16 @@ class TestOptimizeInputErrors:
         assert not list(workdir.glob("resumed*"))
         assert (workdir / "st.json").read_bytes() == state
 
+    def test_infeasible_constraints(self, workdir, capsys):
+        # No two toy qubits can stay 2 GHz apart: seeding the population
+        # gives up, and that is bad input, not a crash.
+        doc = read_json(workdir / "constraints.json")
+        doc["min_separation_ghz"] = 2.0
+        (workdir / "constraints.json").write_text(json.dumps(doc))
+        rc = self.optimize(workdir)
+        self.expect_error(capsys, rc, "could not satisfy the separation rule")
+        assert not (workdir / "b.csv").exists()
+
     def test_unknown_de_config_key(self, workdir, capsys):
         (workdir / "de.json").write_text(json.dumps({"bogus": 1}))
         rc = main([

@@ -425,15 +425,46 @@ def frozen_refine(u, target, theta_qubits, tol, max_rounds):
 
 
 class TestRefineOracle:
-    """The per-n contraction plan gives the bits of the per-call
-    contraction it replaced."""
+    """The kernel generated from the per-n contraction plan gives the bits
+    of the per-call contraction it replaced."""
 
-    def assert_same_bits(self, u, target, start):
-        got = fidelity._refine(u, target, start, 1e-9, 200)
-        want = frozen_refine(u, target, start, 1e-9, 200)
+    def assert_same_bits(self, u, target, start, max_rounds=200):
+        got = fidelity._refine(u, target, start, 1e-9, max_rounds)
+        want = frozen_refine(u, target, start, 1e-9, max_rounds)
         assert len(got) == len(want)
         assert np.array_equal(np.array(got).view(np.uint64),
                               np.array(want).view(np.uint64))
+        return got
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_zeroed_columns_skip_coordinates(self, n):
+        # With every column whose bit k is 1 (or 0) zeroed, B (or A) of
+        # coordinate k is exactly zero: k is skipped and keeps its start.
+        rng = np.random.default_rng(300 + n)
+        target = controlled_phase_ideal(n)
+        bit = fidelity._phase_exponents(n)
+        for k in range(n):
+            for zeroed in (1, 0):
+                for _ in range(10):
+                    u = haar_unitary(rng, 2 ** n)
+                    u[:, bit[:, k] == zeroed] = 0.0
+                    start = tuple(rng.uniform(-np.pi, np.pi, size=n))
+                    got = self.assert_same_bits(u, target, start)
+                    assert got[k] == start[k]
+
+    @pytest.mark.parametrize("max_rounds", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_round_cap(self, n, max_rounds):
+        rng = np.random.default_rng(400 + 10 * n + max_rounds)
+        target = controlled_phase_ideal(n)
+        capped = 0
+        for _ in range(50):
+            u = haar_unitary(rng, 2 ** n) * rng.uniform(0.5, 1.0, size=2 ** n)
+            start = tuple(rng.uniform(-np.pi, np.pi, size=n))
+            got = self.assert_same_bits(u, target, start, max_rounds)
+            capped += got != fidelity._refine(u, target, start, 1e-9, 200)
+        # The cap stopped most fits before they converged.
+        assert capped > 25
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_random_sub_unitaries(self, n):

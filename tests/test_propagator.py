@@ -393,6 +393,41 @@ class TestProductTree:
         # The pole call kept nothing: the move updates the tree before it.
         assert updates == [[5]]
 
+    def test_stored_tree_is_never_written(self, device, monkeypatch):
+        # Threads share _LAST_RUNS without a lock because nothing a stored
+        # tree holds is written after it is stored: every level that an
+        # earlier call kept has its bytes at the end of a walk of moves.
+        rng = np.random.default_rng(47)
+        updates = counting_updates(monkeypatch)
+        monkeypatch.setattr(propagator, "_LAST_RUNS", None)
+        det = rng.uniform(-0.1, 0.1, size=(3, 12))
+        kept = []
+
+        def call(det):
+            evolve(device, pulse(det))
+            tree = propagator._LAST_RUNS[3]
+            kept.append((tree, [np.array(level).tobytes() for level in tree]))
+
+        call(det)
+        # One changed run, two, all of them (a full rebuild) from an
+        # updated tree and from a rebuilt one, a pole, then more moves.
+        every = list(range(12))
+        for moved in ([4], [0, 11], every, every, None, [7], [3, 8], [11]):
+            det = det.copy()
+            if moved is None:
+                poles = det.copy()
+                poles[2, 5] = 1.2  # qubit R onto its 8.2 GHz resonator
+                with pytest.raises(EvolutionError):
+                    evolve(device, pulse(poles))
+                continue
+            det[rng.integers(3), moved] += rng.uniform(1e-4, 1e-3,
+                                                        size=len(moved))
+            call(det)
+        assert [4] in updates and [0, 11] in updates
+        assert every not in updates  # rebuilt, not updated
+        for tree, snapshot in kept:
+            assert [np.array(level).tobytes() for level in tree] == snapshot
+
     def test_levels_match_stacked_loop(self):
         # Every node of an updated tree, not only the product, has the
         # bits of the same node built by the stacked pairwise loop.
@@ -402,7 +437,7 @@ class TestProductTree:
         for fresh in ([12], [3, 4], [0, 5, 11], [12]):
             u = u.copy()
             u[fresh] = rng.normal(size=(len(fresh), 6, 6))
-            levels = propagator._update_tree(levels, u, np.array(fresh))
+            levels = propagator._update_tree(levels, u[fresh], np.array(fresh))
             cold = propagator._product_tree(u)
             assert len(levels) == len(cold)
             for got, want in zip(levels, cold):

@@ -1,8 +1,12 @@
-"""Schedule construction, waveform sampling, and serialization round trips."""
+"""Schedule construction, waveform sampling, segment runs, and
+serialization round trips."""
 
 import numpy as np
 import pytest
 
+from fluxgate import propagator
+from fluxgate.profiles import load_ccphase_pulse, load_toy_pulse
+from fluxgate.propagator import TrotterConfig
 from fluxgate.pulses import (
     PiecewiseConstantWaveform,
     PulseSchedule,
@@ -66,6 +70,115 @@ class TestPiecewiseConstantWaveform:
         assert np.array_equal(wf.frequencies(3.5), absolute[:, 3])
         assert np.array_equal(wf.frequencies(3.999), absolute[:, 3])
         assert np.array_equal(wf.frequencies(4.0), absolute[:, 4])
+
+
+class Sampled(PiecewiseConstantWaveform):
+    """Overrides ``sample`` without changing it, so the propagator samples
+    every midpoint instead of reading the runs from the segments."""
+
+    def sample(self, times):
+        return super().sample(times)
+
+
+def repeating_schedule(rng, n_qubits, n_segments, segment_duration):
+    """Random detunings in which about half the segments repeat the one
+    before bit for bit, and some repeat it on one qubit only."""
+    det = rng.uniform(-0.3, 0.3, size=(n_qubits, n_segments))
+    for s in range(1, n_segments):
+        draw = rng.uniform()
+        if draw < 0.5:
+            det[:, s] = det[:, s - 1]
+        elif draw < 0.7:
+            det[0, s] = det[0, s - 1]
+    refs = tuple(5.0 + 0.4 * q for q in range(n_qubits))
+    return PulseSchedule(det, segment_duration, refs)
+
+
+class TestSegmentRuns:
+    """A PiecewiseConstantWaveform's runs come from its segments, with the
+    bytes and dtypes that sampling every Trotter midpoint gives."""
+
+    def assert_same_runs(self, schedule, step):
+        trotter = TrotterConfig(step)
+        got = propagator._sampled_runs(PiecewiseConstantWaveform(schedule),
+                                       trotter)
+        want = propagator._sampled_runs(Sampled(schedule), trotter)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.flags.c_contiguous == b.flags.c_contiguous
+            assert a.tobytes() == b.tobytes()
+        return got
+
+    def read_from_segments(self, schedule, step):
+        k = TrotterConfig(step).n_steps(schedule.duration)
+        return propagator._segment_runs(
+            PiecewiseConstantWaveform(schedule), step, k) is not None
+
+    @pytest.mark.parametrize("step", [0.1, 0.25, 0.5, 1.0])
+    def test_random_schedules_with_repeats(self, step):
+        rng = np.random.default_rng(int(step * 100))
+        merged = 0
+        for n_qubits, n_segments in ((1, 7), (2, 10), (3, 50), (3, 1)):
+            for _ in range(20):
+                sched = repeating_schedule(rng, n_qubits, n_segments, 1.0)
+                assert self.read_from_segments(sched, step)
+                _times, rows, counts = self.assert_same_runs(sched, step)
+                assert counts.sum() == round(sched.duration / step)
+                merged += len(rows) < n_segments
+        assert merged > 0
+
+    def test_step_not_dividing_segments_samples(self):
+        # 0.3 ns divides the 3 ns pulse but not its 1 ns segments: the
+        # midpoints are sampled, and the runs are the sampled ones.
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            sched = repeating_schedule(rng, 3, 3, 1.0)
+            assert not self.read_from_segments(sched, 0.3)
+            self.assert_same_runs(sched, 0.3)
+        # 0.3 ns divides 0.9 ns segments: read from them.
+        sched = repeating_schedule(rng, 3, 10, 0.9)
+        assert self.read_from_segments(sched, 0.3)
+        self.assert_same_runs(sched, 0.3)
+
+    def test_awkward_steps(self):
+        # Steps the Trotter check only just admits, on segments from
+        # 1e-11 to 10 ns: wherever the steps are a whole number per
+        # segment, the runs are read from the segments and match.
+        rng = np.random.default_rng(11)
+        read = 0
+        for _ in range(3000):
+            n_segments = int(rng.integers(1, 8))
+            segment = 10 ** rng.uniform(-11, 1)
+            sched = repeating_schedule(rng, 2, n_segments, segment)
+            step = segment / rng.integers(1, 12) * (
+                1 + rng.uniform(-0.6, 0.6) * (rng.uniform() < 0.5))
+            try:
+                k = TrotterConfig(step).n_steps(sched.duration)
+            except ValueError:
+                continue
+            if k == 0 or k > 2000:
+                continue
+            read += self.read_from_segments(sched, step)
+            self.assert_same_runs(sched, step)
+        assert read > 500
+
+    @pytest.mark.parametrize("load", [load_toy_pulse, load_ccphase_pulse])
+    @pytest.mark.parametrize("step", [0.1, 0.05])
+    def test_shipped_pulses(self, load, step):
+        sched = load()
+        assert self.read_from_segments(sched, step)
+        self.assert_same_runs(sched, step)
+
+    def test_overflow_to_infinity_is_named(self):
+        # Finite detunings and references whose sum overflows: the
+        # segment columns are not finite, so the midpoints are sampled and
+        # the first one is named.
+        sched = PulseSchedule([[0.0, 1.5e308]], 1.0, (1.5e308,))
+        with np.errstate(over="ignore"):
+            wf = PiecewiseConstantWaveform(sched)
+        with pytest.raises(ValueError, match=r"frequency inf GHz at "
+                                             r"t=1\.05 ns \(qubit 0\)"):
+            propagator._sampled_runs(wf, TrotterConfig())
 
 
 class TestRoundTrips:

@@ -23,11 +23,35 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import __version__
-from .device import basis_for, load_device
+from .device import (
+    ResonatorCoupling,
+    TransmonSpec,
+    _template,
+    basis_for,
+    build_hamiltonian,
+    dressed_frequency,
+    full_basis,
+    load_device,
+)
 from .errors import EvolutionError, InfeasibilityError
-from .fidelity import controlled_phase_ideal, project_to_computational, \
-    score_waveform
-from .opensystem import LindbladSpec, run_qpt
+from .fidelity import (
+    CompensationPhases,
+    compensation_matrix,
+    controlled_phase_ideal,
+    fit_phases,
+    gate_fidelity,
+    project_to_computational,
+    score_waveform,
+)
+from .opensystem import (
+    LindbladSpec,
+    _StackEvolution,
+    estimate_chi,
+    lowering_operator,
+    number_operator,
+    prepare_qpt_inputs,
+    run_qpt,
+)
 from .optimizer import (
     DEConfig,
     LocalSearchConfig,
@@ -39,9 +63,26 @@ from .optimizer import (
     run_sussade,
     seed_population,
 )
-from .propagator import TrotterConfig, evolve
+from .profiles import (
+    THREE_QUBIT_REFERENCES,
+    TOY_REFERENCES,
+    load_ccphase_pulse,
+    load_toy_pulse,
+    three_qubit_constraints,
+    three_transmon_chain,
+    toy_two_transmon_chain,
+)
+from .propagator import (
+    TrotterConfig,
+    _expm_stack,
+    _segment_unitaries,
+    evolve,
+    expm_skew,
+    step_unitary,
+)
 from .pulses import (
     PiecewiseConstantWaveform,
+    PulseSchedule,
     load_schedule_csv,
     load_schedule_json,
     save_schedule_json,
@@ -96,18 +137,6 @@ def _write_manifest(primary_path, command, config, timings, results):
     return manifest
 
 
-def _load_schedule(args, device):
-    path = args.pulses
-    if path.endswith(".json"):
-        return load_schedule_json(path)
-    references = (
-        tuple(args.references)
-        if args.references
-        else device.idle_frequencies()
-    )
-    return load_schedule_csv(path, args.segment_duration, references)
-
-
 def _target_matrix(name, n_qubits):
     if name == "ccphase":
         return controlled_phase_ideal(n_qubits)
@@ -116,23 +145,43 @@ def _target_matrix(name, n_qubits):
     raise ValueError(f"unknown target {name!r}")
 
 
-def _complex_matrix_json(m):
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
-
-def cmd_simulate(args):
+def _chain_inputs(args):
+    """The device of a run command, its search references (``--references``,
+    else the device's idle frequencies), Trotter config and target."""
     device = load_device(args.device)
-    schedule = _load_schedule(args, device)
-    trotter = TrotterConfig(args.trotter_step)
-    target = _target_matrix(args.target, device.n_transmons)
+    references = (tuple(args.references) if args.references
+                  else device.idle_frequencies())
+    return (device, references, TrotterConfig(args.trotter_step),
+            _target_matrix(args.target, device.n_transmons))
+
+
+def _pulse_inputs(args):
+    """The device, pulse schedule, Trotter config and target of a
+    ``simulate``, ``qpt`` or ``robustness`` run, and the manifest keys
+    the three share, in the order written."""
+    device, references, trotter, target = _chain_inputs(args)
+    if args.pulses.endswith(".json"):
+        schedule = load_schedule_json(args.pulses)
+    else:
+        schedule = load_schedule_csv(args.pulses, args.segment_duration,
+                                     references)
     config = {
         "device": args.device,
         "pulses": args.pulses,
         "segment_duration_ns": schedule.segment_duration,
         "search_references_ghz": list(schedule.search_references),
         "trotter_step_ns": trotter.step,
-        "target": args.target,
     }
+    return device, schedule, trotter, target, config
+
+
+def _complex_matrix_json(m):
+    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+
+
+def cmd_simulate(args):
+    device, schedule, trotter, target, config = _pulse_inputs(args)
+    config["target"] = args.target
     t0 = time.perf_counter()
     report = score_waveform(
         device, PiecewiseConstantWaveform(schedule), target, trotter
@@ -237,7 +286,7 @@ def _write_checkpoint(path, doc):
 
 
 def cmd_optimize(args):
-    device = load_device(args.device)
+    device, references, trotter, target = _chain_inputs(args)
     constraints = load_constraints(args.constraints)
     de_doc = _read_config(DEConfig, args.de_config) if args.de_config else {}
     if args.seed is not None:
@@ -247,12 +296,6 @@ def cmd_optimize(args):
     if args.local_search:
         ls_doc = _read_config(LocalSearchConfig, args.local_search)
         ls_config = LocalSearchConfig(**ls_doc)
-    references = (
-        tuple(args.references)
-        if args.references
-        else device.idle_frequencies()
-    )
-    target = _target_matrix(args.target, device.n_transmons)
     config = {
         "device": args.device,
         "constraints": args.constraints,
@@ -261,16 +304,14 @@ def cmd_optimize(args):
         "segments": args.segments,
         "segment_duration_ns": args.segment_duration,
         "search_references_ghz": list(references),
-        "trotter_step_ns": args.trotter_step,
+        "trotter_step_ns": trotter.step,
         "target": args.target,
         "seed": de_config.seed,
     }
     manifest_hash = _manifest_hash(config)
 
-    fitness = ccphase_fitness(
-        device, references, args.segment_duration,
-        TrotterConfig(args.trotter_step), target=target,
-    )
+    fitness = ccphase_fitness(device, references, args.segment_duration,
+                              trotter, target=target)
     state = entry = population = None
     if args.resume:
         state, fitness.pole_failures, entry = _read_checkpoint(
@@ -369,30 +410,17 @@ def cmd_optimize(args):
 
 
 def cmd_qpt(args):
-    device = load_device(args.device)
-    schedule = _load_schedule(args, device)
+    device, schedule, trotter, target, config = _pulse_inputs(args)
     lindblad = None
     if args.t1_us is not None or args.t2_us is not None:
         t1 = float("inf") if args.t1_us is None else args.t1_us
         t2 = float("inf") if args.t2_us is None else args.t2_us
         lindblad = LindbladSpec(t1, t2)
-    target = _target_matrix(args.target, device.n_transmons)
-    config = {
-        "device": args.device,
-        "pulses": args.pulses,
-        "segment_duration_ns": schedule.segment_duration,
-        "search_references_ghz": list(schedule.search_references),
-        "trotter_step_ns": args.trotter_step,
-        "t1_us": args.t1_us,
-        "t2_us": args.t2_us,
-        "levels": args.levels,
-        "target": args.target,
-    }
+    config.update(t1_us=args.t1_us, t2_us=args.t2_us, levels=args.levels,
+                  target=args.target)
     t0 = time.perf_counter()
-    result = run_qpt(
-        device, schedule, TrotterConfig(args.trotter_step),
-        lindblad=lindblad, target=target, levels=args.levels,
-    )
+    result = run_qpt(device, schedule, trotter, lindblad=lindblad,
+                     target=target, levels=args.levels)
     elapsed = time.perf_counter() - t0
     out = _resolve(args.out)
     manifest = _write_manifest(
@@ -435,27 +463,14 @@ def _parse_amplitudes(spec):
 
 
 def cmd_robustness(args):
-    device = load_device(args.device)
-    schedule = _load_schedule(args, device)
+    device, schedule, trotter, target, config = _pulse_inputs(args)
     amplitudes = _parse_amplitudes(args.amplitudes)
-    config = {
-        "device": args.device,
-        "pulses": args.pulses,
-        "segment_duration_ns": schedule.segment_duration,
-        "search_references_ghz": list(schedule.search_references),
-        "trotter_step_ns": args.trotter_step,
-        "amplitudes_mhz": list(amplitudes),
-        "samples": args.samples,
-        "target": args.target,
-        "seed": args.seed,
-    }
+    config.update(amplitudes_mhz=list(amplitudes), samples=args.samples,
+                  target=args.target, seed=args.seed)
     sweep_config = NoiseSweepConfig(amplitudes, args.samples, args.seed)
-    target = _target_matrix(args.target, device.n_transmons)
     t0 = time.perf_counter()
-    report = noise_sweep(
-        schedule, device, sweep_config, TrotterConfig(args.trotter_step),
-        target=target,
-    )
+    report = noise_sweep(schedule, device, sweep_config, trotter,
+                         target=target)
     elapsed = time.perf_counter() - t0
     out = _resolve(args.out)
     manifest = _write_manifest(
@@ -475,49 +490,10 @@ def cmd_robustness(args):
 
 def cmd_verify(args):
     """Fast self-checks of the numerical core; prints PASS/FAIL lines."""
-    from .device import (
-        ResonatorCoupling,
-        TransmonSpec,
-        _template,
-        build_hamiltonian,
-    )
-    from .fidelity import (
-        CompensationPhases,
-        compensation_matrix,
-        fit_phases,
-        gate_fidelity,
-    )
-    from .device import full_basis
-    from .opensystem import (
-        _StackEvolution,
-        estimate_chi,
-        lowering_operator,
-        number_operator,
-        prepare_qpt_inputs,
-    )
-    from .profiles import (
-        THREE_QUBIT_REFERENCES,
-        TOY_REFERENCES,
-        load_ccphase_pulse,
-        load_toy_pulse,
-        three_qubit_constraints,
-        three_transmon_chain,
-        toy_two_transmon_chain,
-    )
-    from .propagator import (
-        _expm_stack,
-        _segment_unitaries,
-        expm_skew,
-        step_unitary,
-    )
-    from .pulses import PulseSchedule
-
     checks = []
 
     t = TransmonSpec(0, 5.0, -0.3)
     r = ResonatorCoupling(0, 1, 8.05, 0.2, 0.2)
-    from .device import dressed_frequency
-
     got = dressed_frequency(t, 1, 5.0, [r])
     checks.append(("dressed level energy", abs(got - 4.9868852459016395) < 1e-12))
 
@@ -666,6 +642,15 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def run_parser(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--device", required=True)
+        p.add_argument("--trotter-step", type=float, default=0.1)
+        p.add_argument("--target", choices=("ccphase", "identity"),
+                       default="ccphase")
+        p.set_defaults(func=func)
+        return p
+
     def add_pulse_args(p):
         p.add_argument("--pulses", required=True,
                        help="pulse schedule (.csv detunings or .json)")
@@ -675,20 +660,15 @@ def build_parser():
         p.add_argument("--segment-duration", type=float, default=1.0,
                        help="segment duration in ns for CSV pulses")
 
-    p = sub.add_parser("simulate", help="evolve a pulse and score its fidelity")
-    p.add_argument("--device", required=True)
+    p = run_parser("simulate", cmd_simulate,
+                   "evolve a pulse and score its fidelity")
     add_pulse_args(p)
-    p.add_argument("--trotter-step", type=float, default=0.1)
-    p.add_argument("--target", choices=("ccphase", "identity"),
-                   default="ccphase")
     p.add_argument("--out", required=True, help="fidelity report JSON")
     p.add_argument("--unitary-out", default=None,
                    help="also write the compensated unitary")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("optimize", help="learn a pulse with evolution + "
-                                        "local search")
-    p.add_argument("--device", required=True)
+    p = run_parser("optimize", cmd_optimize,
+                   "learn a pulse with evolution + local search")
     p.add_argument("--constraints", required=True)
     p.add_argument("--de-config", default=None,
                    help="JSON with DEConfig fields")
@@ -697,9 +677,6 @@ def build_parser():
     p.add_argument("--segments", type=int, default=50)
     p.add_argument("--segment-duration", type=float, default=1.0)
     p.add_argument("--references", type=float, nargs="+", default=None)
-    p.add_argument("--trotter-step", type=float, default=0.1)
-    p.add_argument("--target", choices=("ccphase", "identity"),
-                   default="ccphase")
     p.add_argument("--seed", type=int, default=None,
                    help="overrides the DE config seed")
     p.add_argument("--resume", default=None,
@@ -714,33 +691,22 @@ def build_parser():
     p.add_argument("--out", required=True, help="pulses CSV (a JSON twin is "
                                                 "written alongside)")
     p.add_argument("--log", default=None, help="per-generation history CSV")
-    p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("qpt", help="simulated process tomography of a pulse")
-    p.add_argument("--device", required=True)
+    p = run_parser("qpt", cmd_qpt, "simulated process tomography of a pulse")
     add_pulse_args(p)
     p.add_argument("--t1-us", type=float, default=None)
     p.add_argument("--t2-us", type=float, default=None)
     p.add_argument("--levels", type=int, choices=(3, 4), default=None)
-    p.add_argument("--trotter-step", type=float, default=0.1)
-    p.add_argument("--target", choices=("ccphase", "identity"),
-                   default="ccphase")
     p.add_argument("--out", required=True, help="chi matrix JSON")
     p.add_argument("--report", required=True, help="metrics report JSON")
-    p.set_defaults(func=cmd_qpt)
 
-    p = sub.add_parser("robustness", help="noise sweep of a pulse")
-    p.add_argument("--device", required=True)
+    p = run_parser("robustness", cmd_robustness, "noise sweep of a pulse")
     add_pulse_args(p)
     p.add_argument("--amplitudes", default="0:10:0.1",
                    help="MHz grid, start:stop:step or comma list")
     p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--trotter-step", type=float, default=0.1)
-    p.add_argument("--target", choices=("ccphase", "identity"),
-                   default="ccphase")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="sweep CSV")
-    p.set_defaults(func=cmd_robustness)
 
     p = sub.add_parser("verify", help="run the built-in numerical self-checks")
     p.set_defaults(func=cmd_verify)

@@ -29,9 +29,9 @@ from .device import (
     _template,
     basis_for,
     build_hamiltonian,
+    device_from_json,
     dressed_frequency,
     full_basis,
-    load_device,
 )
 from .errors import EvolutionError, InfeasibilityError
 from .fidelity import (
@@ -58,7 +58,7 @@ from .optimizer import (
     SussadeState,
     ccphase_fitness,
     chromosome_to_schedule,
-    load_constraints,
+    constraints_from_json,
     local_search_iterations,
     run_sussade,
     seed_population,
@@ -74,7 +74,6 @@ from .profiles import (
 )
 from .propagator import (
     TrotterConfig,
-    _expm_stack,
     _segment_unitaries,
     evolve,
     expm_skew,
@@ -83,9 +82,9 @@ from .propagator import (
 from .pulses import (
     PiecewiseConstantWaveform,
     PulseSchedule,
-    load_schedule_csv,
-    load_schedule_json,
     save_schedule_json,
+    schedule_from_csv,
+    schedule_from_json,
     schedule_to_csv,
 )
 from .robustness import NoiseSweepConfig, noise_sweep
@@ -145,29 +144,43 @@ def _target_matrix(name, n_qubits):
     raise ValueError(f"unknown target {name!r}")
 
 
+def _read_input(path):
+    """The bytes of input file ``path`` and their SHA-256.  A run parses
+    the bytes it hashes, and its manifest records the path and the digest,
+    so a file edited in place changes the manifest hash."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return data, hashlib.sha256(data).hexdigest()
+
+
 def _chain_inputs(args):
     """The device of a run command, its search references (``--references``,
-    else the device's idle frequencies), Trotter config and target."""
-    device = load_device(args.device)
+    else the device's idle frequencies), Trotter config and target, and
+    the device's manifest keys."""
+    data, digest = _read_input(args.device)
+    device = device_from_json(json.loads(data))
     references = (tuple(args.references) if args.references
                   else device.idle_frequencies())
     return (device, references, TrotterConfig(args.trotter_step),
-            _target_matrix(args.target, device.n_transmons))
+            _target_matrix(args.target, device.n_transmons),
+            {"device": args.device, "device_sha256": digest})
 
 
 def _pulse_inputs(args):
     """The device, pulse schedule, Trotter config and target of a
     ``simulate``, ``qpt`` or ``robustness`` run, and the manifest keys
     the three share, in the order written."""
-    device, references, trotter, target = _chain_inputs(args)
+    device, references, trotter, target, device_keys = _chain_inputs(args)
+    data, digest = _read_input(args.pulses)
     if args.pulses.endswith(".json"):
-        schedule = load_schedule_json(args.pulses)
+        schedule = schedule_from_json(json.loads(data))
     else:
-        schedule = load_schedule_csv(args.pulses, args.segment_duration,
+        schedule = schedule_from_csv(data.decode(), args.segment_duration,
                                      references)
     config = {
-        "device": args.device,
+        **device_keys,
         "pulses": args.pulses,
+        "pulses_sha256": digest,
         "segment_duration_ns": schedule.segment_duration,
         "search_references_ghz": list(schedule.search_references),
         "trotter_step_ns": trotter.step,
@@ -286,8 +299,11 @@ def _write_checkpoint(path, doc):
 
 
 def cmd_optimize(args):
-    device, references, trotter, target = _chain_inputs(args)
-    constraints = load_constraints(args.constraints)
+    if args.segments < 1:
+        raise ValueError(f"--segments must be at least 1, got {args.segments}")
+    device, references, trotter, target, config = _chain_inputs(args)
+    data, constraints_digest = _read_input(args.constraints)
+    constraints = constraints_from_json(json.loads(data))
     de_doc = _read_config(DEConfig, args.de_config) if args.de_config else {}
     if args.seed is not None:
         de_doc["seed"] = args.seed
@@ -296,9 +312,9 @@ def cmd_optimize(args):
     if args.local_search:
         ls_doc = _read_config(LocalSearchConfig, args.local_search)
         ls_config = LocalSearchConfig(**ls_doc)
-    config = {
-        "device": args.device,
+    config.update({
         "constraints": args.constraints,
+        "constraints_sha256": constraints_digest,
         "de_config": de_doc,
         "local_search": ls_doc,
         "segments": args.segments,
@@ -307,7 +323,7 @@ def cmd_optimize(args):
         "trotter_step_ns": trotter.step,
         "target": args.target,
         "seed": de_config.seed,
-    }
+    })
     manifest_hash = _manifest_hash(config)
 
     fitness = ccphase_fitness(device, references, args.segment_duration,
@@ -413,8 +429,10 @@ def cmd_qpt(args):
     device, schedule, trotter, target, config = _pulse_inputs(args)
     lindblad = None
     if args.t1_us is not None or args.t2_us is not None:
+        # An omitted time adds no decay: T1 = inf, or T2 = 2*T1 (no pure
+        # dephasing).
         t1 = float("inf") if args.t1_us is None else args.t1_us
-        t2 = float("inf") if args.t2_us is None else args.t2_us
+        t2 = 2 * t1 if args.t2_us is None else args.t2_us
         lindblad = LindbladSpec(t1, t2)
     config.update(t1_us=args.t1_us, t2_us=args.t2_us, levels=args.levels,
                   target=args.target)
@@ -544,15 +562,15 @@ def cmd_verify(args):
     checks.append(("incremental product tree vs cold product", same))
 
     # The CCZ pulse's 50 segment exponentials, each alone and all as one
-    # batch, checked once for exact symmetry, against every block
-    # exponentiated with its own toleranced check: the same bytes.
+    # batch, checked once for exact symmetry, against every matrix of every
+    # block exponentiated with its own toleranced check: the same bytes.
     template = _template(device, basis)
     rows = ccz.absolute_frequencies().T
     dts = np.full(len(rows), ccz.segment_duration)
     h = template.build(rows)
     oracle = np.zeros(h.shape, dtype=complex)
     for index in template.block_index:
-        oracle[index] = _expm_stack(h[index], dts)
+        oracle[index] = [expm_skew(m, dt) for m, dt in zip(h[index], dts)]
     alone = np.concatenate([
         _segment_unitaries(template, rows[s:s + 1], dts[s:s + 1])
         for s in range(len(rows))
@@ -695,7 +713,8 @@ def build_parser():
     p = run_parser("qpt", cmd_qpt, "simulated process tomography of a pulse")
     add_pulse_args(p)
     p.add_argument("--t1-us", type=float, default=None)
-    p.add_argument("--t2-us", type=float, default=None)
+    p.add_argument("--t2-us", type=float, default=None,
+                   help="T2 in us (default: 2*T1, no pure dephasing)")
     p.add_argument("--levels", type=int, choices=(3, 4), default=None)
     p.add_argument("--out", required=True, help="chi matrix JSON")
     p.add_argument("--report", required=True, help="metrics report JSON")

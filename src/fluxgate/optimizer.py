@@ -661,6 +661,9 @@ def ccphase_fitness(device, references, segment_duration=1.0,
     if not all(map(math.isfinite, references)):
         raise ValueError(
             f"search_references must be finite, got {tuple(references)}")
+    if not (math.isfinite(segment_duration) and segment_duration > 0):
+        raise ValueError("segment_duration must be positive and finite, "
+                         f"got {segment_duration}")
     trotter.validate_against(segment_duration)
     if target is None:
         target = controlled_phase_ideal(n)

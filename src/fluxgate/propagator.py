@@ -42,6 +42,7 @@ waveform gets the EvolutionError that names the run's start time and the
 transmon, and the batch is exponentiated again without it.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -63,8 +64,9 @@ class TrotterConfig:
     step: float = 0.1
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError(f"step must be positive, got {self.step}")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(
+                f"step must be positive and finite, got {self.step}")
 
     def n_steps(self, duration):
         """Number of steps covering ``duration``; must divide evenly."""
@@ -101,25 +103,20 @@ def _eigh_expm(h, dts):
     return (v * phases[:, None, :]) @ v.conj().swapaxes(-2, -1)
 
 
-def _expm_stack(h, dts):
-    """:func:`_eigh_expm` after checking that each matrix of the stack is
-    Hermitian within ``_HERM_TOL`` relative to its largest entry (at least
-    1) and that each dt is >= 0."""
-    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1), initial=0.0))
-    asym = np.abs(h - h.conj().swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
-    if (asym > _HERM_TOL * scale).any():
-        raise ValueError("matrix is not Hermitian within tolerance")
-    _check_dts(dts)
-    return _eigh_expm(h, dts)
-
-
 def expm_skew(h, dt):
     """exp(-i*h*dt) for Hermitian h (rad/ns) and dt (ns), via eigendecomposition.
 
     Raises ValueError if h deviates from Hermiticity by more than 1e-12
-    (``_HERM_TOL``) relative to its largest entry (at least 1).
+    (``_HERM_TOL``) relative to its largest entry (at least 1), or if
+    dt < 0.
     """
-    return _expm_stack(np.asarray(h)[None], np.array([dt], dtype=float))[0]
+    h = np.asarray(h)
+    scale = max(1.0, np.abs(h).max(initial=0.0))
+    if np.abs(h - h.conj().T).max(initial=0.0) > _HERM_TOL * scale:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    dts = np.array([dt], dtype=float)
+    _check_dts(dts)
+    return _eigh_expm(h[None], dts)[0]
 
 
 def _segment_unitaries(template, rows, dts):

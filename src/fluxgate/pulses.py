@@ -50,8 +50,9 @@ class PulseSchedule:
             raise ValueError(f"detunings must be 2-D, got shape {det.shape}")
         if not np.isfinite(det).all():
             raise ValueError("detunings must be finite")
-        if segment_duration <= 0:
-            raise ValueError(f"segment_duration must be positive, got {segment_duration}")
+        if not (math.isfinite(segment_duration) and segment_duration > 0):
+            raise ValueError("segment_duration must be positive and finite, "
+                             f"got {segment_duration}")
         if search_references is None:
             raise ValueError("search_references is required")
         refs = tuple(float(r) for r in search_references)

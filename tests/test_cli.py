@@ -1,6 +1,7 @@
 """CLI tests: each subcommand end to end on small workloads, the manifest
 hash contract, and byte-identical reruns."""
 
+import argparse
 import json
 import os
 import runpy
@@ -148,6 +149,45 @@ def test_non_finite_json_input_rejected(workdir, capsys):
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not list(workdir.glob("out*"))
+
+
+@pytest.mark.parametrize("command, pulse, flags, message", [
+    ("simulate", "pulse.json", ["--trotter-step", "inf"],
+     "step must be positive and finite, got inf"),
+    ("simulate", "pulse.json", ["--trotter-step", "nan"],
+     "step must be positive and finite, got nan"),
+    ("qpt", "pulse.json", ["--trotter-step", "inf"],
+     "step must be positive and finite, got inf"),
+    ("robustness", "pulse.json", ["--trotter-step=-inf"],
+     "step must be positive and finite, got -inf"),
+    ("simulate", "pulse.csv", ["--segment-duration", "inf"],
+     "segment_duration must be positive and finite, got inf"),
+    ("simulate", "pulse.csv", ["--segment-duration", "nan"],
+     "segment_duration must be positive and finite, got nan"),
+    ("optimize", None, ["--segment-duration", "inf"],
+     "segment_duration must be positive and finite, got inf"),
+    ("optimize", None, ["--segment-duration", "nan"],
+     "segment_duration must be positive and finite, got nan"),
+    ("optimize", None, ["--segments", "0"],
+     "--segments must be at least 1, got 0"),
+    ("optimize", None, ["--segments", "-1"],
+     "--segments must be at least 1, got -1"),
+])
+def test_bad_run_settings_rejected(workdir, capsys, command, pulse, flags,
+                                   message):
+    # An infinite Trotter step used to take zero steps and score the
+    # identity, an infinite segment duration to end in an OverflowError
+    # traceback, and NaN or a segment count below 1 in numpy's messages.
+    rc = main([
+        command, "--device", str(workdir / "device.json"),
+        *(["--pulses", str(workdir / pulse)] if pulse else
+          ["--constraints", str(workdir / "constraints.json")]),
+        *flags, "--out", "out.csv" if command == "optimize" else "out.json",
+        *(["--report", "report.json"] if command == "qpt" else []),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(workdir.glob("out*")) and not list(workdir.glob("report*"))
 
 
 @pytest.mark.parametrize("command", ["simulate", "qpt", "robustness"])
@@ -481,6 +521,31 @@ class TestOptimizeInputErrors:
         assert not list(workdir.glob("resumed*"))
         assert (workdir / "st.json").read_bytes() == state
 
+    def test_resume_with_device_edited_in_place(self, workdir, capsys):
+        # The manifest hash covers the bytes of --device, not only its
+        # path: a state written before the device file was edited in
+        # place is refused before any evaluation or write.
+        assert self.optimize(workdir, extra=("--state-out", "st.json")) == 0
+        capsys.readouterr()
+        state = (workdir / "st.json").read_bytes()
+        device = read_json(workdir / "device.json")
+        device["resonators"][0]["g_left_ghz"] = 0.25
+        (workdir / "device.json").write_text(json.dumps(device))
+        assert self.optimize(workdir, extra=("--out", "edited.csv")) == 0
+        edited = read_json(workdir / "edited.manifest.json")
+        assert edited["config"]["device_sha256"] != \
+            read_json(workdir / "b.manifest.json")["config"]["device_sha256"]
+        capsys.readouterr()
+        rc = self.optimize(workdir, extra=(
+            "--out", "resumed.csv", "--log", "resumed_history.csv",
+            "--state-out", "st.json", "--resume", "st.json"))
+        self.expect_error(capsys, rc, (
+            f"was written under manifest hash "
+            f"{json.loads(state)['manifest_hash']}; this run's configuration "
+            f"has hash {edited['manifest_hash']}"))
+        assert not list(workdir.glob("resumed*"))
+        assert (workdir / "st.json").read_bytes() == state
+
     def test_infeasible_constraints(self, workdir, capsys):
         # No two toy qubits can stay 2 GHz apart: seeding the population
         # gives up, and that is bad input, not a crash.
@@ -570,6 +635,21 @@ class TestQpt:
         assert report["average_gate_fidelity"] < \
             report["closed_system_fidelity"]
 
+    def test_t1_alone_means_no_pure_dephasing(self, workdir):
+        # An omitted T2 with T1 given is T2 = 2*T1; it used to be inf,
+        # which LindbladSpec rejects as above 2*T1.
+        for name, times in (("t1", ("--t1-us", "20")),
+                            ("t1t2", ("--t1-us", "20", "--t2-us", "40"))):
+            assert main([
+                "qpt", "--device", str(workdir / "device.json"),
+                "--pulses", str(workdir / "pulse.json"), *times,
+                "--out", f"{name}_chi.json", "--report", f"{name}.json",
+            ]) == 0
+        chi = [json.dumps(read_json(workdir / f"{name}_chi.json")["chi"])
+               for name in ("t1", "t1t2")]
+        assert chi[0] == chi[1]
+        assert read_json(workdir / "t1.json")["average_purity"] < 1.0
+
     def test_levels_flag(self, workdir):
         rc = main([
             "qpt", "--device", str(workdir / "device.json"),
@@ -648,7 +728,58 @@ class TestVerify:
                 "oracle") in out
 
 
+def test_run_commands_share_device_trotter_step_and_target():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command in ("simulate", "optimize", "qpt", "robustness"):
+        actions = {a.dest: a for a in sub.choices[command]._actions}
+        assert {
+            dest: (a.required, a.type, a.default, a.choices)
+            for dest, a in actions.items()
+            if dest in ("device", "trotter_step", "target")
+        } == {
+            "device": (True, None, None, None),
+            "trotter_step": (False, float, 0.1, None),
+            "target": (False, None, "ccphase", ("ccphase", "identity")),
+        }, command
+
+
 class TestManifest:
+    @pytest.mark.parametrize("command, out, extra, own_keys", [
+        ("simulate", "out.json", (), ["target"]),
+        ("qpt", "out.json", ("--report", "report.json"),
+         ["t1_us", "t2_us", "levels", "target"]),
+        ("robustness", "out.csv", ("--amplitudes", "0", "--samples", "2"),
+         ["amplitudes_mhz", "samples", "target", "seed"]),
+    ])
+    def test_config_key_order(self, workdir, command, out, extra, own_keys):
+        assert main([
+            command, "--device", str(workdir / "device.json"),
+            "--pulses", str(workdir / "pulse.json"), "--out", out, *extra,
+        ]) == 0
+        assert list(read_json(workdir / "out.manifest.json")["config"]) == [
+            "device", "device_sha256", "pulses", "pulses_sha256",
+            "segment_duration_ns", "search_references_ghz",
+            "trotter_step_ns", *own_keys,
+        ]
+
+    def test_hash_covers_pulse_contents(self, workdir):
+        # Two pulse files under one path: the same path, segment duration
+        # and references, told apart by the digest of the bytes read.
+        pulse = load_toy_pulse()
+        det = pulse.detunings.copy()
+        det[0, 0] += 1e-3
+        hashes = []
+        for name, schedule in (("a", pulse), ("b", pulse.with_detunings(det))):
+            save_schedule_json(schedule, workdir / "same.json")
+            assert main([
+                "simulate", "--device", str(workdir / "device.json"),
+                "--pulses", str(workdir / "same.json"),
+                "--out", f"{name}.json",
+            ]) == 0
+            hashes.append(read_json(workdir / f"{name}.json")["manifest_hash"])
+        assert hashes[0] != hashes[1]
+
     def test_hash_depends_on_config(self, workdir):
         main([
             "simulate", "--device", str(workdir / "device.json"),

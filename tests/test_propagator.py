@@ -636,3 +636,10 @@ class TestTrotterConfig:
     def test_positive_step(self):
         with pytest.raises(ValueError):
             TrotterConfig(0.0)
+
+    @pytest.mark.parametrize("step", [np.inf, np.nan])
+    def test_finite_step(self, step):
+        # An infinite step took zero steps and evolved to the identity.
+        with pytest.raises(ValueError, match=f"step must be positive and "
+                                             f"finite, got {step}"):
+            TrotterConfig(step)

@@ -41,6 +41,12 @@ class TestPulseSchedule:
         with pytest.raises(ValueError):
             PulseSchedule([[0.0, np.inf]], 1.0, (5.0,))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_segment_duration(self, value):
+        with pytest.raises(ValueError, match=f"segment_duration must be "
+                                             f"positive and finite, got {value}"):
+            PulseSchedule(np.zeros((2, 4)), value, (5.0, 6.0))
+
     @pytest.mark.parametrize("value", [np.nan, -np.inf])
     def test_rejects_non_finite_reference(self, value):
         with pytest.raises(ValueError, match="search_references must be "

@@ -470,14 +470,23 @@ def cmd_qpt(args):
 
 
 def _parse_amplitudes(spec):
-    if ":" in spec:
-        start, stop, step = (float(v) for v in spec.split(":"))
-        if not step > 0:
-            raise ValueError(f"amplitude step must be positive, got {step}")
-        count = int(round((stop - start) / step))
-        values = [start + i * step for i in range(count + 1)]
-        return tuple(round(v, 12) for v in values)
-    return tuple(float(v) for v in spec.split(","))
+    """The amplitudes of ``--amplitudes``, a comma list or start:stop:step,
+    checked by NoiseSweepConfig; a bad spec is a ValueError naming the
+    flag and the spec."""
+    try:
+        if ":" in spec:
+            start, stop, step = (float(v) for v in spec.split(":"))
+            if not step > 0:
+                raise ValueError(f"amplitude step must be positive, got {step}")
+            count = int(round((stop - start) / step))
+            values = [start + i * step for i in range(count + 1)]
+            amplitudes = tuple(round(v, 12) for v in values)
+        else:
+            amplitudes = tuple(float(v) for v in spec.split(","))
+        NoiseSweepConfig(amplitudes)
+    except (ValueError, OverflowError) as err:
+        raise ValueError(f"--amplitudes {spec}: {err}") from None
+    return amplitudes
 
 
 def cmd_robustness(args):
@@ -569,7 +578,8 @@ def cmd_verify(args):
     dts = np.full(len(rows), ccz.segment_duration)
     h = template.build(rows)
     oracle = np.zeros(h.shape, dtype=complex)
-    for index in template.block_index:
+    for block in template.blocks:
+        index = (slice(None), block[:, None], block)
         oracle[index] = [expm_skew(m, dt) for m, dt in zip(h[index], dts)]
     alone = np.concatenate([
         _segment_unitaries(template, rows[s:s + 1], dts[s:s + 1])

@@ -571,13 +571,14 @@ class _HamiltonianTemplate:
 
         # Total excitation is conserved, so H is block diagonal over these
         # index sets (1/3/6/10 states for the 20-state working basis).
-        # block_index[b] selects block b from an (S, dim, dim) stack.
+        # block_cells[b]: the flat row-major cells of block b in a
+        # (S, dim * dim) stack, to gather and scatter it with one index.
         excitation = occ.sum(axis=1)
         self.blocks = tuple(
             np.flatnonzero(excitation == e) for e in sorted(set(excitation.tolist()))
         )
-        self.block_index = tuple(
-            (slice(None), block[:, None], block) for block in self.blocks
+        self.block_cells = tuple(
+            (block[:, None] * self.dim + block).ravel() for block in self.blocks
         )
 
     def build(self, frequencies):

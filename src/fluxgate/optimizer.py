@@ -101,6 +101,9 @@ class ConstraintSet:
     boundary_step: float = 0.5
     idle_frequencies: tuple = None
     min_separation: float = 0.21
+    # repair_chromosome's fixed window parts, per (references, segments).
+    _window_limits: dict = field(default_factory=dict, init=False,
+                                 repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ranges", tuple(self.ranges))
@@ -243,6 +246,48 @@ def _separated(refs, column, min_gap):
     return True
 
 
+def _window_limits(constraints, refs, n_seg):
+    """The parts of :func:`repair_chromosome`'s windows that do not depend
+    on the chromosome, built once per (references, segment count) and kept
+    on ``constraints``.
+
+    Per segment and qubit: the closed range (lo, hi), and the boundary
+    window at an edge segment and the window that keeps the last
+    segment's boundary reachable, intersected in that order, or None.
+    Python's ``max`` and ``min`` return the first of equal arguments, so
+    intersecting the range with the step window and then with this
+    precomputed pair gives the bits, +/-0 included, of intersecting the
+    four one by one.
+    """
+    key = (np.array(refs, dtype=float).tobytes(), n_seg)
+    limits = constraints._window_limits.get(key)
+    if limits is not None:
+        return limits
+    cs = constraints
+    bounds = [r.closed_bounds() for r in cs.ranges]
+    limits = []
+    for s in range(n_seg):
+        edge = s in (0, n_seg - 1)
+        reach = None if cs.max_step is None else (n_seg - 1 - s) * cs.max_step
+        column = []
+        for k, (lo, hi) in enumerate(bounds):
+            rest = None
+            if cs.boundary_step is not None:
+                idle, ref = cs.idle_frequencies[k], refs[k]
+                b_lo = idle - cs.boundary_step - ref
+                b_hi = idle + cs.boundary_step - ref
+                if edge:
+                    rest = b_lo, b_hi
+                if reach is not None:
+                    r_lo, r_hi = b_lo - reach, b_hi + reach
+                    rest = ((r_lo, r_hi) if rest is None
+                            else (max(rest[0], r_lo), min(rest[1], r_hi)))
+            column.append((lo, hi, rest))
+        limits.append(column)
+    constraints._window_limits[key] = limits
+    return limits
+
+
 def repair_chromosome(chromosome, constraints, references, rng, clamp=True,
                       budget=10_000):
     """Project a proposal onto the constraint set, left to right.
@@ -252,41 +297,29 @@ def repair_chromosome(chromosome, constraints, references, rng, clamp=True,
     the whole column is rejection-resampled until the adjacent-qubit
     separation holds.  ``budget`` bounds the total resampling attempts
     for this chromosome.  The walk runs on Python floats; draws come from
-    ``rng`` one scalar at a time, qubit by qubit, so the output and the
-    generator state depend only on the input and the generator state.
+    ``rng`` qubit by qubit, a resampled column as one ``rng.random(n)``
+    mapped as ``rng.uniform`` maps its draw (``lo + (hi - lo) * u``), so
+    the output and the generator state depend only on the input and the
+    generator state.
     """
     cs = constraints
     rows = _as_matrix(chromosome, cs.n_qubits).tolist()
     n, n_seg = len(rows), len(rows[0])
     refs = [float(r) for r in references]
-    bounds = [r.closed_bounds() for r in cs.ranges]
+    limits = _window_limits(cs, refs, n_seg)
     max_step = cs.max_step
-    boundary = None
-    if cs.boundary_step is not None:
-        boundary = [
-            (idle - cs.boundary_step - ref, idle + cs.boundary_step - ref)
-            for idle, ref in zip(cs.idle_frequencies, refs)
-        ]
     min_gap = None if cs.min_separation is None else cs.min_separation - STEP_TOL
     uniform = rng.uniform
     attempts = 0
     for s in range(n_seg):
-        edge = s in (0, n_seg - 1)
-        # Keeps the last segment's boundary window reachable.
-        reach = None if max_step is None else (n_seg - 1 - s) * max_step
         windows = []
-        for k in range(n):
-            lo, hi = bounds[k]
+        for k, (lo, hi, rest) in enumerate(limits[s]):
             if max_step is not None and s > 0:
                 prev = rows[k][s - 1]
                 lo = max(lo, prev - max_step)
                 hi = min(hi, prev + max_step)
-            if boundary is not None:
-                b_lo, b_hi = boundary[k]
-                if edge:
-                    lo, hi = max(lo, b_lo), min(hi, b_hi)
-                if reach is not None:
-                    lo, hi = max(lo, b_lo - reach), min(hi, b_hi + reach)
+            if rest is not None:
+                lo, hi = max(lo, rest[0]), min(hi, rest[1])
             if lo > hi:
                 raise InfeasibilityError(
                     f"qubit {k}, segment {s}: no feasible detuning (window "
@@ -308,7 +341,8 @@ def repair_chromosome(chromosome, constraints, references, rng, clamp=True,
                     f"segment {s}: could not satisfy the separation rule after "
                     f"{budget} resampling attempts"
                 )
-            column = [uniform(lo, hi) for lo, hi in windows]
+            column = [lo + (hi - lo) * u
+                      for (lo, hi), u in zip(windows, rng.random(n).tolist())]
         for row, v in zip(rows, column):
             row[s] = v
     return np.array(rows, dtype=float)
@@ -574,6 +608,11 @@ def local_search(chromosome, fitness, config, constraints, references):
     been swept, the iteration counter increments and eps resets.  Stops at
     the target fidelity, the iteration cap, or a sweep at the smallest eps
     that accepts no move.  The output fidelity is never below the input.
+
+    A candidate whose window has the bits the last move accepted at that
+    window replaced is the point that move left, which scored below the
+    current fidelity, so it is rejected without a call: ``fitness`` must
+    be deterministic, as for :func:`run_sussade`.
     """
     eps_used = []
     for x, f, iterations, eps, _ in local_search_iterations(
@@ -610,16 +649,23 @@ def local_search_iterations(chromosome, fitness, config, constraints,
             improved_sweep = False
             for start in range(0, x.size, config.window):
                 stop = min(start + config.window, x.size)
+                # The window's bytes before the last move accepted here.
+                left = None
                 while True:
                     for sign in (1.0, -1.0):
                         y = x.copy()
                         y[start:stop] += sign * eps
+                        # A move back to the point just left would score
+                        # that point's fidelity, below f: it is not scored.
+                        if y[start:stop].tobytes() == left:
+                            continue
                         # x is feasible: only the moved genes can break a rule.
                         if not _move_is_feasible(y, range(start, stop), cs,
                                                  references):
                             continue
                         fy = fitness(y)
                         if fy > f:
+                            left = x[start:stop].tobytes()
                             x, f = y, fy
                             improved_sweep = True
                             break

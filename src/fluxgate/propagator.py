@@ -122,22 +122,33 @@ def expm_skew(h, dt):
 def _segment_unitaries(template, rows, dts):
     """exp(-i H(rows[s]) dts[s]) for every row, shape (S, dim, dim).
 
-    One Hamiltonian batch, then one stacked eigh per excitation block (the
-    template's ``block_index``); the entries between blocks stay exactly
-    zero.  ``build`` writes every coupling to both triangles, so the
-    matrices of a finite batch are exactly symmetric, and one test of
-    exact symmetry over the whole batch stands in for a check per block:
-    a batch that fails it raises ValueError.  Every row count takes this
-    one path.
+    One Hamiltonian batch, then one stacked eigh per excitation block,
+    each block gathered from and scattered to its flat cells (the
+    template's ``block_cells``); the entries between blocks stay exactly
+    zero.  A 1x1 block (the ground state, and the top state of the full
+    basis) needs no eigh: its exponential is ``exp(-1j * h * dt)``, the
+    same bits as the eigh path gives (tests/test_propagator.py).
+    ``build`` writes every coupling to both triangles, so the matrices of
+    a finite batch are exactly symmetric, and one test of exact symmetry
+    over the whole batch stands in for a check per block: a batch that
+    fails it raises ValueError.  Every row count takes this one path.
     """
     h = template.build(rows)
     if not (h == h.swapaxes(-2, -1)).all():
         raise ValueError("Hamiltonian batch is not exactly Hermitian")
     _check_dts(dts)
-    u = np.zeros(h.shape, dtype=complex)
-    for index in template.block_index:
-        u[index] = _eigh_expm(h[index], dts)
-    return u
+    count = len(h)
+    flat = h.reshape(count, template.dim ** 2)
+    u = np.zeros(flat.shape, dtype=complex)
+    for cells in template.block_cells:
+        block = flat[:, cells]
+        if len(cells) == 1:
+            u[:, cells] = np.exp(-1j * block * dts[:, None])
+        else:
+            size = math.isqrt(len(cells))
+            u[:, cells] = _eigh_expm(
+                block.reshape(count, size, size), dts).reshape(block.shape)
+    return u.reshape(h.shape)
 
 
 def step_unitary(device, basis, frequencies, dt):

@@ -148,6 +148,9 @@ class NoiseSweepConfig:
         )
         if not self.amplitudes_mhz:
             raise ValueError("amplitudes must not be empty")
+        for a in self.amplitudes_mhz:
+            if not math.isfinite(a):
+                raise ValueError(f"amplitudes must be finite, got {a}")
         if any(a < 0 for a in self.amplitudes_mhz):
             raise ValueError("amplitudes must be >= 0")
         if self.samples < 1:

@@ -312,7 +312,7 @@ class TestCheckpoints:
 
     # 30 generations of 8 members: 248 evaluations, with checkpoints after
     # generations 25 and 30.  Local search then evaluates its start (call
-    # 249) and finishes iterations 1, 2 and 3 at calls 477, 612 and 743.
+    # 249) and finishes iterations 1, 2 and 3 at calls 416, 531 and 644.
     ARTIFACTS = (".csv", ".json", "_history.csv", "_state.json")
 
     def args(self, workdir, name, *extra):
@@ -336,7 +336,7 @@ class TestCheckpoints:
     @pytest.mark.parametrize("after, generation, iterations", [
         (220, 25, None),  # in generation 27
         (249, 30, None),  # the local search's first evaluation
-        (550, 30, 1),     # in local-search iteration 2
+        (480, 30, 1),     # in local-search iteration 2
     ], ids=["mid-evolution", "between-stages", "mid-local-search"])
     def test_interrupted_run_resumes_to_same_artifacts(
             self, workdir, monkeypatch, after, generation, iterations):
@@ -700,6 +700,25 @@ class TestRobustness:
         assert rc == 2
         assert "error" in capsys.readouterr().err
         assert not (workdir / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("grid, value", [
+        ("nan", "nan"), ("inf,0", "inf"), ("0:1:inf", "nan"),
+    ])
+    def test_non_finite_amplitudes_rejected(self, workdir, capsys, grid,
+                                            value):
+        # These used to reach the sweep and fail there as "detunings must
+        # be finite", naming neither the flag nor the value.  The grid
+        # 0:1:inf has one point, 0 * inf = nan.
+        rc = main([
+            "robustness", "--device", str(workdir / "device.json"),
+            "--pulses", str(workdir / "pulse.json"),
+            "--amplitudes", grid, "--samples", "2", "--out", "sweep.csv",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: --amplitudes {grid}: amplitudes must be finite, "
+            f"got {value}\n")
+        assert not list(workdir.glob("sweep*"))
 
     def test_seeded_rerun_byte_identical(self, workdir):
         args = [

@@ -763,3 +763,274 @@ class TestMoveFeasibility:
         assert len(outcomes) == 1000
         assert 100 < sum(outcomes) < 900
         assert rules == {"range", "step", "boundary", "separation"}
+
+
+def frozen_repair(chromosome, constraints, references, rng, clamp=True,
+                  budget=10_000):
+    """Oracle: repair_chromosome before its window parts were cached and
+    its separation redraws drawn as one array (frozen copy)."""
+    cs = constraints
+    rows = optimizer._as_matrix(chromosome, cs.n_qubits).tolist()
+    n, n_seg = len(rows), len(rows[0])
+    refs = [float(r) for r in references]
+    bounds = [r.closed_bounds() for r in cs.ranges]
+    max_step = cs.max_step
+    boundary = None
+    if cs.boundary_step is not None:
+        boundary = [
+            (idle - cs.boundary_step - ref, idle + cs.boundary_step - ref)
+            for idle, ref in zip(cs.idle_frequencies, refs)
+        ]
+    min_gap = None if cs.min_separation is None else cs.min_separation - STEP_TOL
+    uniform = rng.uniform
+    attempts = 0
+    for s in range(n_seg):
+        edge = s in (0, n_seg - 1)
+        reach = None if max_step is None else (n_seg - 1 - s) * max_step
+        windows = []
+        for k in range(n):
+            lo, hi = bounds[k]
+            if max_step is not None and s > 0:
+                prev = rows[k][s - 1]
+                lo = max(lo, prev - max_step)
+                hi = min(hi, prev + max_step)
+            if boundary is not None:
+                b_lo, b_hi = boundary[k]
+                if edge:
+                    lo, hi = max(lo, b_lo), min(hi, b_hi)
+                if reach is not None:
+                    lo, hi = max(lo, b_lo - reach), min(hi, b_hi + reach)
+            if lo > hi:
+                raise InfeasibilityError(
+                    f"qubit {k}, segment {s}: no feasible detuning (window "
+                    "empty); the range, step, and boundary rules are mutually "
+                    "inconsistent"
+                )
+            windows.append((lo, hi))
+        column = [row[s] for row in rows]
+        for k, (lo, hi) in enumerate(windows):
+            v = column[k]
+            if clamp:
+                column[k] = min(max(v, lo), hi)
+            elif not lo <= v <= hi:
+                column[k] = uniform(lo, hi)
+        while min_gap is not None and not optimizer._separated(
+                refs, column, min_gap):
+            attempts += 1
+            if attempts > budget:
+                raise InfeasibilityError(
+                    f"segment {s}: could not satisfy the separation rule after "
+                    f"{budget} resampling attempts"
+                )
+            column = [uniform(lo, hi) for lo, hi in windows]
+        for row, v in zip(rows, column):
+            row[s] = v
+    return np.array(rows, dtype=float)
+
+
+# Signed zeros on every bound a window can take, so that the order of the
+# max and min calls decides the sign of a clamped zero.
+SIGNED_ZEROS = ConstraintSet(
+    ranges=(DetuningRange(-0.0, 0.3), DetuningRange(-0.3, 0.0),
+            DetuningRange(0.0, 0.3)),
+    max_step=0.1,
+    boundary_step=0.5,
+    idle_frequencies=(5.5, 5.5, 6.0),
+    min_separation=0.2,
+)
+
+
+class TestRepairFrozen:
+    """repair_chromosome with its cached window parts and one-array
+    redraws gives the frozen function's bits and generator state."""
+
+    def assert_same(self, proposal, cs, refs, state, **kwargs):
+        rng_new, rng_old = generator_at(state), generator_at(state)
+        try:
+            want = frozen_repair(proposal, cs, refs, rng_old, **kwargs)
+        except InfeasibilityError as err:
+            with pytest.raises(InfeasibilityError) as got:
+                repair_chromosome(proposal, cs, refs, rng_new, **kwargs)
+            assert str(got.value) == str(err)
+        else:
+            got = repair_chromosome(proposal, cs, refs, rng_new, **kwargs)
+            assert got.tobytes() == want.tobytes()
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+    @pytest.mark.parametrize("clamp", [True, False])
+    def test_seeded_proposals(self, clamp):
+        cases = [
+            (three_qubit_constraints("references"), THREE_QUBIT_REFERENCES),
+            (three_qubit_constraints("idle"), THREE_QUBIT_REFERENCES),
+            (toy_constraints(), TOY_REFERENCES),
+            (WIDE, WIDE_REFS),
+            (EXCLUSIVE, (5.0, 6.0)),
+            (SIGNED_ZEROS, (5.0, 5.5, 6.0)),
+            (SIGNED_ZEROS, (5.0, 5.5, -0.0 + 6.0)),
+        ]
+        rng = np.random.default_rng(31 + clamp)
+        for cs, refs in cases:
+            for _ in range(60):
+                n_seg = int(rng.integers(1, 12))
+                proposal = rng.uniform(-0.7, 0.7, size=(cs.n_qubits, n_seg))
+                # Zeros of both signs and exact range ends.
+                picks = rng.random(proposal.shape)
+                proposal[picks < 0.2] = 0.0
+                proposal[(picks >= 0.2) & (picks < 0.4)] = -0.0
+                self.assert_same(proposal, cs, refs, rng.bit_generator.state,
+                                 clamp=clamp)
+                rng.random()
+
+    def test_cache_keeps_signed_zeros_apart(self):
+        # Value-equal references with different zero signs, and value-equal
+        # constraint sets, each keep their own window bits.
+        cs = ConstraintSet(
+            ranges=(DetuningRange(0.0, 0.5), DetuningRange(-0.5, 0.5)),
+            max_step=0.1, boundary_step=0.5, idle_frequencies=(0.0, 1.0),
+            min_separation=0.3,
+        )
+        twin = ConstraintSet(
+            ranges=(DetuningRange(-0.0, 0.5), DetuningRange(-0.5, 0.5)),
+            max_step=0.1, boundary_step=0.5, idle_frequencies=(-0.0, 1.0),
+            min_separation=0.3,
+        )
+        assert cs == twin and hash(cs) == hash(twin)
+        state = np.random.default_rng(4).bit_generator.state
+        proposal = np.full((2, 4), -0.6)
+        for constraints in (cs, twin, cs):
+            for refs in ((0.0, 1.0), (-0.0, 1.0), (0.5, 1.0)):
+                for n_seg in (1, 4):
+                    self.assert_same(proposal[:, :n_seg], constraints, refs,
+                                     state, clamp=False)
+                    self.assert_same(proposal[:, :n_seg], constraints, refs,
+                                     state)
+
+    def test_captured_de_trials(self, monkeypatch):
+        cs = three_qubit_constraints("references")
+        calls = []
+
+        def recording(trial, *args, **kwargs):
+            calls.append((np.array(trial), args[-1].bit_generator.state))
+            return repair_chromosome(trial, *args, **kwargs)
+
+        cfg = DEConfig(population_size=20, max_generations=20, seed=17,
+                       target_fidelity=2.0)
+        pop = seed_population(cfg, cs, THREE_QUBIT_REFERENCES, 50)
+        monkeypatch.setattr(optimizer, "repair_chromosome", recording)
+        run_sussade(quadratic_fitness(-0.03), cfg, cs, THREE_QUBIT_REFERENCES,
+                    population=pop)
+        assert len(calls) == 400
+        for trial, state in calls:
+            self.assert_same(trial, cs, THREE_QUBIT_REFERENCES, state)
+
+    def test_budget_and_empty_window(self):
+        cs = ConstraintSet(
+            ranges=(DetuningRange(0.0, 0.1), DetuningRange(0.0, 0.1)),
+            max_step=None, boundary_step=None, idle_frequencies=None,
+            min_separation=0.21,
+        )
+        state = np.random.default_rng(2).bit_generator.state
+        self.assert_same(np.zeros((2, 3)), cs, (6.0, 6.0), state, budget=9)
+        self.assert_same(np.zeros((3, 5)), three_qubit_constraints("idle"),
+                         THREE_QUBIT_REFERENCES, state, clamp=False)
+
+
+def frozen_local_search(chromosome, fitness, config, constraints, references):
+    """Oracle: local_search before it stopped scoring the point a move had
+    just left (frozen copy of the loop, no resume)."""
+    cs = constraints
+    x = np.array(chromosome, dtype=float).reshape(-1)
+    f = fitness(x)
+    iterations = 0
+    eps_schedule = []
+    stopped = f >= config.target_fidelity or iterations >= config.max_iterations
+    while not stopped:
+        done = improved_at_min = False
+        for eps in config.eps_ladder():
+            eps_schedule.append(eps)
+            improved_sweep = False
+            for start in range(0, x.size, config.window):
+                stop = min(start + config.window, x.size)
+                while True:
+                    for sign in (1.0, -1.0):
+                        y = x.copy()
+                        y[start:stop] += sign * eps
+                        if not optimizer._move_is_feasible(
+                                y, range(start, stop), cs, references):
+                            continue
+                        fy = fitness(y)
+                        if fy > f:
+                            x, f = y, fy
+                            improved_sweep = True
+                            break
+                    else:
+                        break
+                if f >= config.target_fidelity:
+                    done = True
+                    break
+            if done:
+                break
+            if eps == config.eps_min:
+                improved_at_min = improved_sweep
+        iterations += 1
+        stopped = (done or not improved_at_min
+                   or iterations >= config.max_iterations)
+    return optimizer.LocalSearchResult(x, float(f), iterations,
+                                       tuple(eps_schedule))
+
+
+class TestLocalSearchSkipsPointLeft:
+    """A move back to the point the last accepted move at a window left
+    scores below f, so it is not scored; every result stays the same."""
+
+    def counting(self, fitness, monkeypatch):
+        """``fitness`` recording (window start, chromosome bytes) per call,
+        the window taken from the move check that precedes each call."""
+        calls, window = [], [None]
+        check = optimizer._move_is_feasible
+
+        def recording_check(y, genes, *args):
+            window[0] = genes.start
+            return check(y, genes, *args)
+
+        def counted(c):
+            calls.append((window[0], np.asarray(c).tobytes()))
+            return fitness(c)
+
+        monkeypatch.setattr(optimizer, "_move_is_feasible", recording_check)
+        return counted, calls
+
+    @pytest.mark.parametrize("window", [1, 2])
+    @pytest.mark.parametrize("case", ["wide", "three_qubit"])
+    def test_same_result_fewer_calls(self, monkeypatch, case, window):
+        if case == "wide":
+            cs, refs = WIDE, WIDE_REFS
+            start = np.array([0.31, 0.15, 0.05, 0.2, 0.0, -0.2])
+            fitness = quadratic_fitness(
+                np.array([0.1, 0.13, -0.27, 0.2, -0.1, 0.1]))
+        else:
+            cs, refs = three_qubit_constraints("references"), \
+                THREE_QUBIT_REFERENCES
+            start = seed_population(DEConfig(population_size=4, seed=2), cs,
+                                    refs, 6)[0]
+            fitness = quadratic_fitness(np.linspace(-0.3, 0.3, start.size))
+        cfg = LocalSearchConfig(eps_max=0.1, eps_min=1e-4, max_iterations=3,
+                                target_fidelity=2.0, window=window)
+        counted_old, old_calls = self.counting(fitness, monkeypatch)
+        want = frozen_local_search(start, counted_old, cfg, cs, refs)
+        counted_new, new_calls = self.counting(fitness, monkeypatch)
+        got = local_search(start, counted_new, cfg, cs, refs)
+        assert got.chromosome.tobytes() == want.chromosome.tobytes()
+        assert (got.fidelity, got.iterations, got.eps_schedule) == \
+            (want.fidelity, want.iterations, want.eps_schedule)
+        assert len(new_calls) < len(old_calls)
+        # A walk is a run of consecutive calls at one window; the first
+        # call scores the start, outside every walk.
+        walks = {}
+        walk = 0
+        for i, (start_gene, chromosome) in enumerate(new_calls[1:]):
+            if i and start_gene != new_calls[i][0]:
+                walk += 1
+            key = (walk, chromosome)
+            assert key not in walks, "a window walk scored a point twice"
+            walks[key] = i

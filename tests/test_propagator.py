@@ -509,6 +509,23 @@ class TestSegmentUnitaries:
         want = frozen_segment_unitaries(template, template.build(rows), dts)
         assert same_bytes(got, want)
 
+    @pytest.mark.parametrize("which", range(3),
+                             ids=["three", "toy", "full64"])
+    def test_one_state_blocks_match_eigh_bits(self, which):
+        # A 1x1 block is exponentiated as exp(-1j * h * dt), not by eigh:
+        # the ground block of every basis, and the top block of the full
+        # basis.  Seeded rows, a third of them at dt 0.
+        template, rows, dts = self.batch(which, 60, seed=41 + which)
+        dts[::3] = 0.0
+        ones = [block for block in template.blocks if len(block) == 1]
+        assert len(ones) == (2 if which == 2 else 1)
+        got = propagator._segment_unitaries(template, rows, dts)
+        want = frozen_segment_unitaries(template, template.build(rows), dts)
+        assert same_bytes(got, want)
+        for block in ones:
+            assert np.array_equal(got[:, block[0], block[0]][dts == 0],
+                                  np.ones(20))
+
     def asymmetric_build(self, monkeypatch, template, size):
         """Make build return its matrices with ``size`` added to one entry
         above the diagonal of the template's largest excitation block."""

@@ -213,3 +213,6 @@ class TestNoiseSweep:
             NoiseSweepConfig(samples=0)
         with pytest.raises(ValueError):
             NoiseSweepConfig(amplitudes_mhz=())
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"finite, got {bad}"):
+                NoiseSweepConfig(amplitudes_mhz=(0.0, bad))

@@ -41,7 +41,6 @@ from .fidelity import (
     FidelityReport,
     ccphase_ideal,
     compensation_matrix,
-    computational_indices,
     controlled_phase_ideal,
     fidelity_report,
     fit_phases,
@@ -97,7 +96,6 @@ from .robustness import (
     SmoothedWaveform,
     distortion_report,
     noise_sweep,
-    smooth_waveform,
 )
 
 __version__ = "0.1.0"

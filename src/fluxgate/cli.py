@@ -36,8 +36,10 @@ from .device import (
 from .errors import EvolutionError, InfeasibilityError
 from .fidelity import (
     CompensationPhases,
+    _fidelity_reports,
     compensation_matrix,
     controlled_phase_ideal,
+    fidelity_report,
     fit_phases,
     gate_fidelity,
     project_to_computational,
@@ -607,6 +609,23 @@ def cmd_verify(args):
         for k in range(3) for step in (1e-6, -1e-6)
     ]
     checks.append(("phase fit is a local maximum", max(nudged) <= best))
+
+    # A seeded stack (the chromosome's projection, then shrunk random
+    # unitaries) fitted and scored in one pass, against each member alone.
+    stack_rng = np.random.default_rng(11)
+    gauss = stack_rng.normal(size=(2, 16, 8, 8))
+    stack = np.concatenate([u8[None], np.linalg.qr(gauss[0] + 1j * gauss[1])[0]
+                            * stack_rng.uniform(0.5, 1.0, size=(16, 1, 8))])
+
+    def report_bits(rep):
+        return (np.float64(rep.fidelity).tobytes(), rep.compensated.tobytes(),
+                np.array([rep.phases.theta0, *rep.phases.qubit_phases]).tobytes())
+
+    checks.append((
+        "stacked phase fit and score vs one matrix at a time",
+        [report_bits(rep) for rep in _fidelity_reports(stack, target)]
+        == [report_bits(fidelity_report(u, target)) for u in stack],
+    ))
 
     inputs = list(prepare_qpt_inputs(2, 2))
     chi = estimate_chi(inputs, inputs)

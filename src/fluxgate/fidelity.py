@@ -16,7 +16,9 @@ projection of a leaky unitary is a contraction), the second rewards
 closeness to the target up to a global phase.  :func:`score_waveform` runs
 the whole chain, from evolution to score, for every caller; it is the
 one-waveform case of ``_score_waveforms``, which scores many waveforms with
-one evolution batch per chunk (the noise sweep).
+one evolution batch per chunk (the noise sweep) and fits and scores each
+chunk's projected unitaries as one stack (``_fidelity_reports``, whose
+one-member case is :func:`fidelity_report`).
 """
 
 import math
@@ -32,7 +34,6 @@ from .propagator import TrotterConfig, _evolve_chunks
 __all__ = [
     "controlled_phase_ideal",
     "ccphase_ideal",
-    "computational_indices",
     "project_to_computational",
     "CompensationPhases",
     "compensation_matrix",
@@ -58,15 +59,6 @@ def controlled_phase_ideal(n_qubits=3):
 def ccphase_ideal():
     """The ideal three-qubit controlled-controlled-phase gate (8x8)."""
     return controlled_phase_ideal(3)
-
-
-def computational_indices(basis):
-    """Basis indices of the qubit-like states, in binary order.
-
-    The leftmost transmon is the most significant bit, so lexicographic
-    basis ordering already yields binary order.
-    """
-    return tuple(basis.qubit_indices.tolist())
 
 
 def project_to_computational(u, basis):
@@ -134,11 +126,33 @@ def _phase_exponents(n_qubits):
     return exponents
 
 
+@lru_cache(maxsize=8)
+def _phase_bits(n_qubits):
+    """:func:`_phase_exponents` as floats, the dtype a product with phases
+    casts them to; read-only, built once per qubit count."""
+    bits = _phase_exponents(n_qubits).astype(float)
+    bits.setflags(write=False)
+    return bits
+
+
+def _phasors(theta):
+    """The diagonals of the compensation matrices of a (P, n + 1) stack of
+    phases (theta0, then the qubit phases), shape (P, 2**n).
+
+    ``bits @ theta[:, 1:, None]`` is one matrix-vector product per member,
+    the BLAS call a lone (2**n, n) @ (n,) product makes: a stacked
+    (P, n) @ (n, 2**n) product adds the phases in another order from four
+    qubits on.
+    """
+    bits = _phase_bits(theta.shape[1] - 1)
+    total = bits @ theta[:, 1:, None]
+    total += theta[:, :1, None]
+    return np.exp(-1j * total)[..., 0]
+
+
 def _compensation_phasors(phases):
     """The diagonal of :func:`compensation_matrix`, shape (2**n,)."""
-    bits = _phase_exponents(phases.n_qubits)
-    total = phases.theta0 + bits @ np.asarray(phases.qubit_phases)
-    return np.exp(-1j * total)
+    return _phasors(np.array([[phases.theta0, *phases.qubit_phases]]))[0]
 
 
 def compensation_matrix(phases):
@@ -180,20 +194,26 @@ def _contraction_plan(n):
 @lru_cache(maxsize=8)
 def _refine_kernel(n):
     """The coordinate ascent of :func:`_refine` for n qubits, as one
-    generated Python function ``kernel(c, theta, tol, max_rounds)``.
+    generated Python function ``kernel(c, angles, tol, max_rounds)``.
+
+    ``angles`` holds the global phase theta0 and then each qubit's anchor
+    angle; a qubit phase starts at its angle minus theta0.  The kernel
+    returns theta0 and the refined qubit phases, as one tuple.
 
     The stages of :func:`_contraction_plan` are written out as one
     ``x + zj * y`` statement per multiply-add, on locals: c0, c1, ... for
-    c, z0, z1, ... for the phasors and t0, t1, ... for the angles.  Every
-    operation, and its order, is that of the loop over the plan that the
-    kernel replaces, so the bits are too (tests/test_fidelity.py).
+    c, z0, z1, ... for the phasors, g for theta0 and t0, t1, ... for the
+    qubit phases.  Every operation, and its order, is that of the loop
+    over the plan that the kernel replaces, so the bits are too
+    (tests/test_fidelity.py).
     """
     d = 1 << n
     ts = ", ".join(f"t{j}" for j in range(n))
     body = [
-        "def kernel(c, theta, tol, max_rounds):",
+        "def kernel(c, angles, tol, max_rounds):",
         f"    {', '.join(f'c{i}' for i in range(d))}, = c",
-        f"    {ts}, = theta",
+        f"    g, {ts}, = angles",
+        *(f"    t{j} = t{j} - g" for j in range(n)),
         *(f"    z{j} = complex(cos(t{j}), -sin(t{j}))" for j in range(n)),
         "    for _ in range(max_rounds):",
         "        moved = 0.0",
@@ -220,7 +240,7 @@ def _refine_kernel(n):
     body += [
         "        if moved < tol:",
         "            break",
-        f"    return ({ts},)",
+        f"    return (g, {ts},)",
     ]
     namespace = {"cos": math.cos, "sin": math.sin, "atan2": math.atan2,
                  "pi": math.pi, "tau": math.tau}
@@ -240,11 +260,76 @@ def _refine(u, target, theta_qubits, tol, max_rounds):
     (A, B) come from the stages of :func:`_contraction_plan`, which
     :func:`_refine_kernel` writes out as straight-line code once per qubit
     count.  Rounds stop when none moves a phase by ``tol`` or more, or
-    after ``max_rounds``.
+    after ``max_rounds``.  :func:`_fit_stack` runs the same kernel on the
+    ``c`` of every member of a stack, formed in one pass.
     """
     # c[b] collects everything that multiplies the b-th compensation phase.
     c = (np.conj(target) * np.asarray(u)).sum(axis=0).tolist()
-    return _refine_kernel(len(theta_qubits))(c, theta_qubits, tol, max_rounds)
+    # x - 0.0 is x, bit for bit: the start is theta_qubits itself.
+    kernel = _refine_kernel(len(theta_qubits))
+    return kernel(c, (0.0, *theta_qubits), tol, max_rounds)[1:]
+
+
+@lru_cache(maxsize=8)
+def _anchor_cells(n):
+    """Flat positions, in a 2**n x 2**n matrix, of the diagonal entries of
+    |0...0> and of each qubit's one-excitation state, leftmost qubit
+    first: the entries the closed form reads.  Read-only, built once per
+    qubit count."""
+    cells = np.array([0] + [2 ** (n - 1 - k) for k in range(n)]) * (2 ** n + 1)
+    cells.setflags(write=False)
+    return cells
+
+
+def _fit_stack(u, target, refine):
+    """The phases :func:`fit_phases` fits to each member of a
+    (P, 2**n, 2**n) stack, as one (P, n + 1) array: theta0, then the qubit
+    phases, all wrapped to (-pi, pi].
+
+    The anchor entries are gathered and checked, and the closed form, the
+    ``c`` vectors of :func:`_refine` and the wrap are computed, for the
+    whole stack at once.  Only the scalar kernel runs per member: numpy's
+    complex multiply, ``abs`` and ``arctan2`` round differently from the
+    Python scalar operations it is made of.  Every stacked step is
+    elementwise, or sums along the same axis in the same order as for one
+    member, so a member's phases do not depend on the stack
+    (tests/test_fidelity.py).  A degenerate member raises the
+    DegenerateUnitaryError of the earliest one.
+    """
+    d = u.shape[-1]
+    n = d.bit_length() - 1
+    if u.shape[1:] != (d, d) or 2 ** n != d:
+        raise ValueError(
+            f"expected a square 2**n-dimensional matrix, got {u.shape[1:]}")
+    cells = _anchor_cells(n)
+    diagonal = u.reshape(len(u), d * d).take(cells, axis=1)
+    # Python's abs of a complex is the hypot that numpy's scalar abs
+    # takes; numpy's array abs may round differently at the threshold.
+    anchors = diagonal.ravel().tolist()
+    if min(map(abs, anchors), default=np.inf) < 1e-12:
+        k = [abs(a) < 1e-12 for a in anchors].index(True) % (n + 1)
+        raise DegenerateUnitaryError(
+            f"diagonal entry {cells[k] // (d + 1)} is zero; its phase is "
+            "undefined")
+    # np.angle, without its dtype dispatch.
+    angles = np.arctan2(diagonal.imag, diagonal.real)
+    if refine:
+        if target is None:
+            target = controlled_phase_ideal(n)
+        kernel = _refine_kernel(n)
+        # c[p, b] collects everything that multiplies member p's b-th
+        # compensation phase.
+        c = (np.conj(target)[None] * u).sum(axis=1).tolist()
+        theta = [kernel(cp, a, _FIT_TOL, _FIT_ROUNDS)
+                 for cp, a in zip(c, angles.tolist())]
+    else:
+        theta = angles
+        theta[:, 1:] -= theta[:, :1]
+    # _wrap over the stack, -((-t + pi) % tau - pi), with its sum -t + pi
+    # taken as pi - t, which has the same bits.
+    wrapped = np.remainder(np.subtract(np.pi, theta), 2.0 * np.pi)
+    wrapped -= np.pi
+    return np.negative(wrapped, out=wrapped)
 
 
 def fit_phases(u, target=None, refine=True):
@@ -265,26 +350,8 @@ def fit_phases(u, target=None, refine=True):
     DegenerateUnitaryError
         If a needed diagonal entry is numerically zero.
     """
-    u = np.asarray(u)
-    d = u.shape[0]
-    n = d.bit_length() - 1
-    if u.shape != (d, d) or 2 ** n != d:
-        raise ValueError(f"expected a square 2**n-dimensional matrix, got {u.shape}")
-    anchor_indices = [0] + [2 ** (n - 1 - k) for k in range(n)]
-    for i in anchor_indices:
-        if abs(u[i, i]) < 1e-12:
-            raise DegenerateUnitaryError(
-                f"diagonal entry {i} is zero; its phase is undefined"
-            )
-    theta0 = float(np.angle(u[0, 0]))
-    theta_qubits = tuple(
-        float(np.angle(u[i, i])) - theta0 for i in anchor_indices[1:]
-    )
-    if refine:
-        if target is None:
-            target = controlled_phase_ideal(n)
-        theta_qubits = _refine(u, target, theta_qubits, _FIT_TOL, _FIT_ROUNDS)
-    return CompensationPhases(theta0, theta_qubits).reduced()
+    (theta,) = _fit_stack(np.asarray(u)[None], target, refine).tolist()
+    return CompensationPhases(theta[0], theta[1:])
 
 
 def _raw_fidelity(u, target):
@@ -333,36 +400,61 @@ class FidelityReport:
         return doc
 
 
+def _fidelity_reports(u, target, refine=True):
+    """The :func:`fidelity_report` of each member of a complex
+    (P, 2**n, 2**n) stack, as a list.
+
+    The phases are fitted by :func:`_fit_stack`, and the compensated
+    unitaries are formed for the whole stack; the two traces of the score
+    (``np.vdot``, whose sum a stacked reduction would add in another
+    order), the bound check and the report stay per member.  A member's
+    report is bit-identical to the one it gets alone.  Raises the error of
+    the earliest member that fails the fit or the bound.
+    """
+    theta = _fit_stack(u, target, refine)
+    # U M for diagonal M is a column scaling.
+    compensated = u * _phasors(theta)[:, None, :]
+    reports = []
+    for t, m in zip(theta.tolist(), compensated):
+        fid = _raw_fidelity(m, target)
+        if fid > 1.0 + 1e-12:
+            raise ValueError(
+                f"fidelity {fid} exceeds 1 beyond numerical tolerance")
+        reports.append(FidelityReport(fid, CompensationPhases(t[0], t[1:]), m))
+    return reports
+
+
 def fidelity_report(u, target, refine=True):
     """Fit compensation phases for ``u`` and score it against ``target``."""
     u = np.asarray(u, dtype=complex)
     target = np.asarray(target, dtype=complex)
-    phases = fit_phases(u, target=target, refine=refine)
-    # U M for diagonal M is a column scaling.
-    compensated = u * _compensation_phasors(phases)
-    fid = _raw_fidelity(compensated, target)
-    if fid > 1.0 + 1e-12:
-        raise ValueError(f"fidelity {fid} exceeds 1 beyond numerical tolerance")
-    return FidelityReport(fid, phases, compensated)
+    (report,) = _fidelity_reports(u[None], target, refine)
+    return report
 
 
 def _score_waveforms(device, waveforms, target, trotter=TrotterConfig()):
     """Score many waveforms as :func:`score_waveform` does, in chunks.
 
     Each chunk of waveforms is evolved in one batch (see
-    ``propagator._evolve_chunks``) and projected in one gather; each member
-    is then fitted and scored on its own.  Yields, per waveform in order,
+    ``propagator._evolve_chunks``) and projected in one gather; its
+    members without an EvolutionError are then fitted and scored as one
+    stack (:func:`_fidelity_reports`).  Yields, per waveform in order,
     its FidelityReport, or the EvolutionError that :func:`score_waveform`
     raises for it.  A member's report is bit-identical to the one it gets
     when scored alone.
     """
     basis = basis_for(device)
     idx = basis.qubit_indices
+    target = np.asarray(target, dtype=complex)
     chunks = _evolve_chunks(_template(device, basis), waveforms, trotter)
     for unitaries, errors in chunks:
-        projected = unitaries[:, idx[:, None], idx]
-        for u, error in zip(projected, errors):
-            yield fidelity_report(u, target) if error is None else error
+        scored = [p for p, error in enumerate(errors) if error is None]
+        if len(scored) < len(errors):
+            unitaries = unitaries[scored]
+        reports = iter(_fidelity_reports(
+            unitaries[:, idx[:, None], idx], target) if scored else ())
+        for error in errors:
+            yield next(reports) if error is None else error
 
 
 def score_waveform(device, waveform, target, trotter=TrotterConfig()):

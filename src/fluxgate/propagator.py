@@ -28,8 +28,9 @@ local-search move) only the nodes above those steps are multiplied again:
 about log2(S) products instead of S - 1.  Each node is one matmul of the
 same two child matrices either way, so the result has the same bits.  The
 updated tree's levels, its steps too, are new lists that share every
-unchanged matrix with the kept tree, so a move copies no step stack; only
-a full rebuild stacks the steps into one array.
+unchanged matrix with the kept tree, so a move copies no step stack.  A
+rebuild of some of the steps stacks them into one array; a rebuild of
+every step builds the tree from the new steps alone.
 
 Many waveforms evolve together in chunks: the runs of a chunk share one
 exponential batch, and the waveforms with equal run counts are multiplied
@@ -260,10 +261,10 @@ def _run_unitaries(template, rows, dts):
         err.row = int(fresh[err.row])
         raise
     # A changed run costs one product per level; the full tree, S - 1.
-    if last is None:
-        levels = _product_tree(u)
-    elif len(fresh) * (len(last[3]) - 1) < len(rows):
+    if last is not None and len(fresh) * (len(last[3]) - 1) < len(rows):
         levels = _update_tree(last[3], u, fresh)
+    elif len(fresh) == len(rows):
+        levels = _product_tree(u)
     else:
         stack = np.array(last[3][0])
         stack[fresh] = u

@@ -33,7 +33,6 @@ from .pulses import PiecewiseConstantWaveform, Waveform
 __all__ = [
     "SmoothingParams",
     "SmoothedWaveform",
-    "smooth_waveform",
     "DistortionReport",
     "distortion_report",
     "NoiseSweepConfig",
@@ -91,11 +90,6 @@ class SmoothedWaveform(Waveform):
             return here
         arg = (t - boundary) / (math.sqrt(2.0) * self.params.sigma)
         return 0.5 * (prev + here) + 0.5 * (here - prev) * math.erf(arg)
-
-
-def smooth_waveform(schedule, params=SmoothingParams()):
-    """The Erf-distorted waveform of a schedule (continuous in time)."""
-    return SmoothedWaveform(schedule, params)
 
 
 @dataclass(frozen=True)

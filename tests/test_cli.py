@@ -738,9 +738,11 @@ class TestVerify:
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 10
+        assert out.count("PASS") == 11
         assert "PASS  batched evolution vs per-segment exponentials" in out
         assert "PASS  phase fit is a local maximum" in out
+        assert ("PASS  stacked phase fit and score vs one matrix at a "
+                "time") in out
         assert "PASS  stacked density evolution vs dense dissipator" in out
         assert "PASS  incremental product tree vs cold product" in out
         assert ("PASS  exponential without per-block checks vs per-block "

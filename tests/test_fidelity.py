@@ -15,7 +15,6 @@ from fluxgate.fidelity import (
     CompensationPhases,
     ccphase_ideal,
     compensation_matrix,
-    computational_indices,
     controlled_phase_ideal,
     fidelity_report,
     fit_phases,
@@ -79,7 +78,7 @@ class TestProjection:
         self.basis = enumerate_basis(3, 4, 3)
 
     def test_computational_indices_binary_order(self):
-        idx = computational_indices(self.basis)
+        idx = self.basis.qubit_indices
         states = [self.basis.states[i] for i in idx]
         assert states == [
             (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
@@ -101,7 +100,7 @@ class TestProjection:
         u[a, b] = np.sin(th)
         u[b, a] = -np.sin(th)
         u8 = project_to_computational(u, self.basis)
-        row = list(computational_indices(self.basis)).index(a)
+        row = self.basis.qubit_indices.tolist().index(a)
         assert np.linalg.norm(u8[row]) == pytest.approx(np.cos(th), abs=1e-15)
 
     def test_block_zeros_survive_projection_oracle(self):
@@ -111,7 +110,7 @@ class TestProjection:
         exc = np.array([sum(s) for s in self.basis.states])
         u = rng.normal(size=(20, 20)) * (exc[:, None] == exc[None, :])
         u8 = project_to_computational(u, self.basis)
-        idx = computational_indices(self.basis)
+        idx = self.basis.qubit_indices
         for r, i in enumerate(idx):
             for c, j in enumerate(idx):
                 expected = u[i, j] if exc[i] == exc[j] else 0.0
@@ -119,7 +118,7 @@ class TestProjection:
 
     def test_missing_computational_state(self):
         with pytest.raises(ValueError, match="computational"):
-            computational_indices(enumerate_basis(3, 4, 2))
+            enumerate_basis(3, 4, 2).qubit_indices
 
 
 class TestCompensationMatrix:
@@ -586,3 +585,149 @@ class TestScoreWaveform:
         identity = fidelity_report(np.eye(4), target)
         assert results[5].fidelity == identity.fidelity
         assert np.array_equal(results[5].compensated, identity.compensated)
+
+
+def frozen_fit_phases(u, target=None, refine=True):
+    """Oracle: fit_phases as it was before the stacked fit, one matrix at a
+    time on numpy scalars, with frozen_refine for the kernel (frozen
+    copy)."""
+    u = np.asarray(u)
+    d = u.shape[0]
+    n = d.bit_length() - 1
+    anchor_indices = [0] + [2 ** (n - 1 - k) for k in range(n)]
+    for i in anchor_indices:
+        if abs(u[i, i]) < 1e-12:
+            raise DegenerateUnitaryError(
+                f"diagonal entry {i} is zero; its phase is undefined")
+    theta0 = float(np.angle(u[0, 0]))
+    theta_qubits = tuple(
+        float(np.angle(u[i, i])) - theta0 for i in anchor_indices[1:])
+    if refine:
+        if target is None:
+            target = controlled_phase_ideal(n)
+        theta_qubits = frozen_refine(u, target, theta_qubits, 1e-9, 200)
+    return CompensationPhases(float(wrap(theta0)),
+                              tuple(float(wrap(t)) for t in theta_qubits))
+
+
+def frozen_fidelity_report(u, target, refine=True):
+    """Oracle: (fidelity, phases, compensated) of fidelity_report as it was
+    before the stacked tail (frozen copy)."""
+    u = np.asarray(u, dtype=complex)
+    target = np.asarray(target, dtype=complex)
+    phases = frozen_fit_phases(u, target, refine)
+    d = u.shape[0]
+    b = np.arange(d)
+    bits = (b[:, None] >> np.arange(phases.n_qubits - 1, -1, -1)[None, :]) & 1
+    total = phases.theta0 + bits @ np.asarray(phases.qubit_phases)
+    compensated = u * np.exp(-1j * total)
+    fid = float((np.vdot(compensated, compensated).real
+                 + abs(np.vdot(target, compensated)) ** 2) / (d * (d + 1)))
+    if fid > 1.0 + 1e-12:
+        raise ValueError(f"fidelity {fid} exceeds 1 beyond numerical tolerance")
+    return fid, phases, compensated
+
+
+def phase_bits(phases):
+    return np.array([phases.theta0, *phases.qubit_phases]).view(np.uint64)
+
+
+def assert_frozen_bits(report, u, target, refine=True):
+    fid, phases, compensated = frozen_fidelity_report(u, target, refine)
+    assert np.float64(report.fidelity).view(np.uint64) == \
+        np.float64(fid).view(np.uint64)
+    assert np.array_equal(phase_bits(report.phases), phase_bits(phases))
+    assert report.compensated.tobytes() == compensated.tobytes()
+
+
+class TestStackedTail:
+    """A stack fitted and scored in one pass gives every member the bits
+    of the one-matrix tail it replaced, and so does its one-member case."""
+
+    @staticmethod
+    def stack(rng, kind, count, d):
+        members = [haar_unitary(rng, d) for _ in range(count)]
+        if kind == "leaky":
+            # Projections of leaky evolutions: columns shrunk.
+            members = [u * rng.uniform(0.5, 1.0, size=d) for u in members]
+        return np.array(members)
+
+    @pytest.mark.parametrize("refine", [True, False])
+    @pytest.mark.parametrize("kind", ["haar", "leaky"])
+    @pytest.mark.parametrize("count", [1, 2, 33])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_members_match_frozen_tail(self, n, count, kind, refine):
+        rng = np.random.default_rng(500 + 100 * n + count)
+        d = 2 ** n
+        for target in (controlled_phase_ideal(n), haar_unitary(rng, d)):
+            us = self.stack(rng, kind, count, d)
+            reports = fidelity._fidelity_reports(us, target, refine)
+            assert len(reports) == count
+            for u, report in zip(us, reports):
+                assert_frozen_bits(report, u, target, refine)
+                assert_frozen_bits(fidelity_report(u, target, refine), u,
+                                   target, refine)
+                assert np.array_equal(
+                    phase_bits(fit_phases(u, target, refine)),
+                    phase_bits(frozen_fit_phases(u, target, refine)))
+
+    def test_zero_phases_keep_their_sign(self):
+        # The wrap maps an angle of exactly 0 to -0.0, as _wrap does.
+        for u in (np.eye(4), -np.eye(8), np.diag([1, 1j, -1j, 1])):
+            n = u.shape[0].bit_length() - 1
+            for refine in (True, False):
+                (report,) = fidelity._fidelity_reports(
+                    u[None].astype(complex), controlled_phase_ideal(n), refine)
+                assert_frozen_bits(report, u, controlled_phase_ideal(n), refine)
+
+    def test_degenerate_member_raises_earliest(self):
+        rng = np.random.default_rng(77)
+        target = controlled_phase_ideal(3)
+        us = self.stack(rng, "haar", 12, 8)
+        us[5, 2, 2] = 1e-13  # qubit 1's anchor of member 5
+        us[5, 4, 4] = 0.0  # qubit 0's anchor, earlier in anchor order
+        us[9, 0, 0] = 0.0
+        with pytest.raises(DegenerateUnitaryError) as frozen:
+            frozen_fit_phases(us[5], target)
+        for call in (lambda: fidelity._fidelity_reports(us, target),
+                     lambda: fidelity._fidelity_reports(us, target, False),
+                     lambda: fidelity_report(us[5], target),
+                     lambda: fit_phases(us[5], target)):
+            with pytest.raises(DegenerateUnitaryError) as err:
+                call()
+            assert str(err.value) == str(frozen.value)
+        assert str(frozen.value) == \
+            "diagonal entry 4 is zero; its phase is undefined"
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 48000])
+    def test_score_waveforms_with_poles_between_members(self, monkeypatch,
+                                                       chunk_bytes):
+        # Noisy copies of the toy pulse with pole crossings between them:
+        # the poles get their errors and every other member the frozen
+        # tail's bits on its own projected unitary.  A member has 10 runs
+        # of 10 x 10 steps, so the default chunk holds 33 members and one
+        # of 48000 bytes holds 3.
+        if chunk_bytes is not None:
+            monkeypatch.setattr(propagator, "_CHUNK_BYTES", chunk_bytes)
+        device = toy_two_transmon_chain()
+        basis = basis_for(device)
+        target = controlled_phase_ideal(2)
+        pulse = load_toy_pulse()
+        rng = np.random.default_rng(91)
+        pole = pulse.detunings.copy()
+        pole[1, 1] = 1.7005  # qubit M 0.5 MHz inside the resonator's floor
+        waveforms = []
+        for k in range(40):
+            det = (pole if k in (3, 4, 17, 39)
+                   else pulse.detunings + rng.uniform(-2e-3, 2e-3,
+                                                      size=pole.shape))
+            waveforms.append(PiecewiseConstantWaveform(
+                pulse.with_detunings(det)))
+        results = list(_score_waveforms(device, waveforms, target))
+        assert len(results) == len(waveforms)
+        for k, (waveform, result) in enumerate(zip(waveforms, results)):
+            if k in (3, 4, 17, 39):
+                assert isinstance(result, EvolutionError)
+                continue
+            u = project_to_computational(evolve(device, waveform), basis)
+            assert_frozen_bits(result, u, target)

@@ -10,8 +10,7 @@ import scipy.linalg
 from fluxgate import propagator
 from fluxgate.device import _template, basis_for, build_hamiltonian, full_basis
 from fluxgate.errors import EvolutionError, SingularityError
-from fluxgate.fidelity import computational_indices, fidelity_report, \
-    project_to_computational
+from fluxgate.fidelity import fidelity_report, project_to_computational
 from fluxgate.optimizer import DEConfig, chromosome_to_schedule, seed_population
 from fluxgate.propagator import TrotterConfig, evolve, expm_skew
 from fluxgate.profiles import (
@@ -232,8 +231,8 @@ class TestEvolve:
         basis = basis_for(device)
         u20 = evolve(device, wf, basis=basis)
         u64 = evolve(device, wf, basis=full_basis(device))
-        idx20 = computational_indices(basis)
-        idx64 = computational_indices(full_basis(device))
+        idx20 = basis.qubit_indices
+        idx64 = full_basis(device).qubit_indices
         sub20 = u20[np.ix_(idx20, idx20)]
         sub64 = u64[np.ix_(idx64, idx64)]
         assert np.abs(sub20 - sub64).max() < 1e-3
@@ -427,6 +426,33 @@ class TestProductTree:
         assert every not in updates  # rebuilt, not updated
         for tree, snapshot in kept:
             assert [np.array(level).tobytes() for level in tree] == snapshot
+
+    def test_every_run_changed_after_move_equals_cold_tree(self, device,
+                                                           monkeypatch):
+        # A call that changes every run builds its tree from its new steps
+        # alone.  After a kept tree that a move updated (its levels are
+        # lists of matrices), every level has the bits of a cold tree.
+        rng = np.random.default_rng(53)
+        updates = counting_updates(monkeypatch)
+        monkeypatch.setattr(propagator, "_LAST_RUNS", None)
+        det = rng.uniform(-0.1, 0.1, size=(3, 12))
+        evolve(device, pulse(det))
+        det = det.copy()
+        det[1, 4] += 1e-3
+        evolve(device, pulse(det))
+        assert updates == [[4]]
+        assert isinstance(propagator._LAST_RUNS[3][0], list)
+        det = det + rng.uniform(1e-4, 1e-3, size=det.shape)
+        wf = pulse(det)
+        assert np.array_equal(evolve(device, wf), cold_evolve(device, wf))
+        assert updates == [[4]]
+        template, rows, dts, levels = propagator._LAST_RUNS
+        assert len(rows) == 12
+        cold = propagator._product_tree(
+            propagator._segment_unitaries(template, rows, dts))
+        assert len(levels) == len(cold)
+        for got, want in zip(levels, cold):
+            assert same_bytes(np.array(got), want)
 
     def test_levels_match_stacked_loop(self):
         # Every node of an updated tree, not only the product, has the

@@ -22,7 +22,6 @@ from fluxgate.robustness import (
     SmoothedWaveform,
     distortion_report,
     noise_sweep,
-    smooth_waveform,
 )
 
 
@@ -68,7 +67,7 @@ class TestSmoothedWaveform:
 
     def test_ramp_longer_than_segment_rejected(self):
         with pytest.raises(ValueError, match="segment"):
-            smooth_waveform(self.sched, SmoothingParams(t_ramp=2.0))
+            SmoothedWaveform(self.sched, SmoothingParams(t_ramp=2.0))
 
     def test_continuity_on_fine_grid(self):
         # Max jump over a 1 ps grid stays below 1 MHz for the learned pulse.

@@ -3,7 +3,7 @@
 Library layout:
 
 * :mod:`fluxgate.device` -- dressed chain Hamiltonian in a truncated basis
-* :mod:`fluxgate.pulses` -- detuning schedules, waveforms, serialization
+* :mod:`fluxgate.pulses` -- detuning schedules, waveforms, CSV/JSON codecs
 * :mod:`fluxgate.propagator` -- Trotterized closed-system evolution
 * :mod:`fluxgate.fidelity` -- projection, phase compensation, gate fidelity
 * :mod:`fluxgate.optimizer` -- constrained differential evolution + local search
@@ -11,91 +11,36 @@ Library layout:
 * :mod:`fluxgate.robustness` -- Erf-smoothing distortion and noise sweeps
 * :mod:`fluxgate.profiles` -- shipped device/constraint/pulse profiles
 * :mod:`fluxgate.cli` -- the ``fluxgate`` command-line pipeline
+
+The package re-exports the ``__all__`` of every module above except
+``profiles`` and ``cli``; each module's ``__all__`` is the one list of its
+public names.
 """
 
-from .device import (
-    DeviceChain,
-    ResonatorCoupling,
-    TransmonSpec,
-    TruncatedBasis,
-    basis_for,
-    build_hamiltonian,
-    coupling_strength,
-    device_from_json,
-    device_to_json,
-    dressed_frequency,
-    enumerate_basis,
-    full_basis,
-    load_device,
+from . import (
+    device,
+    errors,
+    fidelity,
+    opensystem,
+    optimizer,
+    propagator,
+    pulses,
+    robustness,
 )
-from .errors import (
-    DegenerateUnitaryError,
-    EvaluationError,
-    EvolutionError,
-    InfeasibilityError,
-    SingularityError,
-    TomographyError,
-)
-from .fidelity import (
-    CompensationPhases,
-    FidelityReport,
-    ccphase_ideal,
-    compensation_matrix,
-    controlled_phase_ideal,
-    fidelity_report,
-    fit_phases,
-    gate_fidelity,
-    project_to_computational,
-    score_waveform,
-)
-from .opensystem import (
-    LindbladSpec,
-    QPTReport,
-    QptResult,
-    chi_ideal,
-    estimate_chi,
-    evolve_density,
-    pauli_basis,
-    prepare_qpt_inputs,
-    qpt_metrics,
-    run_qpt,
-    validate_density,
-)
-from .optimizer import (
-    ConstraintSet,
-    DEConfig,
-    DetuningRange,
-    LocalSearchConfig,
-    LocalSearchResult,
-    SussadeResult,
-    SussadeState,
-    Violation,
-    ccphase_fitness,
-    chromosome_to_schedule,
-    load_constraints,
-    local_search,
-    run_sussade,
-    seed_population,
-    validate_constraints,
-)
-from .propagator import TrotterConfig, evolve, expm_skew
-from .pulses import (
-    PiecewiseConstantWaveform,
-    PulseSchedule,
-    Waveform,
-    load_schedule_csv,
-    load_schedule_json,
-    save_schedule_csv,
-    save_schedule_json,
-)
-from .robustness import (
-    DistortionReport,
-    NoiseSweepConfig,
-    RobustnessReport,
-    SmoothingParams,
-    SmoothedWaveform,
-    distortion_report,
-    noise_sweep,
-)
+from .device import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .fidelity import *  # noqa: F403
+from .opensystem import *  # noqa: F403
+from .optimizer import *  # noqa: F403
+from .propagator import *  # noqa: F403
+from .pulses import *  # noqa: F403
+from .robustness import *  # noqa: F403
+
+__all__ = [
+    name
+    for module in (device, errors, pulses, propagator, fidelity, optimizer,
+                   opensystem, robustness)
+    for name in module.__all__
+]
 
 __version__ = "0.1.0"

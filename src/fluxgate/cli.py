@@ -37,7 +37,6 @@ from .errors import EvolutionError, InfeasibilityError
 from .fidelity import (
     CompensationPhases,
     _fidelity_reports,
-    compensation_matrix,
     controlled_phase_ideal,
     fidelity_report,
     fit_phases,
@@ -84,10 +83,10 @@ from .propagator import (
 from .pulses import (
     PiecewiseConstantWaveform,
     PulseSchedule,
-    save_schedule_json,
     schedule_from_csv,
     schedule_from_json,
     schedule_to_csv,
+    schedule_to_json,
 )
 from .robustness import NoiseSweepConfig, noise_sweep
 
@@ -414,11 +413,12 @@ def cmd_optimize(args):
                 header_comments=(f"manifest_hash={manifest['manifest_hash']}",),
             )
         )
-    save_schedule_json(
-        schedule, os.path.splitext(out)[0] + ".json",
-        extra={"manifest_hash": manifest["manifest_hash"],
-               "fidelity": best_f, "seed": de_config.seed},
-    )
+    _write_json(os.path.splitext(out)[0] + ".json", {
+        **schedule_to_json(schedule),
+        "manifest_hash": manifest["manifest_hash"],
+        "fidelity": best_f,
+        "seed": de_config.seed,
+    })
     if args.log:
         with open(_resolve(args.log), "w") as fh:
             fh.write(_history_csv(result.history, manifest["manifest_hash"]))
@@ -593,19 +593,17 @@ def cmd_verify(args):
         alone.tobytes() == oracle.tobytes() == batch.tobytes(),
     ))
 
-    # Nudging any fitted qubit phase by +/-1e-6 rad must not raise the trace.
+    # Nudging any fitted qubit phase by +/-1e-6 rad must not raise the score.
     u8 = project_to_computational(u, basis)
     target = controlled_phase_ideal(3)
     phases = fit_phases(u8, target)
 
-    def overlap(qubit_phases):
-        m = compensation_matrix(CompensationPhases(phases.theta0, qubit_phases))
-        return abs(np.trace(target.conj().T @ u8 @ m))
-
-    best = overlap(phases.qubit_phases)
+    best = gate_fidelity(u8, target, phases)
     nudged = [
-        overlap(tuple(t + step if j == k else t
-                      for j, t in enumerate(phases.qubit_phases)))
+        gate_fidelity(u8, target, CompensationPhases(
+            phases.theta0,
+            tuple(t + step if j == k else t
+                  for j, t in enumerate(phases.qubit_phases))))
         for k in range(3) for step in (1e-6, -1e-6)
     ]
     checks.append(("phase fit is a local maximum", max(nudged) <= best))

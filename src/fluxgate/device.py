@@ -22,7 +22,6 @@ names the earliest offending sample row, its transmon and its level.
 """
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -47,7 +46,6 @@ __all__ = [
     "build_hamiltonian",
     "device_from_json",
     "device_to_json",
-    "load_device",
 ]
 
 
@@ -707,9 +705,3 @@ def device_to_json(device):
         "max_total_excitation": device.max_total_excitation,
         "dispersive_floor_ghz": device.dispersive_floor,
     }
-
-
-def load_device(path):
-    """Load a device description from a JSON file."""
-    with open(path) as fh:
-        return device_from_json(json.load(fh))

@@ -1,5 +1,14 @@
 """Exception types shared across the library."""
 
+__all__ = [
+    "SingularityError",
+    "EvolutionError",
+    "DegenerateUnitaryError",
+    "InfeasibilityError",
+    "EvaluationError",
+    "TomographyError",
+]
+
 
 class SingularityError(ValueError):
     """A dispersive denominator fell inside the configured floor.

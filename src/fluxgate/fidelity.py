@@ -33,10 +33,8 @@ from .propagator import TrotterConfig, _evolve_chunks
 
 __all__ = [
     "controlled_phase_ideal",
-    "ccphase_ideal",
     "project_to_computational",
     "CompensationPhases",
-    "compensation_matrix",
     "fit_phases",
     "gate_fidelity",
     "FidelityReport",
@@ -54,11 +52,6 @@ def controlled_phase_ideal(n_qubits=3):
     u = np.eye(d, dtype=complex)
     u[-1, -1] = -1.0
     return u
-
-
-def ccphase_ideal():
-    """The ideal three-qubit controlled-controlled-phase gate (8x8)."""
-    return controlled_phase_ideal(3)
 
 
 def project_to_computational(u, basis):
@@ -116,21 +109,13 @@ def _wrap(theta):
 
 
 @lru_cache(maxsize=8)
-def _phase_exponents(n_qubits):
-    """exponent[b, k] = bit k (from the left) of basis index b; read-only,
-    built once per qubit count."""
+def _phase_bits(n_qubits):
+    """bits[b, k] = bit k (from the left) of basis index b, as floats, the
+    dtype a product with phases casts them to; read-only, built once per
+    qubit count."""
     b = np.arange(2 ** n_qubits)
     shifts = np.arange(n_qubits - 1, -1, -1)
-    exponents = (b[:, None] >> shifts[None, :]) & 1
-    exponents.setflags(write=False)
-    return exponents
-
-
-@lru_cache(maxsize=8)
-def _phase_bits(n_qubits):
-    """:func:`_phase_exponents` as floats, the dtype a product with phases
-    casts them to; read-only, built once per qubit count."""
-    bits = _phase_exponents(n_qubits).astype(float)
+    bits = ((b[:, None] >> shifts[None, :]) & 1).astype(float)
     bits.setflags(write=False)
     return bits
 
@@ -151,13 +136,9 @@ def _phasors(theta):
 
 
 def _compensation_phasors(phases):
-    """The diagonal of :func:`compensation_matrix`, shape (2**n,)."""
+    """The diagonal of the single-qubit Z compensation unitary M, shape
+    (2**n,)."""
     return _phasors(np.array([[phases.theta0, *phases.qubit_phases]]))[0]
-
-
-def compensation_matrix(phases):
-    """Diagonal single-qubit Z compensation unitary of shape (2**n, 2**n)."""
-    return np.diag(_compensation_phasors(phases))
 
 
 @lru_cache(maxsize=8)

@@ -97,8 +97,9 @@ _CHI_COND_LIMIT = 1e10  # largest input condition number estimate_chi inverts
 class LindbladSpec:
     """Per-transmon relaxation (T1) and coherence (T2) times in microseconds.
 
-    Scalars broadcast over the chain.  Requires T2 <= 2*T1 per transmon,
-    otherwise the pure-dephasing time T_phi is undefined.
+    Scalars broadcast over the chain; ``inf`` means no decay.  Requires
+    T2 <= 2*T1 per transmon, otherwise the pure-dephasing time T_phi is
+    undefined.
     """
 
     t1_us: object = 20.0
@@ -110,8 +111,10 @@ class LindbladSpec:
         if len(t1) != n or len(t2) != n:
             raise ValueError(f"need {n} T1/T2 values, got {len(t1)}/{len(t2)}")
         for k, (a, b) in enumerate(zip(t1, t2)):
-            if a <= 0 or b <= 0:
-                raise ValueError(f"transmon {k}: T1 and T2 must be positive")
+            # Written so that NaN fails too: it would map to a rate of 0.
+            if not (a > 0 and b > 0):
+                raise ValueError(f"transmon {k}: T1 and T2 must be positive, "
+                                 f"got T1={a} us, T2={b} us")
             if b > 2 * a:
                 raise ValueError(
                     f"transmon {k}: T2={b} us exceeds 2*T1={2 * a} us; "

@@ -18,7 +18,6 @@ shrinking eps geometrically after each full sweep and resetting it once
 the smallest step has been tried.
 """
 
-import json
 import logging
 import math
 import threading
@@ -54,7 +53,6 @@ __all__ = [
     "chromosome_to_schedule",
     "constraints_from_json",
     "constraints_to_json",
-    "load_constraints",
 ]
 
 
@@ -68,6 +66,9 @@ class DetuningRange:
     hi_inclusive: bool = True
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(
+                f"range ends must be finite, got [{self.lo}, {self.hi}]")
         if self.lo > self.hi:
             raise ValueError(f"range [{self.lo}, {self.hi}] is empty")
 
@@ -107,18 +108,20 @@ class ConstraintSet:
 
     def __post_init__(self):
         object.__setattr__(self, "ranges", tuple(self.ranges))
-        if self.max_step is not None and self.max_step <= 0:
-            raise ValueError("max_step must be positive")
-        if self.boundary_step is not None:
-            if self.boundary_step <= 0:
-                raise ValueError("boundary_step must be positive")
-            if self.idle_frequencies is None:
-                raise ValueError("boundary_step needs idle_frequencies")
-            object.__setattr__(
-                self, "idle_frequencies", tuple(self.idle_frequencies)
-            )
-        if self.min_separation is not None and self.min_separation <= 0:
-            raise ValueError("min_separation must be positive")
+        # A NaN limit would switch its rule off (or fail every schedule)
+        # without a sign.
+        for name in ("max_step", "boundary_step", "min_separation"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}")
+        if self.idle_frequencies is not None:
+            idle = tuple(self.idle_frequencies)
+            if not all(map(math.isfinite, idle)):
+                raise ValueError(f"idle_frequencies must be finite, got {idle}")
+            object.__setattr__(self, "idle_frequencies", idle)
+        if self.boundary_step is not None and self.idle_frequencies is None:
+            raise ValueError("boundary_step needs idle_frequencies")
 
     @property
     def n_qubits(self):
@@ -710,7 +713,9 @@ def ccphase_fitness(device, references, segment_duration=1.0,
     if not (math.isfinite(segment_duration) and segment_duration > 0):
         raise ValueError("segment_duration must be positive and finite, "
                          f"got {segment_duration}")
-    trotter.validate_against(segment_duration)
+    if trotter.n_steps(segment_duration) == 0:
+        raise ValueError(f"step {trotter.step} ns leaves no step in segment "
+                         f"duration {segment_duration} ns")
     if target is None:
         target = controlled_phase_ideal(n)
     # The fitness is public and may be called from user threads.
@@ -776,8 +781,3 @@ def constraints_to_json(constraints):
         ),
         "min_separation_ghz": constraints.min_separation,
     }
-
-
-def load_constraints(path):
-    with open(path) as fh:
-        return constraints_from_json(json.load(fh))

@@ -17,11 +17,12 @@ together with the detuning ranges.  Both rules are kept as stated and a
 sampling and optimization.
 """
 
+import json
 from importlib import resources
 
 from .device import DeviceChain, ResonatorCoupling, TransmonSpec
 from .optimizer import ConstraintSet, DetuningRange
-from .pulses import load_schedule_json
+from .pulses import schedule_from_json
 
 __all__ = [
     "three_transmon_chain",
@@ -129,6 +130,5 @@ def load_ccphase_pulse():
 
 
 def _load_packaged_pulse(name):
-    path = resources.files("fluxgate.data") / name
-    with resources.as_file(path) as p:
-        return load_schedule_json(p)
+    text = (resources.files("fluxgate.data") / name).read_text()
+    return schedule_from_json(json.loads(text))

@@ -78,14 +78,6 @@ class TrotterConfig:
             )
         return k
 
-    def validate_against(self, segment_duration):
-        steps = round(segment_duration / self.step)
-        if steps < 1 or abs(steps * self.step - segment_duration) > 1e-9:
-            raise ValueError(
-                f"step {self.step} ns does not divide segment duration "
-                f"{segment_duration} ns evenly"
-            )
-
 
 def _check_dts(dts):
     if (dts < 0).any():

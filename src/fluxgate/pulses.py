@@ -8,9 +8,13 @@ propagator samples it at all Trotter-step midpoints in one
 the same evolution code unchanged.  A :class:`PiecewiseConstantWaveform`
 is not sampled when the step divides its segments: the propagator reads
 its runs from the segment columns, with the same result.
+
+Each file format has one codec pair on text or parsed JSON
+(:func:`schedule_to_csv`/:func:`schedule_from_csv`,
+:func:`schedule_to_json`/:func:`schedule_from_json`); the caller opens
+the file.
 """
 
-import json
 import math
 
 import numpy as np
@@ -23,10 +27,6 @@ __all__ = [
     "schedule_from_csv",
     "schedule_to_json",
     "schedule_from_json",
-    "save_schedule_csv",
-    "load_schedule_csv",
-    "save_schedule_json",
-    "load_schedule_json",
 ]
 
 
@@ -175,27 +175,3 @@ def schedule_from_json(doc):
         segment_duration=doc["segment_duration_ns"],
         search_references=doc["search_references_ghz"],
     )
-
-
-def save_schedule_csv(schedule, path, header_comments=()):
-    with open(path, "w") as fh:
-        fh.write(schedule_to_csv(schedule, header_comments))
-
-
-def load_schedule_csv(path, segment_duration, search_references):
-    with open(path) as fh:
-        return schedule_from_csv(fh.read(), segment_duration, search_references)
-
-
-def save_schedule_json(schedule, path, extra=None):
-    doc = schedule_to_json(schedule)
-    if extra:
-        doc.update(extra)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
-def load_schedule_json(path):
-    with open(path) as fh:
-        return schedule_from_json(json.load(fh))

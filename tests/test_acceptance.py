@@ -18,7 +18,7 @@ import test_device
 from fluxgate.device import basis_for, build_hamiltonian
 from fluxgate.fidelity import (
     CompensationPhases,
-    ccphase_ideal,
+    controlled_phase_ideal,
     fidelity_report,
     gate_fidelity,
     project_to_computational,
@@ -189,22 +189,22 @@ def test_03_structural_invariants(device, idle_schedule, learned_pulse):
 
 
 def test_04_fidelity_metric():
-    f_ideal = gate_fidelity(ccphase_ideal(), ccphase_ideal())
-    f_identity = gate_fidelity(np.eye(8), ccphase_ideal(),
-                               CompensationPhases.zero(3))
+    ccz = controlled_phase_ideal(3)
+    f_ideal = gate_fidelity(ccz, ccz)
+    f_identity = gate_fidelity(np.eye(8), ccz, CompensationPhases.zero(3))
 
     rng = np.random.default_rng(77)
     u, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
-    base = gate_fidelity(u, ccphase_ideal())
+    base = gate_fidelity(u, ccz)
     worst = 0.0
     b = np.arange(8)
     bits = np.stack([(b >> 2) & 1, (b >> 1) & 1, b & 1], axis=1)
     for _ in range(10):
         alpha = rng.uniform(-np.pi, np.pi)
-        worst = max(worst, abs(gate_fidelity(np.exp(1j * alpha) * u,
-                                             ccphase_ideal()) - base))
+        worst = max(worst, abs(gate_fidelity(np.exp(1j * alpha) * u, ccz)
+                               - base))
         d = np.diag(np.exp(1j * (bits @ rng.uniform(-3, 3, size=3))))
-        worst = max(worst, abs(gate_fidelity(u @ d, ccphase_ideal()) - base))
+        worst = max(worst, abs(gate_fidelity(u @ d, ccz) - base))
 
     ok = (abs(f_ideal - 1) < 1e-12
           and abs(f_identity - 44.0 / 72.0) < 1e-12

@@ -12,12 +12,12 @@ import pytest
 
 from fluxgate import cli
 from fluxgate.cli import build_parser, main
-from fluxgate.device import device_to_json, load_device
+from fluxgate.device import device_from_json, device_to_json
 from fluxgate.optimizer import (
     DEConfig,
     LocalSearchConfig,
+    constraints_from_json,
     constraints_to_json,
-    load_constraints,
 )
 from fluxgate.profiles import (
     THREE_QUBIT_REFERENCES,
@@ -28,7 +28,7 @@ from fluxgate.profiles import (
     toy_constraints,
     toy_two_transmon_chain,
 )
-from fluxgate.pulses import save_schedule_csv, save_schedule_json
+from fluxgate.pulses import schedule_to_csv, schedule_to_json
 
 
 @pytest.fixture
@@ -39,9 +39,13 @@ def workdir(tmp_path, monkeypatch):
     constraints = tmp_path / "constraints.json"
     constraints.write_text(json.dumps(constraints_to_json(toy_constraints())))
     pulse = load_toy_pulse()
-    save_schedule_json(pulse, tmp_path / "pulse.json")
-    save_schedule_csv(pulse, tmp_path / "pulse.csv")
+    write_pulse(tmp_path / "pulse.json", pulse)
+    (tmp_path / "pulse.csv").write_text(schedule_to_csv(pulse))
     return tmp_path
+
+
+def write_pulse(path, schedule):
+    path.write_text(json.dumps(schedule_to_json(schedule), indent=2) + "\n")
 
 
 def read_json(path):
@@ -172,12 +176,15 @@ def test_non_finite_json_input_rejected(workdir, capsys):
      "--segments must be at least 1, got 0"),
     ("optimize", None, ["--segments", "-1"],
      "--segments must be at least 1, got -1"),
+    ("qpt", "pulse.json", ["--t1-us", "nan", "--levels", "3"],
+     "transmon 0: T1 and T2 must be positive, got T1=nan us, T2=nan us"),
 ])
 def test_bad_run_settings_rejected(workdir, capsys, command, pulse, flags,
                                    message):
     # An infinite Trotter step used to take zero steps and score the
     # identity, an infinite segment duration to end in an OverflowError
     # traceback, and NaN or a segment count below 1 in numpy's messages.
+    # A NaN T1 gave a channel with no decay and wrote NaN into the JSON.
     rc = main([
         command, "--device", str(workdir / "device.json"),
         *(["--pulses", str(workdir / pulse)] if pulse else
@@ -197,7 +204,7 @@ def test_pole_crossing_pulse_reports_error(workdir, capsys, command):
     pulse = load_toy_pulse()
     det = pulse.detunings.copy()
     det[1, 0] = 1.8
-    save_schedule_json(pulse.with_detunings(det), workdir / "pole.json")
+    write_pulse(workdir / "pole.json", pulse.with_detunings(det))
     rc = main([
         command, "--device", str(workdir / "device.json"),
         "--pulses", str(workdir / "pole.json"), "--out", "out.json",
@@ -587,8 +594,8 @@ def test_demo_06_arguments_parse(tmp_path):
     for path in (args.device, args.constraints, args.de_config,
                  args.local_search):
         assert os.path.isfile(path), path
-    assert load_device(args.device) == three_transmon_chain()
-    assert load_constraints(args.constraints) == \
+    assert device_from_json(read_json(args.device)) == three_transmon_chain()
+    assert constraints_from_json(read_json(args.constraints)) == \
         three_qubit_constraints("references")
     assert tuple(args.references) == THREE_QUBIT_REFERENCES
     assert args.segments == 50
@@ -792,7 +799,7 @@ class TestManifest:
         det[0, 0] += 1e-3
         hashes = []
         for name, schedule in (("a", pulse), ("b", pulse.with_detunings(det))):
-            save_schedule_json(schedule, workdir / "same.json")
+            write_pulse(workdir / "same.json", schedule)
             assert main([
                 "simulate", "--device", str(workdir / "device.json"),
                 "--pulses", str(workdir / "same.json"),

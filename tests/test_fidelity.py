@@ -13,8 +13,7 @@ from fluxgate.device import basis_for, device_to_json, enumerate_basis
 from fluxgate.errors import DegenerateUnitaryError, EvolutionError
 from fluxgate.fidelity import (
     CompensationPhases,
-    ccphase_ideal,
-    compensation_matrix,
+    _compensation_phasors,
     controlled_phase_ideal,
     fidelity_report,
     fit_phases,
@@ -38,7 +37,7 @@ from fluxgate.propagator import evolve
 from fluxgate.pulses import (
     PiecewiseConstantWaveform,
     PulseSchedule,
-    save_schedule_json,
+    schedule_to_json,
 )
 from fluxgate.robustness import (
     NoiseSweepConfig,
@@ -59,13 +58,13 @@ def single_qubit_phase_diag(theta0, thetas):
 
 class TestIdealGate:
     def test_entries(self):
-        u = ccphase_ideal()
+        u = controlled_phase_ideal(3)
         assert u[0, 0] == 1.0
         assert u[7, 7] == -1.0
         assert np.count_nonzero(u - np.diag(np.diag(u))) == 0
 
     def test_squares_to_identity(self):
-        u = ccphase_ideal()
+        u = controlled_phase_ideal(3)
         assert np.array_equal(u @ u, np.eye(8))
 
     def test_two_qubit_variant(self):
@@ -122,25 +121,28 @@ class TestProjection:
 
 
 class TestCompensationMatrix:
+    """The diagonal M of the compensation, as ``_compensation_phasors``."""
+
     def test_zero_phases_identity(self):
-        m = compensation_matrix(CompensationPhases.zero(3))
-        assert np.array_equal(m, np.eye(8))
+        m = _compensation_phasors(CompensationPhases.zero(3))
+        assert np.array_equal(m, np.ones(8))
 
     def test_entry_structure(self):
         phases = CompensationPhases(0.3, (0.7, 0.5, 0.2))  # (theta4, theta2, theta1)
-        m = compensation_matrix(phases)
+        m = _compensation_phasors(phases)
         # |011> (index 3) carries theta1 + theta2 on top of the global phase.
         expected = np.exp(-1j * 0.3) * np.exp(-1j * (0.2 + 0.5))
-        assert m[3, 3] == pytest.approx(expected, abs=1e-15)
-        assert m[0, 0] == pytest.approx(np.exp(-1j * 0.3), abs=1e-15)
+        assert m[3] == pytest.approx(expected, abs=1e-15)
+        assert m[0] == pytest.approx(np.exp(-1j * 0.3), abs=1e-15)
 
     def test_unitary_for_any_phases(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
             phases = CompensationPhases(rng.uniform(-4, 4),
                                         rng.uniform(-4, 4, size=3))
-            m = compensation_matrix(phases)
-            assert np.abs(m @ m.conj().T - np.eye(8)).max() < 1e-14
+            m = _compensation_phasors(phases)
+            # The diagonal of M M^dag.
+            assert np.abs(m * m.conj() - 1).max() < 1e-14
 
     def test_theta_accessors(self):
         phases = CompensationPhases(0.0, (0.7, 0.5, 0.2))
@@ -151,7 +153,7 @@ class TestCompensationMatrix:
 
 class TestFitPhases:
     def test_ideal_gate_gives_zero_phases(self):
-        phases = fit_phases(ccphase_ideal())
+        phases = fit_phases(controlled_phase_ideal(3))
         assert phases.theta0 == 0.0
         assert phases.qubit_phases == (0.0, 0.0, 0.0)
 
@@ -166,12 +168,11 @@ class TestFitPhases:
 
     def test_global_phase(self):
         alpha = 0.9
-        u = np.exp(1j * alpha) * ccphase_ideal()
+        u = np.exp(1j * alpha) * controlled_phase_ideal(3)
         phases = fit_phases(u)
         assert phases.theta0 == pytest.approx(alpha, abs=1e-12)
-        assert gate_fidelity(u, ccphase_ideal(), phases) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        assert gate_fidelity(u, controlled_phase_ideal(3),
+                             phases) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_diagonal_raises(self):
         u = np.eye(8, dtype=complex)
@@ -184,9 +185,10 @@ class TestFitPhases:
         # evolutions produce), the closed form is already optimal.
         rng = np.random.default_rng(9)
         thetas = rng.uniform(-1.0, 1.0, size=3)
-        u = single_qubit_phase_diag(0.2, thetas) @ ccphase_ideal()
-        f_closed = fidelity_report(u, ccphase_ideal(), refine=False).fidelity
-        f_refined = fidelity_report(u, ccphase_ideal(), refine=True).fidelity
+        ccz = controlled_phase_ideal(3)
+        u = single_qubit_phase_diag(0.2, thetas) @ ccz
+        f_closed = fidelity_report(u, ccz, refine=False).fidelity
+        f_refined = fidelity_report(u, ccz, refine=True).fidelity
         assert f_refined - f_closed < 1e-6
         assert f_refined == pytest.approx(1.0, abs=1e-12)
 
@@ -197,10 +199,10 @@ class TestFitPhases:
                 rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
             )
             f_closed = gate_fidelity(
-                u, ccphase_ideal(), fit_phases(u, refine=False)
+                u, controlled_phase_ideal(3), fit_phases(u, refine=False)
             )
             f_refined = gate_fidelity(
-                u, ccphase_ideal(), fit_phases(u, refine=True)
+                u, controlled_phase_ideal(3), fit_phases(u, refine=True)
             )
             assert f_refined >= f_closed - 1e-12
 
@@ -212,42 +214,41 @@ class TestFitPhases:
 
 class TestGateFidelity:
     def test_ideal_scores_one(self):
-        assert gate_fidelity(ccphase_ideal(), ccphase_ideal()) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        ccz = controlled_phase_ideal(3)
+        assert gate_fidelity(ccz, ccz) == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_vs_ccphase_zero_compensation(self):
         # (8 + |6|^2) / 72 exactly
-        f = gate_fidelity(np.eye(8), ccphase_ideal(), CompensationPhases.zero(3))
+        f = gate_fidelity(np.eye(8), controlled_phase_ideal(3),
+                          CompensationPhases.zero(3))
         assert f == pytest.approx(44.0 / 72.0, abs=1e-12)
 
     def test_total_leakage_scores_zero(self):
         f = gate_fidelity(
-            np.zeros((8, 8)), ccphase_ideal(), CompensationPhases.zero(3)
+            np.zeros((8, 8)), controlled_phase_ideal(3),
+            CompensationPhases.zero(3)
         )
         assert f == 0.0
 
     def test_global_phase_invariance(self):
         rng = np.random.default_rng(1)
         u, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
-        base = gate_fidelity(u, ccphase_ideal())
+        ccz = controlled_phase_ideal(3)
+        base = gate_fidelity(u, ccz)
         for alpha in (0.3, -1.2, np.pi):
-            assert gate_fidelity(np.exp(1j * alpha) * u, ccphase_ideal()) == \
+            assert gate_fidelity(np.exp(1j * alpha) * u, ccz) == \
                 pytest.approx(base, abs=1e-9)
 
     def test_single_qubit_z_invariance(self):
         rng = np.random.default_rng(6)
         u, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
-        base = gate_fidelity(u, ccphase_ideal())
+        ccz = controlled_phase_ideal(3)
+        base = gate_fidelity(u, ccz)
         for _ in range(5):
             d = single_qubit_phase_diag(rng.uniform(-3, 3),
                                         rng.uniform(-3, 3, size=3))
-            assert gate_fidelity(u @ d, ccphase_ideal()) == pytest.approx(
-                base, abs=1e-9
-            )
-            assert gate_fidelity(d @ u, ccphase_ideal()) == pytest.approx(
-                base, abs=1e-9
-            )
+            assert gate_fidelity(u @ d, ccz) == pytest.approx(base, abs=1e-9)
+            assert gate_fidelity(d @ u, ccz) == pytest.approx(base, abs=1e-9)
 
     def test_bounded_for_contractions(self):
         rng = np.random.default_rng(8)
@@ -259,11 +260,12 @@ class TestGateFidelity:
             m = (u * s) @ np.linalg.qr(
                 rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
             )[0]
-            f = gate_fidelity(m, ccphase_ideal())
+            f = gate_fidelity(m, controlled_phase_ideal(3))
             assert -1e-12 <= f <= 1.0 + 1e-12
 
     def test_report_json_fields(self):
-        rep = fidelity_report(ccphase_ideal(), ccphase_ideal())
+        ccz = controlled_phase_ideal(3)
+        rep = fidelity_report(ccz, ccz)
         doc = rep.to_json()
         assert set(doc) == {
             "schema_version", "fidelity", "theta0", "theta1", "theta2", "theta4"
@@ -343,7 +345,7 @@ class TestPhaseFitOracle:
                    - gate_fidelity(u, target, want)) <= 1e-14
 
     def test_acceptance3_schedules(self, acceptance3_unitaries):
-        target = ccphase_ideal()
+        target = controlled_phase_ideal(3)
         for u in acceptance3_unitaries:
             self.assert_matches(u, target)
 
@@ -361,7 +363,7 @@ class TestPhaseFitOracle:
         )
         self.assert_matches(
             projected(three_transmon_chain(), load_ccphase_pulse()),
-            ccphase_ideal(),
+            controlled_phase_ideal(3),
         )
 
     def test_degenerate_coordinate_is_skipped(self):
@@ -441,7 +443,7 @@ class TestRefineOracle:
         # coordinate k is exactly zero: k is skipped and keeps its start.
         rng = np.random.default_rng(300 + n)
         target = controlled_phase_ideal(n)
-        bit = fidelity._phase_exponents(n)
+        bit = fidelity._phase_bits(n)
         for k in range(n):
             for zeroed in (1, 0):
                 for _ in range(10):
@@ -509,7 +511,8 @@ class TestScoreWaveform:
         assert run_qpt(device, pulse).closed_system_fidelity == fid
 
         monkeypatch.setenv("FLUXGATE_OUT_DIR", str(tmp_path))
-        save_schedule_json(pulse, tmp_path / "pulse.json")
+        (tmp_path / "pulse.json").write_text(
+            json.dumps(schedule_to_json(pulse)))
         (tmp_path / "device.json").write_text(
             json.dumps(device_to_json(device)))
         assert main([

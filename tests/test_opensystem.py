@@ -13,7 +13,7 @@ from fluxgate.device import (
     full_basis,
 )
 from fluxgate.errors import EvolutionError, TomographyError
-from fluxgate.fidelity import ccphase_ideal, controlled_phase_ideal
+from fluxgate.fidelity import controlled_phase_ideal
 from fluxgate.opensystem import (
     LindbladSpec,
     _StackEvolution,
@@ -77,6 +77,17 @@ class TestLindbladSpec:
         spec = LindbladSpec((20.0, 30.0), (20.0, 40.0))
         t1, t2 = spec.per_transmon(2)
         assert t1 == (20.0, 30.0) and t2 == (20.0, 40.0)
+
+    @pytest.mark.parametrize("t1, t2", [
+        (np.nan, 20.0), (20.0, np.nan), (np.nan, np.nan),
+        ((20.0, np.nan), (20.0, 20.0)),
+    ])
+    def test_nan_times_rejected(self, t1, t2):
+        # NaN failed neither the sign nor the T2 <= 2*T1 test, and
+        # rates_per_ns mapped it to a rate of 0: a channel with no decay.
+        with pytest.raises(ValueError, match="T1 and T2 must be positive, "
+                                             "got T1=.*nan"):
+            LindbladSpec(t1, t2).rates_per_ns(2)
 
 
 class TestOperators:
@@ -222,7 +233,7 @@ class TestEstimateChi:
         assert abs(chi).sum() == pytest.approx(1.0, abs=1e-7)
 
     def test_unitary_round_trip(self):
-        target = ccphase_ideal()
+        target = controlled_phase_ideal(3)
         inputs = prepare_qpt_inputs(3, 2)
         outputs = [target @ rho @ target.conj().T for rho in inputs]
         chi = estimate_chi(inputs, outputs)
@@ -249,7 +260,7 @@ class TestEstimateChi:
 
 class TestQptMetrics:
     def test_ideal_channel_scores_ones(self):
-        chi = chi_ideal(ccphase_ideal())
+        chi = chi_ideal(controlled_phase_ideal(3))
         rep = qpt_metrics(chi, chi)
         assert rep.process_fidelity == pytest.approx(1.0, abs=1e-12)
         assert rep.average_gate_fidelity == pytest.approx(1.0, abs=1e-12)
@@ -257,7 +268,7 @@ class TestQptMetrics:
 
     def test_zero_process_fidelity_maps_to_one_ninth(self):
         # With d = 8: F_g = (8*0 + 1)/9.
-        chi_a = chi_ideal(ccphase_ideal())
+        chi_a = chi_ideal(controlled_phase_ideal(3))
         chi_b = chi_ideal(np.eye(8))
         fake = qpt_metrics(np.zeros((64, 64)), chi_a)
         assert fake.average_gate_fidelity == pytest.approx(1 / 9, abs=1e-12)
@@ -271,7 +282,7 @@ class TestQptMetrics:
                 rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
             )
             chi = (v * w) @ v.conj().T
-            rep = qpt_metrics(chi, chi_ideal(ccphase_ideal()))
+            rep = qpt_metrics(chi, chi_ideal(controlled_phase_ideal(3)))
             assert rep.average_gate_fidelity == \
                 (8 * rep.process_fidelity + 1) / 9
 

@@ -3,7 +3,9 @@ loop's contracts (determinism, monotonicity, feasibility of everything it
 evaluates, checkpoint resume), and the local-search algorithm."""
 
 import copy
+import json
 import logging
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -37,6 +39,7 @@ from fluxgate.profiles import (
     toy_constraints,
     toy_two_transmon_chain,
 )
+from fluxgate.propagator import TrotterConfig
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +107,32 @@ class TestValidateConstraints:
     def test_json_round_trip(self, cs3):
         doc = constraints_to_json(cs3)
         assert constraints_from_json(doc) == cs3
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("max_step_ghz",), math.nan, "max_step must be positive and finite"),
+        (("max_step_ghz",), math.inf, "max_step must be positive and finite"),
+        (("boundary_step_ghz",), math.nan,
+         "boundary_step must be positive and finite"),
+        (("min_separation_ghz",), math.nan,
+         "min_separation must be positive and finite"),
+        (("ranges", 1, "lo_ghz"), math.nan, r"range ends must be finite, "
+                                            r"got \[nan, 0\.5\]"),
+        (("ranges", 1, "hi_ghz"), math.inf, "range ends must be finite"),
+        (("idle_frequencies_ghz", 2), math.nan,
+         "idle_frequencies must be finite"),
+    ])
+    def test_non_finite_json_values_rejected(self, cs3, path, value, message):
+        # A NaN step or boundary step switched its rule off, a NaN range
+        # end made repair keep the other end, and a NaN separation failed
+        # every schedule.
+        doc = constraints_to_json(cs3)
+        *parents, key = path
+        node = doc
+        for part in parents:
+            node = node[part]
+        node[key] = value
+        with pytest.raises(ValueError, match=message):
+            constraints_from_json(json.loads(json.dumps(doc)))
 
 
 class TestSeedPopulation:
@@ -402,6 +431,16 @@ class TestFitnessPipeline:
         with pytest.raises(ValueError, match="search_references must be "
                                              "finite"):
             ccphase_fitness(toy_two_transmon_chain(), (5.7, float("nan")))
+
+    def test_trotter_step_must_divide_segment(self):
+        dev = toy_two_transmon_chain()
+        ccphase_fitness(dev, TOY_REFERENCES, 1.0, TrotterConfig(0.1))
+        with pytest.raises(ValueError, match=r"step 0\.3 ns does not divide "
+                                             r"duration 1\.0 ns evenly"):
+            ccphase_fitness(dev, TOY_REFERENCES, 1.0, TrotterConfig(0.3))
+        with pytest.raises(ValueError, match=r"step 0\.1 ns leaves no step "
+                                             r"in segment duration 1e-12 ns"):
+            ccphase_fitness(dev, TOY_REFERENCES, 1e-12, TrotterConfig(0.1))
 
     def test_zero_chromosome_in_range(self):
         dev = toy_two_transmon_chain()

@@ -2,14 +2,15 @@
 defaults, the CLI configs match the library profiles, and the packaged
 pulses reproduce their recorded fidelities."""
 
+import json
 from pathlib import Path
 
 import pytest
 
-from fluxgate.device import load_device
+from fluxgate.device import device_from_json
 from fluxgate.optimizer import (
     ccphase_fitness,
-    load_constraints,
+    constraints_from_json,
     validate_constraints,
 )
 from fluxgate.profiles import (
@@ -55,7 +56,8 @@ CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
     ("toy_chain.json", toy_two_transmon_chain),
 ])
 def test_device_config_matches_profile(name, profile):
-    assert load_device(CONFIGS / name) == profile()
+    doc = json.loads((CONFIGS / name).read_text())
+    assert device_from_json(doc) == profile()
 
 
 @pytest.mark.parametrize("name, profile", [
@@ -65,7 +67,8 @@ def test_device_config_matches_profile(name, profile):
     ("toy_constraints.json", toy_constraints),
 ])
 def test_constraints_config_matches_profile(name, profile):
-    assert load_constraints(CONFIGS / name) == profile()
+    doc = json.loads((CONFIGS / name).read_text())
+    assert constraints_from_json(doc) == profile()
 
 
 def test_search_references():

@@ -671,11 +671,6 @@ class TestPoleChunks:
 
 
 class TestTrotterConfig:
-    def test_validate_against_segment(self):
-        TrotterConfig(0.1).validate_against(1.0)
-        with pytest.raises(ValueError):
-            TrotterConfig(0.3).validate_against(1.0)
-
     def test_positive_step(self):
         with pytest.raises(ValueError):
             TrotterConfig(0.0)

@@ -1,12 +1,14 @@
 """Process tomography of the shipped toy pulse, with and without decay.
 
 The channel is probed with all product preparations of
-{I, Rx(pi/2), Ry(pi/2), Rx(pi)} applied to |0...0>, evolved on the full
-(untruncated) space, and inverted into a process matrix in the Pauli
-basis.  Decoherence enters through per-transmon relaxation and pure
-dephasing at the configured T1/T2.  The table mirrors the closed- and
-open-system rows a gate characterization would report, including the
-sensitivity to the per-transmon level count.
+{I, Rx(pi/2), Ry(pi/2), Rx(pi)} applied to |0...0> and inverted into a
+process matrix in the Pauli basis.  Without decay the channel is the
+compensated unitary that scored the pulse; with decay the preparations
+are evolved on the full (untruncated) space, and decoherence enters
+through per-transmon relaxation and pure dephasing at the configured
+T1/T2.  The table mirrors the closed- and open-system rows a gate
+characterization would report, including the sensitivity to the
+per-transmon level count.
 
 CLI equivalent:
     fluxgate qpt --device demos/configs/toy_chain.json --pulses pulse.json \
@@ -27,8 +29,8 @@ for label, lindblad, levels in (
     ("levels=4, T1=T2=20us", LindbladSpec(20.0, 20.0), None),
     ("levels=3, T1=T2=20us", LindbladSpec(20.0, 20.0), 3),
 ):
-    result = run_qpt(device, pulse, lindblad=lindblad, target=target,
-                     levels=levels)
+    chain = device if levels is None else device.with_levels(levels)
+    result = run_qpt(chain, pulse, lindblad=lindblad, target=target)
     rows.append((label, result.report))
 
 print(f"closed-system gate fidelity of the pulse: "

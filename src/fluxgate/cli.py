@@ -429,6 +429,8 @@ def cmd_optimize(args):
 
 def cmd_qpt(args):
     device, schedule, trotter, target, config = _pulse_inputs(args)
+    if args.levels is not None:
+        device = device.with_levels(args.levels)
     lindblad = None
     if args.t1_us is not None or args.t2_us is not None:
         # An omitted time adds no decay: T1 = inf, or T2 = 2*T1 (no pure
@@ -440,7 +442,7 @@ def cmd_qpt(args):
                   target=args.target)
     t0 = time.perf_counter()
     result = run_qpt(device, schedule, trotter, lindblad=lindblad,
-                     target=target, levels=args.levels)
+                     target=target)
     elapsed = time.perf_counter() - t0
     out = _resolve(args.out)
     manifest = _write_manifest(
@@ -456,7 +458,7 @@ def cmd_qpt(args):
         "schema_version": SCHEMA_VERSION,
         "manifest_hash": manifest["manifest_hash"],
         **result.report.to_json(),
-        "levels": args.levels or device.levels_per_transmon,
+        "levels": device.levels_per_transmon,
         "t1_us": args.t1_us,
         "t2_us": args.t2_us,
         "target": args.target,

@@ -174,12 +174,24 @@ def _contraction_plan(n):
 
 @lru_cache(maxsize=8)
 def _refine_kernel(n):
-    """The coordinate ascent of :func:`_refine` for n qubits, as one
-    generated Python function ``kernel(c, angles, tol, max_rounds)``.
+    """Exact coordinate ascent of |Tr(T^dag U M)| over the per-qubit
+    phases for n qubits, as one generated Python function
+    ``kernel(c, angles, tol, max_rounds)``.
 
-    ``angles`` holds the global phase theta0 and then each qubit's anchor
-    angle; a qubit phase starts at its angle minus theta0.  The kernel
-    returns theta0 and the refined qubit phases, as one tuple.
+    ``c[b] = sum_a conj(T[a, b]) U[a, b]`` collects everything that
+    multiplies the b-th compensation phase.  ``angles`` holds the global
+    phase theta0 and then each qubit's anchor angle; a qubit phase starts
+    at its angle minus theta0.  The kernel returns theta0 and the refined
+    qubit phases, as one tuple.
+
+    With all other phases fixed, the trace is A + B*exp(-i t_k), so each
+    coordinate update is closed-form: t_k = arg(B) - arg(A); a coordinate
+    whose |A| or |B| is below 1e-15 is skipped.  The kernel runs on Python
+    complex scalars and carries the unit phasors z_j = exp(-i t_j), updated
+    as A conj(B) / (|A| |B|), so no exponential is taken inside the loop;
+    the global phase drops out of the modulus and is left untouched.
+    Rounds stop when none moves a phase by ``tol`` or more, or after
+    ``max_rounds``.
 
     The stages of :func:`_contraction_plan` are written out as one
     ``x + zj * y`` statement per multiply-add, on locals: c0, c1, ... for
@@ -229,28 +241,6 @@ def _refine_kernel(n):
     return namespace["kernel"]
 
 
-def _refine(u, target, theta_qubits, tol, max_rounds):
-    """Exact coordinate ascent of |Tr(T^dag U M)| over the per-qubit phases.
-
-    With all other phases fixed, the trace is A + B*exp(-i t_k), so each
-    coordinate update is closed-form: t_k = arg(B) - arg(A); a coordinate
-    whose |A| or |B| is below 1e-15 is skipped.  The kernel runs on Python
-    complex scalars and carries the unit phasors z_j = exp(-i t_j), updated
-    as A conj(B) / (|A| |B|), so no exponential is taken inside the loop;
-    the global phase drops out of the modulus and is left untouched.
-    (A, B) come from the stages of :func:`_contraction_plan`, which
-    :func:`_refine_kernel` writes out as straight-line code once per qubit
-    count.  Rounds stop when none moves a phase by ``tol`` or more, or
-    after ``max_rounds``.  :func:`_fit_stack` runs the same kernel on the
-    ``c`` of every member of a stack, formed in one pass.
-    """
-    # c[b] collects everything that multiplies the b-th compensation phase.
-    c = (np.conj(target) * np.asarray(u)).sum(axis=0).tolist()
-    # x - 0.0 is x, bit for bit: the start is theta_qubits itself.
-    kernel = _refine_kernel(len(theta_qubits))
-    return kernel(c, (0.0, *theta_qubits), tol, max_rounds)[1:]
-
-
 @lru_cache(maxsize=8)
 def _anchor_cells(n):
     """Flat positions, in a 2**n x 2**n matrix, of the diagonal entries of
@@ -268,8 +258,8 @@ def _fit_stack(u, target, refine):
     phases, all wrapped to (-pi, pi].
 
     The anchor entries are gathered and checked, and the closed form, the
-    ``c`` vectors of :func:`_refine` and the wrap are computed, for the
-    whole stack at once.  Only the scalar kernel runs per member: numpy's
+    ``c`` vectors of :func:`_refine_kernel` and the wrap are computed, for
+    the whole stack at once.  Only the scalar kernel runs per member: numpy's
     complex multiply, ``abs`` and ``arctan2`` round differently from the
     Python scalar operations it is made of.  Every stacked step is
     elementwise, or sums along the same axis in the same order as for one

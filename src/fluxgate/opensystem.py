@@ -29,21 +29,24 @@ step's rounding, so chi stays within a few 1e-15 of the unmerged split's,
 where an exponential at dt moved it by 2e-14 on the 500-step three-qubit
 pulse.
 
-One core evolves a whole stack of density matrices at once: tomography
-feeds its inputs through it a few at a time, and :func:`evolve_density`
-is its single-matrix case.  The half-step unitaries come from the
-propagator in one batch, and each conjugation is a pair of GEMMs per
-total-excitation block over the whole stack.  The dissipator needs
-no matrix product: a^dag a and n^2 are diagonal, so the anticommutator
-and the dephasing jumps reduce to one precomputed elementwise factor, and
-each relaxation jump a rho a^dag is a weighted gather of rho at the
-states one level up.
+With decoherence, one core evolves a whole stack of density matrices at
+once: tomography feeds its inputs through it a few at a time, and
+:func:`evolve_density` is its single-matrix case.  The half-step
+unitaries come from the propagator in one batch, and each conjugation is
+a pair of GEMMs per total-excitation block over the whole stack.  The
+dissipator needs no matrix product: a^dag a and n^2 are diagonal, so the
+anticommutator and the dephasing jumps reduce to one precomputed
+elementwise factor, and each relaxation jump a rho a^dag is a weighted
+gather of rho at the states one level up.
 
 Tomography follows the standard prepare-evolve-invert recipe: the 4**n
 product preparations {I, Rx(pi/2), Ry(pi/2), Rx(pi)} applied to |0...0>
 span the computational operator space; linear inversion of the evolved
 pairs yields the process matrix chi in the n-qubit Pauli basis, which is
-then projected to the nearest Hermitian PSD trace-one matrix.
+then projected to the nearest Hermitian PSD trace-one matrix.  Without
+decoherence the channel is the scored compensated unitary itself: H
+conserves the excitation number and the working basis holds every state
+with at most n excitations, so its computational block is the full one.
 """
 
 import math
@@ -157,15 +160,9 @@ def number_operator(levels):
     return np.diag(np.arange(levels).astype(complex))
 
 
-def _blocks_of(u, order, slices):
-    """Diagonal excitation blocks of ``u`` in excitation-sorted order, each
-    with its conjugate transpose."""
-    u = u[np.ix_(order, order)]
-    return tuple((u[s, s], u[s, s].conj().T) for s in slices)
-
-
 class _StackEvolution:
-    """Evolution of stacks of full-space density matrices under one pulse.
+    """Lindblad evolution of stacks of full-space density matrices under
+    one pulse.
 
     Everything that depends only on the pulse and the decoherence model is
     built once, on construction; calling the object evolves a (B, dim, dim)
@@ -174,11 +171,9 @@ class _StackEvolution:
     rho -> u rho u^dag by a block-diagonal u is two GEMMs per block over
     the whole stack.
 
-    Without decoherence the stack is conjugated once by the unitary of
-    :func:`~fluxgate.propagator.evolve`.  With decoherence, each Trotter
-    step is the Strang split of the module docstring with merged half
-    steps: the stack is conjugated by the first step's half step
-    (``opening``), and after each step's dissipation by the conjugations
+    Each Trotter step is the Strang split of the module docstring with
+    merged half steps: the stack is conjugated by the first step's half
+    step (``opening``), and after each step's dissipation by the conjugations
     of ``steps``: the run's full step between two steps of one run, the
     run's closing half and the next run's opening half at a run boundary,
     and the last half step at the end, so k steps take k + 1 conjugations
@@ -203,12 +198,8 @@ class _StackEvolution:
         # position[i]: where lexicographic basis index i sits in that order.
         self.position = np.empty(self.dim, dtype=np.intp)
         self.position[self.order] = np.arange(self.dim)
-        self.unitary, self.opening, self.steps, self.jumps = None, None, (), ()
+        self.opening, self.steps, self.jumps = None, (), ()
         self._flat = {}  # _flat_jumps, per batch size
-        if lindblad is None:
-            u = evolve(device, waveform, trotter, basis=basis)
-            self.unitary = _blocks_of(u, self.order, self.slices)
-            return
         dt = trotter.step
         if trotter.n_steps(waveform.duration) == 0:
             return
@@ -219,7 +210,10 @@ class _StackEvolution:
             )
         except SingularityError as err:
             raise _pole_error(err, times) from err
-        halves = [_blocks_of(u, self.order, self.slices) for u in units]
+        # Each half step's diagonal excitation blocks, with their adjoints.
+        units = units[:, self.order[:, None], self.order]
+        halves = [tuple((u[s, s], u[s, s].conj().T) for s in self.slices)
+                  for u in units]
         # After each step's dissipation: the run's full step before the
         # next step of the run, the two halves at a run boundary, and the
         # last half step at the end.  The full step is the square of the
@@ -304,8 +298,6 @@ class _StackEvolution:
             stack[:, self.order[:, None], self.order].transpose(1, 0, 2)
         )
         work = np.empty_like(x)
-        if self.unitary is not None:
-            self._conjugate(x, work, self.unitary)
         if self.steps:
             jumps = self._flat_jumps(x.shape[1])
             pulled = [np.empty(len(dst), dtype=complex) for dst, _, _ in jumps]
@@ -332,7 +324,8 @@ def evolve_density(rho0, device, waveform, trotter=TrotterConfig(), lindblad=Non
     trotter : TrotterConfig
         Also sets the fixed integration step for the dissipator.
     lindblad : LindbladSpec, optional
-        Decoherence model; omitted means purely unitary conjugation.
+        Decoherence model; omitted means conjugation by the full-space
+        unitary of :func:`~fluxgate.propagator.evolve`.
     """
     dim = full_basis(device).dimension
     rho = np.array(rho0, dtype=complex)
@@ -342,6 +335,9 @@ def evolve_density(rho0, device, waveform, trotter=TrotterConfig(), lindblad=Non
             f"got {rho.shape}"
         )
     validate_density(rho)
+    if lindblad is None:
+        u = evolve(device, waveform, trotter, basis=full_basis(device))
+        return u @ rho @ u.conj().T
     return _StackEvolution(device, waveform, trotter, lindblad)(rho[None])[0]
 
 
@@ -518,32 +514,29 @@ class QptResult:
     closed_system_fidelity: float
 
 
-def run_qpt(device, schedule, trotter=TrotterConfig(), lindblad=None, target=None,
-            levels=None):
+def run_qpt(device, schedule, trotter=TrotterConfig(), lindblad=None, target=None):
     """Full tomography of a pulse: evolve the 4**n preparations and invert.
 
-    The single-qubit phase compensation is fitted from a closed-system run
-    of the same pulse and applied as a virtual-Z conjugation of the input
-    states, so the characterized channel is the compensated gate.  The
-    preparations are evolved together, in stacks of :data:`_QPT_STACK`,
-    and each output is cut to its computational block at once.  Leakage
-    out of the computational subspace appears as trace loss absorbed by
-    the PSD projection inside :func:`estimate_chi`.
+    The characterized channel is the gate that :func:`score_waveform`
+    scored, with its fitted Z compensation: without decoherence its
+    compensated unitary, applied to the computational inputs.  With
+    decoherence the compensation conjugates the input states, which are
+    evolved together, in stacks of :data:`_QPT_STACK`, and cut to their
+    computational block at once.  Leakage out of the computational
+    subspace appears as trace loss absorbed by the PSD projection inside
+    :func:`estimate_chi`.
 
     Parameters
     ----------
     device : DeviceChain
+        Another level count is ``device.with_levels(levels)``.
     schedule : PulseSchedule or Waveform
     trotter : TrotterConfig
     lindblad : LindbladSpec, optional
     target : ndarray, optional
         Target gate on the computational subspace (default: the
         controlled-phase gate on n qubits).
-    levels : int, optional
-        Override the device's levels_per_transmon for this run.
     """
-    if levels is not None and levels != device.levels_per_transmon:
-        device = device.with_levels(levels)
     n = device.n_transmons
     lv = device.levels_per_transmon
     if target is None:
@@ -555,15 +548,20 @@ def run_qpt(device, schedule, trotter=TrotterConfig(), lindblad=None, target=Non
     )
 
     rep = score_waveform(device, waveform, target, trotter)
-    comp_diag = _embed_compensation(rep.phases, n, lv)
     states = _qpt_input_states(n, lv)
     idx = full_basis(device).qubit_indices
-    evolve_stack = _StackEvolution(device, waveform, trotter, lindblad)
-    outputs = []
-    for start in range(0, len(states), _QPT_STACK):
-        stack = _outer(states[start:start + _QPT_STACK])
-        stack = comp_diag[:, None] * stack * comp_diag.conj()
-        outputs.append(evolve_stack(stack, keep=idx))
-    chi = estimate_chi(_outer(states[:, idx]), np.concatenate(outputs))
+    inputs = _outer(states[:, idx])
+    if lindblad is None:
+        outputs = rep.compensated @ inputs @ rep.compensated.conj().T
+    else:
+        comp_diag = _embed_compensation(rep.phases, n, lv)
+        evolve_stack = _StackEvolution(device, waveform, trotter, lindblad)
+        outputs = []
+        for start in range(0, len(states), _QPT_STACK):
+            stack = _outer(states[start:start + _QPT_STACK])
+            stack = comp_diag[:, None] * stack * comp_diag.conj()
+            outputs.append(evolve_stack(stack, keep=idx))
+        outputs = np.concatenate(outputs)
+    chi = estimate_chi(inputs, outputs)
     report = qpt_metrics(chi, chi_ideal(target))
     return QptResult(chi, report, rep.phases, rep.fidelity)

@@ -375,6 +375,13 @@ class DEConfig:
                 "population must hold at least 4 members (three donors plus "
                 "the target)"
             )
+        # A NaN target ends the search at generation 0; a NaN probability
+        # or bound switches its draw off.
+        for name in ("mutation_bounds", "crossover_bounds", "target_fidelity",
+                     "readapt_probability", "subspace_probability"):
+            value = getattr(self, name)
+            if not all(map(math.isfinite, np.ravel(value))):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 def seed_population(config, constraints, references, n_segments, rng=None):
@@ -575,6 +582,9 @@ class LocalSearchConfig:
     window: int = 1
 
     def __post_init__(self):
+        if not math.isfinite(self.target_fidelity):  # NaN is never reached
+            raise ValueError(f"target_fidelity must be finite, got "
+                             f"{self.target_fidelity}")
         if not 0 < self.eps_min < self.eps_max:
             raise ValueError("need 0 < eps_min < eps_max")
         if not 0 < self.shrink < 1:

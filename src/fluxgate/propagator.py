@@ -229,9 +229,11 @@ def _run_unitaries(template, rows, dts):
 
     Runs bit-identical to the same run of the previous call (same template
     and row shape) reuse its unitary; the others are exponentiated in one
-    batch.  When few runs changed, only the tree nodes above them are
-    multiplied again.  The levels may be the stored ones, so callers never
-    write into them.
+    batch.  When some runs are kept (or the tree is one run, which has no
+    product), only the tree nodes above the changed ones are multiplied
+    again, each by the matmul that builds it in :func:`_product_tree`;
+    otherwise the whole tree is built.  The levels may be the stored ones,
+    so callers never write into them.
 
     A run on a pole raises the SingularityError of ``build``, its ``row``
     the index of the earliest such run in ``rows``.  The reused runs are
@@ -252,15 +254,10 @@ def _run_unitaries(template, rows, dts):
     except SingularityError as err:
         err.row = int(fresh[err.row])
         raise
-    # A changed run costs one product per level; the full tree, S - 1.
-    if last is not None and len(fresh) * (len(last[3]) - 1) < len(rows):
+    if last is not None and (len(fresh) < len(rows) or len(rows) == 1):
         levels = _update_tree(last[3], u, fresh)
-    elif len(fresh) == len(rows):
-        levels = _product_tree(u)
     else:
-        stack = np.array(last[3][0])
-        stack[fresh] = u
-        levels = _product_tree(stack)
+        levels = _product_tree(u)
     _LAST_RUNS = (template, rows, dts, levels)
     return levels
 

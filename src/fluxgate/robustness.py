@@ -52,8 +52,9 @@ class SmoothingParams:
     t_ramp: float = 1.0
 
     def __post_init__(self):
-        if self.t_ramp <= 0:
-            raise ValueError("t_ramp must be positive")
+        if not (math.isfinite(self.t_ramp) and self.t_ramp > 0):  # NaN too
+            raise ValueError(f"t_ramp must be positive and finite, got "
+                             f"{self.t_ramp}")
 
     @property
     def sigma(self):

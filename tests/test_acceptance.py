@@ -274,7 +274,7 @@ def test_06_decoherence_magnitude(device, learned_pulse):
 
 def test_07_truncation_sensitivity(device, learned_pulse):
     f4 = run_qpt(device, learned_pulse).report.process_fidelity
-    f3 = run_qpt(device, learned_pulse, levels=3).report.process_fidelity
+    f3 = run_qpt(device.with_levels(3), learned_pulse).report.process_fidelity
     gap = abs(f4 - f3)
     ok = gap < 5e-3
     report(7, ok, f"F_p(levels=4) = {f4:.5f}, F_p(levels=3) = {f3:.5f}, "

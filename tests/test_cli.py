@@ -3,6 +3,7 @@ hash contract, and byte-identical reruns."""
 
 import argparse
 import json
+import math
 import os
 import runpy
 from pathlib import Path
@@ -571,6 +572,24 @@ class TestOptimizeInputErrors:
             "--de-config", str(workdir / "de.json"), "--out", "b.csv",
         ])
         self.expect_error(capsys, rc, "unknown DEConfig field(s): bogus")
+
+    def test_nan_de_target(self, workdir, capsys):
+        # Python's json reads NaN; as a target it ended every run_sussade
+        # call at generation 0, so the checkpoint loop never stopped.
+        (workdir / "de.json").write_text(json.dumps({
+            "population_size": 8, "max_generations": 2,
+            "target_fidelity": math.nan, "seed": 3,
+        }))
+        rc = main([
+            "optimize", "--device", str(workdir / "device.json"),
+            "--constraints", str(workdir / "constraints.json"),
+            "--de-config", str(workdir / "de.json"), "--segments", "4",
+            "--out", "b.csv", "--state-out", "st.json",
+        ])
+        self.expect_error(capsys, rc,
+                          "target_fidelity must be finite, got nan")
+        assert not (workdir / "b.csv").exists()
+        assert not (workdir / "st.json").exists()
 
     def test_unknown_local_search_key(self, workdir, capsys):
         (workdir / "ls.json").write_text(json.dumps({"eps_max": 0.1,

@@ -425,12 +425,20 @@ def frozen_refine(u, target, theta_qubits, tol, max_rounds):
     return tuple(theta)
 
 
+def kernel_refine(u, target, start, tol, max_rounds):
+    """The qubit phases that _refine_kernel fits to ``u`` from ``start``,
+    with c formed as for one member in _fit_stack."""
+    c = (np.conj(target) * np.asarray(u)).sum(axis=0).tolist()
+    kernel = fidelity._refine_kernel(len(start))
+    return kernel(c, (0.0, *start), tol, max_rounds)[1:]
+
+
 class TestRefineOracle:
     """The kernel generated from the per-n contraction plan gives the bits
     of the per-call contraction it replaced."""
 
     def assert_same_bits(self, u, target, start, max_rounds=200):
-        got = fidelity._refine(u, target, start, 1e-9, max_rounds)
+        got = kernel_refine(u, target, start, 1e-9, max_rounds)
         want = frozen_refine(u, target, start, 1e-9, max_rounds)
         assert len(got) == len(want)
         assert np.array_equal(np.array(got).view(np.uint64),
@@ -463,7 +471,7 @@ class TestRefineOracle:
             u = haar_unitary(rng, 2 ** n) * rng.uniform(0.5, 1.0, size=2 ** n)
             start = tuple(rng.uniform(-np.pi, np.pi, size=n))
             got = self.assert_same_bits(u, target, start, max_rounds)
-            capped += got != fidelity._refine(u, target, start, 1e-9, 200)
+            capped += got != kernel_refine(u, target, start, 1e-9, 200)
         # The cap stopped most fits before they converged.
         assert capped > 25
 

@@ -1,21 +1,29 @@
 """Open-system tests: Lindblad decay against analytic oracles, the stacked
-density core against the dense loop and the exact Liouvillian, density
-invariants, tomography reconstruction, and the channel metrics."""
+density core against the dense loop and the exact Liouvillian, the closed
+channel against the full-space path, density invariants, tomography
+reconstruction, and the channel metrics."""
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from fluxgate import opensystem
 from fluxgate.device import (
     DeviceChain,
     TransmonSpec,
+    basis_for,
     build_hamiltonian,
     full_basis,
 )
 from fluxgate.errors import EvolutionError, TomographyError
-from fluxgate.fidelity import controlled_phase_ideal
+from fluxgate.fidelity import (
+    controlled_phase_ideal,
+    project_to_computational,
+    score_waveform,
+)
 from fluxgate.opensystem import (
     LindbladSpec,
+    _embed_compensation,
     _StackEvolution,
     chi_ideal,
     estimate_chi,
@@ -28,10 +36,11 @@ from fluxgate.opensystem import (
     run_qpt,
     validate_density,
 )
-from fluxgate.propagator import TrotterConfig, step_unitary
+from fluxgate.propagator import TrotterConfig, evolve, step_unitary
 from fluxgate.profiles import (
     THREE_QUBIT_REFERENCES,
     TOY_REFERENCES,
+    load_ccphase_pulse,
     load_toy_pulse,
     three_transmon_chain,
     toy_two_transmon_chain,
@@ -349,8 +358,68 @@ class TestRunQpt:
     def test_levels_override(self, toy_pulse):
         dev = toy_two_transmon_chain()
         r4 = run_qpt(dev, toy_pulse, target=controlled_phase_ideal(2))
-        r3 = run_qpt(dev, toy_pulse, target=controlled_phase_ideal(2), levels=3)
+        r3 = run_qpt(dev.with_levels(3), toy_pulse,
+                     target=controlled_phase_ideal(2))
         assert abs(r4.report.process_fidelity - r3.report.process_fidelity) < 5e-3
+
+
+def closed_case(case):
+    """(device, waveform, target) of a closed-system tomography case."""
+    if case == "toy":
+        return (toy_two_transmon_chain(),
+                PiecewiseConstantWaveform(load_toy_pulse()),
+                controlled_phase_ideal(2))
+    dev = three_transmon_chain()
+    if case == "ccz_3_levels":
+        dev = dev.with_levels(3)
+    return (dev, PiecewiseConstantWaveform(load_ccphase_pulse()),
+            controlled_phase_ideal(3))
+
+
+CLOSED_CASES = ["toy", "ccz", "ccz_3_levels"]
+
+
+def full_space_closed_chi(dev, wave, target):
+    """Oracle: closed-system chi through the full product space.  The
+    compensated inputs are conjugated by the full-space unitary of evolve
+    and cut to their computational block."""
+    n, levels = dev.n_transmons, dev.levels_per_transmon
+    basis = full_basis(dev)
+    idx = basis.qubit_indices
+    phases = score_waveform(dev, wave, target).phases
+    comp = _embed_compensation(phases, n, levels)
+    u = evolve(dev, wave, basis=basis)
+    inputs = np.array(prepare_qpt_inputs(n, levels))
+    outputs = u @ (comp[:, None] * inputs * comp.conj()) @ u.conj().T
+    return estimate_chi(inputs[:, idx[:, None], idx],
+                        outputs[:, idx[:, None], idx])
+
+
+class TestClosedChannel:
+    """Closed-system tomography reads the scored compensated unitary."""
+
+    @pytest.mark.parametrize("case", CLOSED_CASES)
+    def test_working_and_full_basis_blocks_agree(self, case):
+        # H conserves the excitation number, and the working basis holds
+        # every state with at most n excitations, so both evolutions have
+        # the same computational block.
+        dev, wave, _ = closed_case(case)
+        blocks = [project_to_computational(evolve(dev, wave, basis=b), b)
+                  for b in (basis_for(dev), full_basis(dev))]
+        assert np.abs(blocks[0] - blocks[1]).max() <= 1e-14
+
+    @pytest.mark.parametrize("case", CLOSED_CASES)
+    def test_closed_chi_matches_full_space_path(self, case, monkeypatch):
+        dev, wave, target = closed_case(case)
+        want = full_space_closed_chi(dev, wave, target)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("closed tomography left the working basis")
+
+        monkeypatch.setattr(opensystem, "_StackEvolution", refuse)
+        monkeypatch.setattr(opensystem, "evolve", refuse)
+        got = run_qpt(dev, wave, target=target)
+        assert np.abs(got.chi - want).max() <= 1e-15
 
 
 def _embed(op, position, n, levels):
@@ -450,17 +519,6 @@ class TestStackedCore:
                            lindblad=LindbladSpec())
         assert err.value.transmon == 2
         assert err.value.time == pytest.approx(3.05)
-
-    def test_closed_stack_is_conjugation_by_evolve(self):
-        from fluxgate.propagator import evolve
-
-        dev = toy_two_transmon_chain()
-        wave = PiecewiseConstantWaveform(load_toy_pulse())
-        u = evolve(dev, wave, basis=full_basis(dev))
-        stack = np.array(prepare_qpt_inputs(2, 4))
-        got = _StackEvolution(dev, wave, TrotterConfig(), None)(stack)
-        want = u @ stack @ u.conj().T
-        assert np.abs(got - want).max() <= 1e-14
 
 
 def liouvillian_evolution(rho, device, schedule, lindblad):

@@ -346,6 +346,24 @@ class TestRunSussade:
             DEConfig(population_size=3)
 
 
+@pytest.mark.parametrize("cls, name, value", [
+    (DEConfig, "target_fidelity", math.nan),
+    (DEConfig, "target_fidelity", math.inf),
+    (DEConfig, "readapt_probability", math.nan),
+    (DEConfig, "subspace_probability", math.nan),
+    (DEConfig, "mutation_bounds", (0.0, math.nan)),
+    (DEConfig, "crossover_bounds", (-math.inf, 1.0)),
+    (LocalSearchConfig, "target_fidelity", math.nan),
+    (LocalSearchConfig, "target_fidelity", -math.inf),
+])
+def test_non_finite_search_settings_rejected(cls, name, value):
+    # A NaN DE target ended the search at generation 0, a NaN readaptation
+    # probability never redrew a factor, and a NaN local-search target was
+    # never reached.
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        cls(**{name: value})
+
+
 class TestLocalSearch:
     def test_quadratic_converges_within_eps_min(self):
         cfg = LocalSearchConfig(eps_max=0.1, eps_min=1e-6, max_iterations=50,

@@ -34,6 +34,14 @@ class TestSmoothingParams:
         with pytest.raises(ValueError):
             SmoothingParams(t_ramp=0.0)
 
+    @pytest.mark.parametrize("t_ramp", [math.nan, math.inf])
+    def test_rejects_non_finite_ramp(self, t_ramp):
+        # A NaN ramp never entered a ramp, so the "smoothed" pulse scored
+        # as the unsmoothed one.
+        with pytest.raises(ValueError, match="t_ramp must be positive and "
+                                             "finite"):
+            SmoothingParams(t_ramp=t_ramp)
+
 
 class TestSmoothedWaveform:
     def setup_method(self):

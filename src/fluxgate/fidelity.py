@@ -15,9 +15,9 @@ The first term penalizes leakage out of the computational subspace (the
 projection of a leaky unitary is a contraction), the second rewards
 closeness to the target up to a global phase.  :func:`score_waveform` runs
 the whole chain, from evolution to score, for every caller; it is the
-one-waveform case of ``_score_waveforms``, which scores many waveforms with
-one evolution batch per chunk (the noise sweep) and fits and scores each
-chunk's projected unitaries as one stack (``_fidelity_reports``, whose
+one-waveform case of ``_score_runs``, which scores the sampled runs of many
+waveforms with one evolution batch (a noise-sweep chunk) and fits and
+scores their projected unitaries as one stack (``_fidelity_reports``, whose
 one-member case is :func:`fidelity_report`).
 """
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .device import _template, basis_for
 from .errors import DegenerateUnitaryError, EvolutionError
-from .propagator import TrotterConfig, _evolve_chunks
+from .propagator import TrotterConfig, _evolve_runs, _sampled_runs
 
 __all__ = [
     "controlled_phase_ideal",
@@ -403,29 +403,28 @@ def fidelity_report(u, target, refine=True):
     return report
 
 
-def _score_waveforms(device, waveforms, target, trotter=TrotterConfig()):
-    """Score many waveforms as :func:`score_waveform` does, in chunks.
+def _score_runs(device, runs, target, step):
+    """Score sampled waveforms as :func:`score_waveform` does, from their
+    runs: per waveform its ``propagator._sampled_runs``, or None for one
+    that takes no step.
 
-    Each chunk of waveforms is evolved in one batch (see
-    ``propagator._evolve_chunks``) and projected in one gather; its
-    members without an EvolutionError are then fitted and scored as one
-    stack (:func:`_fidelity_reports`).  Yields, per waveform in order,
-    its FidelityReport, or the EvolutionError that :func:`score_waveform`
-    raises for it.  A member's report is bit-identical to the one it gets
-    when scored alone.
+    The waveforms are evolved in one batch (``propagator._evolve_runs``)
+    and projected in one gather; the members without an EvolutionError
+    are then fitted and scored as one stack (:func:`_fidelity_reports`).
+    Returns, per waveform in order, its FidelityReport, or the
+    EvolutionError that :func:`score_waveform` raises for it.  A member's
+    report is bit-identical to the one it gets when scored alone.
     """
     basis = basis_for(device)
     idx = basis.qubit_indices
     target = np.asarray(target, dtype=complex)
-    chunks = _evolve_chunks(_template(device, basis), waveforms, trotter)
-    for unitaries, errors in chunks:
-        scored = [p for p, error in enumerate(errors) if error is None]
-        if len(scored) < len(errors):
-            unitaries = unitaries[scored]
-        reports = iter(_fidelity_reports(
-            unitaries[:, idx[:, None], idx], target) if scored else ())
-        for error in errors:
-            yield next(reports) if error is None else error
+    unitaries, errors = _evolve_runs(_template(device, basis), runs, step)
+    scored = [p for p, error in enumerate(errors) if error is None]
+    if len(scored) < len(errors):
+        unitaries = unitaries[scored]
+    reports = iter(_fidelity_reports(
+        unitaries[:, idx[:, None], idx], target) if scored else ())
+    return [next(reports) if error is None else error for error in errors]
 
 
 def score_waveform(device, waveform, target, trotter=TrotterConfig()):
@@ -438,7 +437,8 @@ def score_waveform(device, waveform, target, trotter=TrotterConfig()):
         If the waveform crosses a resonator pole; see
         :func:`~fluxgate.propagator.evolve`.
     """
-    (result,) = _score_waveforms(device, [waveform], target, trotter)
+    (result,) = _score_runs(device, [_sampled_runs(waveform, trotter)],
+                            target, trotter.step)
     if isinstance(result, EvolutionError):
         raise result
     return result

@@ -201,9 +201,10 @@ class _StackEvolution:
         self.opening, self.steps, self.jumps = None, (), ()
         self._flat = {}  # _flat_jumps, per batch size
         dt = trotter.step
-        if trotter.n_steps(waveform.duration) == 0:
+        runs = _sampled_runs(waveform, trotter)
+        if runs is None:
             return
-        times, rows, counts = _sampled_runs(waveform, trotter)
+        times, rows, counts = runs
         try:
             units = _segment_unitaries(
                 template, rows, np.full(len(rows), 0.5 * dt)

@@ -20,6 +20,7 @@ the smallest step has been tried.
 
 import logging
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 
@@ -351,6 +352,15 @@ def repair_chromosome(chromosome, constraints, references, rng, clamp=True,
     return np.array(rows, dtype=float)
 
 
+def _check_integer(config, name):
+    """A config count must be an Integral that is not a bool.  A float is
+    refused even when whole: 8.5 fails deep in the search, and JSON's 1e400
+    parses as inf."""
+    value = getattr(config, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DEConfig:
     """Differential-evolution settings.
@@ -370,6 +380,8 @@ class DEConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("population_size", "max_generations"):
+            _check_integer(self, name)
         if self.population_size < 4:
             raise ValueError(
                 "population must hold at least 4 members (three donors plus "
@@ -582,9 +594,13 @@ class LocalSearchConfig:
     window: int = 1
 
     def __post_init__(self):
-        if not math.isfinite(self.target_fidelity):  # NaN is never reached
-            raise ValueError(f"target_fidelity must be finite, got "
-                             f"{self.target_fidelity}")
+        for name in ("max_iterations", "window"):
+            _check_integer(self, name)
+        # An infinite eps_max gives infinite rungs; NaN fails the order.
+        for name in ("target_fidelity", "eps_max", "eps_min"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0 < self.eps_min < self.eps_max:
             raise ValueError("need 0 < eps_min < eps_max")
         if not 0 < self.shrink < 1:

@@ -8,9 +8,10 @@ short constant-Hamiltonian exponentials,
 with the waveform sampled at every Trotter-step midpoint tau_i in one
 vectorized call.  Consecutive steps with identical samples share one
 constant Hamiltonian, so they merge into one exponential over their
-combined duration.  A piecewise-constant pulse whose segments the step
-divides is not sampled: its runs are its segments, neighbours with the
-same bits merged, with the times, rows and counts sampling would give.  The
+combined duration.  A piecewise-constant pulse is not sampled: its runs
+are read from its segment columns (each step's column when the step does
+not divide the segments), neighbours with the same bits merged, with the
+times, rows and counts sampling would give.  The
 Hamiltonians of all merged steps are built in one batch from the device's
 precomputed template, which holds every term and index that does not
 depend on frequency, and because H conserves the total excitation number
@@ -32,10 +33,13 @@ unchanged matrix with the kept tree, so a move copies no step stack.  A
 rebuild of some of the steps stacks them into one array; a rebuild of
 every step builds the tree from the new steps alone.
 
-Many waveforms evolve together in chunks: the runs of a chunk share one
-exponential batch, and the waveforms with equal run counts are multiplied
-out as one stack.  Every step and every product is computed exactly as for
-a lone waveform, so a waveform's unitary does not depend on its batch.
+Many waveforms can evolve together: their runs share one exponential
+batch, and the waveforms with equal run counts are multiplied out as one
+stack.  Every step and every product is computed exactly as for a lone
+waveform, so a waveform's unitary does not depend on its batch.  The noise
+sweep is the one such caller: it finds the runs of a whole stack of
+piecewise-constant pulses, given as their absolute segment frequencies, by
+one bit comparison, and no sample becomes a waveform object.
 
 A run on a resonator pole has no Hamiltonian: the batch's build raises the
 device's SingularityError at its earliest offending run.  That run's
@@ -150,67 +154,99 @@ def step_unitary(device, basis, frequencies, dt):
     return _segment_unitaries(_template(device, basis), rows, np.array([dt], float))[0]
 
 
-def _runs_of(values):
-    """(starts, counts) of the runs of consecutive columns with the same
-    bits in ``values``, shape (n_qubits, n) with n >= 1."""
-    bits = values.view(np.uint64)
-    new_run = np.empty(bits.shape[1], dtype=bool)
-    new_run[0] = True
-    (bits[:, 1:] != bits[:, :-1]).any(axis=0, out=new_run[1:])
-    starts = np.flatnonzero(new_run)
-    ends = np.empty_like(starts)
-    ends[:-1] = starts[1:]
-    ends[-1] = len(new_run)
-    return starts, ends - starts
+def _stack_runs(columns, m, step):
+    """The runs of every member of a (P, n_qubits, n) stack of frequency
+    columns, column j covering the m Trotter steps from j * m, as a list
+    of one (start times, rows, counts) triple per member.
 
-
-def _segment_runs(waveform, step, k):
-    """:func:`_sampled_runs` of a PiecewiseConstantWaveform read from its
-    segment columns, without sampling, or None when the step does not
-    divide the segments or a frequency is not finite.
-
-    The step divides the segments when the k steps are m per segment;
-    ``sample`` then puts steps s*m to s*m + m - 1 in segment s, because k
-    is the rounded duration / step, so no midpoint drifts by the half step
-    that separates it from a segment boundary.  Neighbouring segments with
-    the same bits merge, and a run's start time is the midpoint of its
-    first step, ``(start + 0.5) * step``: the times, rows and counts have
-    the bits and dtypes of sampling every midpoint (tests/test_pulses.py).
+    A run is a stretch of neighbouring columns with the same bits, found
+    by one comparison over the whole stack.  A run's start time is the
+    midpoint of its first step, ``(start + 0.5) * step``, and its count is
+    its steps: the bits and dtypes of sampling every step of that member
+    alone (tests/test_pulses.py).
     """
-    m, rest = divmod(k, waveform.schedule.n_segments)
+    count, n_qubits, n = columns.shape
+    bits = columns.view(np.uint64)
+    new_run = np.empty((count, n), dtype=bool)
+    new_run[:, 0] = True
+    (bits[..., 1:] != bits[..., :-1]).any(axis=1, out=new_run[:, 1:])
+    # Every member's first column starts a run, so the run after a
+    # member's last one starts at the next member's flat index.
+    flat = np.flatnonzero(new_run)
+    stops = np.empty_like(flat)
+    stops[:-1] = flat[1:]
+    stops[-1] = new_run.size
+    start = flat % n
+    times = (start * m + 0.5) * step
+    rows = columns.transpose(0, 2, 1).reshape(-1, n_qubits).take(flat, axis=0)
+    counts = (stops - flat) * m
+    if count == 1:
+        return [(times, rows, counts)]
+    bounds = [*np.flatnonzero(start == 0).tolist(), len(flat)]
+    return [(times[a:b], rows[a:b], counts[a:b])
+            for a, b in zip(bounds, bounds[1:])]
+
+
+def _non_finite(value, time, qubit):
+    return ValueError(f"waveform frequency {value} GHz at t={time:g} ns "
+                      f"(qubit {qubit}) is not finite")
+
+
+def _schedule_runs(schedule, frequencies, trotter):
+    """The :func:`_sampled_runs` of each member of a (P, n_qubits,
+    n_segments) stack of absolute ``frequencies`` on the segments of
+    ``schedule``: what the member's PiecewiseConstantWaveform gives alone,
+    as a list.
+
+    When the step divides the segments, the k steps are m per segment;
+    sampling puts steps s*m to s*m + m - 1 in segment s, because k is the
+    rounded duration / step, so no midpoint drifts by the half step that
+    separates it from a segment boundary.  The runs are then read from the
+    segment columns, without sampling.  Otherwise every step's midpoint
+    picks its segment's column, as ``PiecewiseConstantWaveform.sample``
+    does.  A non-finite frequency is a ValueError that names the earliest
+    one's time and qubit, in the earliest member that has one.
+    """
+    k = trotter.n_steps(schedule.duration)
+    if k == 0:
+        return [None] * len(frequencies)
+    m, rest = divmod(k, schedule.n_segments)
     if rest:
-        return None
-    segments, counts = _runs_of(waveform._absolute)
-    rows = waveform._absolute.T[segments]
-    if not np.isfinite(rows).all():
-        return None
-    starts = segments * m
-    return (starts + 0.5) * step, rows, counts * m
+        m = 1
+        frequencies = frequencies[..., schedule._segment_indices(
+            (np.arange(k) + 0.5) * trotter.step)]
+    if not np.isfinite(frequencies).all():
+        bad = ~np.isfinite(frequencies.transpose(0, 2, 1))
+        p, j, qubit = np.argwhere(bad)[0]
+        raise _non_finite(frequencies[p, qubit, j],
+                          (j * m + 0.5) * trotter.step, qubit)
+    return _stack_runs(frequencies, m, trotter.step)
 
 
 def _sampled_runs(waveform, trotter):
     """The waveform sampled at every Trotter-step midpoint, merged into runs.
 
     Returns (start times, sample rows, counts): one entry per run of
-    consecutive bit-identical samples, in time order.  A non-finite sample
-    is a ValueError that names its time and qubit.  A
-    PiecewiseConstantWaveform whose ``sample`` is not overridden gives the
-    same runs from its segments (:func:`_segment_runs`) when the step
-    divides them.
+    consecutive bit-identical samples, in time order; or None when the
+    waveform takes no step.  A non-finite sample is a ValueError that
+    names its time and qubit.  A PiecewiseConstantWaveform whose
+    ``sample`` is not overridden gives the same runs from its segment
+    columns (:func:`_schedule_runs`).
     """
-    k = trotter.n_steps(waveform.duration)
     if type(waveform).sample is PiecewiseConstantWaveform.sample:
-        runs = _segment_runs(waveform, trotter.step, k)
-        if runs is not None:
-            return runs
+        (runs,) = _schedule_runs(waveform.schedule, waveform._absolute[None],
+                                 trotter)
+        return runs
+    k = trotter.n_steps(waveform.duration)
+    if k == 0:
+        return None
     times = (np.arange(k) + 0.5) * trotter.step
     samples = np.ascontiguousarray(waveform.sample(times), dtype=float)
     if not np.isfinite(samples).all():
         step, qubit = np.argwhere(~np.isfinite(samples))[0]
-        raise ValueError(f"waveform frequency {samples[step, qubit]} GHz at "
-                         f"t={times[step]:g} ns (qubit {qubit}) is not finite")
-    starts, counts = _runs_of(samples.T)
-    return times[starts], samples[starts], counts
+        raise _non_finite(samples[step, qubit], times[step], qubit)
+    (runs,) = _stack_runs(samples.T[None], 1, trotter.step)
+    return runs
 
 
 # The previous lone call's (template, rows, dts, tree): ``tree`` holds the
@@ -332,10 +368,11 @@ def _update_tree(levels, u, fresh):
 def _evolve_runs(template, runs, step):
     """Total unitaries of sampled waveforms, and their pole errors.
 
-    ``runs`` holds, per waveform, its ``_sampled_runs`` triple, or None for
-    a zero-duration waveform (the identity).  The runs of all waveforms
-    are exponentiated in one batch, ordered by run count, so the waveforms
-    with S runs are multiplied out as one (P, S, dim, dim) view of it.
+    ``runs`` holds, per waveform, its :func:`_sampled_runs`: a triple, or
+    None for a waveform that takes no step (the identity).  The runs of
+    all waveforms are exponentiated in one batch, ordered by run count, so
+    the waveforms with S runs are multiplied out as one (P, S, dim, dim)
+    view of it.
     Returns the unitaries, shape (P, dim, dim), and per waveform None or
     the EvolutionError that :func:`evolve` raises for it (its unitary is
     then zero).  Each waveform on a pole costs the batch one more try.
@@ -389,37 +426,6 @@ def _evolve_runs(template, runs, step):
     return out, errors
 
 
-# Step unitaries held per chunk of waveforms, in bytes.  It bounds the
-# memory of a batch whatever the number of waveforms: the chunk's
-# Hamiltonians, step unitaries and products take a few times this much.
-_CHUNK_BYTES = 1 << 19
-
-
-def _evolve_chunks(template, waveforms, trotter):
-    """Total unitaries of many waveforms, a chunk at a time.
-
-    Each waveform is sampled once.  Consecutive waveforms are gathered
-    until their matrices fill ``_CHUNK_BYTES``: a step unitary per run, or
-    one identity for a zero-duration waveform.  Each chunk is then evolved
-    by :func:`_evolve_runs`, and its (unitaries, errors) pair is yielded.
-    ``waveforms`` may be any iterable; it is read lazily.
-    """
-    budget = max(1, _CHUNK_BYTES // (16 * template.dim ** 2))
-    chunk, rows = [], 0
-    for waveform in waveforms:
-        if trotter.n_steps(waveform.duration) == 0:
-            chunk.append(None)
-            rows += 1
-        else:
-            chunk.append(_sampled_runs(waveform, trotter))
-            rows += len(chunk[-1][1])
-        if rows >= budget:
-            yield _evolve_runs(template, chunk, trotter.step)
-            chunk, rows = [], 0
-    if chunk:
-        yield _evolve_runs(template, chunk, trotter.step)
-
-
 def evolve(device, waveform, trotter=TrotterConfig(), basis=None):
     """Total unitary of a waveform on the device's truncated basis.
 
@@ -454,9 +460,9 @@ def evolve(device, waveform, trotter=TrotterConfig(), basis=None):
     """
     if basis is None:
         basis = basis_for(device)
-    unitaries, errors = next(
-        _evolve_chunks(_template(device, basis), [waveform], trotter)
-    )
+    unitaries, errors = _evolve_runs(_template(device, basis),
+                                     [_sampled_runs(waveform, trotter)],
+                                     trotter.step)
     if errors[0] is not None:
         raise errors[0]
     return unitaries[0]

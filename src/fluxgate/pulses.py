@@ -6,8 +6,8 @@ maps continuous time in ns to absolute per-qubit frequencies in GHz; the
 propagator samples it at all Trotter-step midpoints in one
 :meth:`Waveform.sample` call, so smoothed (distorted) pulse shapes reuse
 the same evolution code unchanged.  A :class:`PiecewiseConstantWaveform`
-is not sampled when the step divides its segments: the propagator reads
-its runs from the segment columns, with the same result.
+is not sampled: the propagator reads its runs from the segment columns,
+with the same result.
 
 Each file format has one codec pair on text or parsed JSON
 (:func:`schedule_to_csv`/:func:`schedule_from_csv`,
@@ -92,6 +92,15 @@ class PulseSchedule:
             raise ValueError(f"t={t} outside [0, {self.duration}]")
         return min(int(t / self.segment_duration), self.n_segments - 1)
 
+    def _segment_indices(self, times):
+        """Vectorized :meth:`segment_index` over an array of ``times``."""
+        times = np.asarray(times, dtype=float)
+        if times.size and not (times.min() >= 0 and times.max() <= self.duration):
+            raise ValueError(f"sample times outside [0, {self.duration}]")
+        return np.minimum(
+            (times / self.segment_duration).astype(np.intp), self.n_segments - 1
+        )
+
 
 class Waveform:
     """Map from time t in [0, duration] (ns) to per-qubit frequencies (GHz)."""
@@ -121,14 +130,7 @@ class PiecewiseConstantWaveform(Waveform):
 
     def sample(self, times):
         """Vectorized :meth:`frequencies`: the same segment for every time."""
-        sched = self.schedule
-        times = np.asarray(times, dtype=float)
-        if times.size and not (times.min() >= 0 and times.max() <= self.duration):
-            raise ValueError(f"sample times outside [0, {self.duration}]")
-        index = np.minimum(
-            (times / sched.segment_duration).astype(np.intp), sched.n_segments - 1
-        )
-        return self._absolute.T[index]
+        return self._absolute.T[self.schedule._segment_indices(times)]
 
 
 def _format(value):

@@ -16,18 +16,25 @@ penalty grow with the ramp length.
 Noise robustness is probed by adding i.i.d. uniform(-1, 1) draws, scaled
 by an amplitude in MHz, to every (qubit, segment) detuning and averaging
 the resulting gate fidelities; noisy samples deliberately skip the
-design-constraint checks (noise models hardware, not design).
+design-constraint checks (noise models hardware, not design).  A sweep
+never builds a schedule or a waveform per sample: it scores the samples in
+chunks, each one stack of absolute frequencies whose runs are found in one
+pass and evolved and scored as one batch, with the bits each sample gets
+alone.
 """
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
+from itertools import chain, islice, product
 
 import numpy as np
 
+from .device import basis_for
 from .errors import EvolutionError
-from .fidelity import _score_waveforms, controlled_phase_ideal, score_waveform
-from .propagator import TrotterConfig
+from .fidelity import _score_runs, controlled_phase_ideal, score_waveform
+from .propagator import TrotterConfig, _schedule_runs
 from .pulses import PiecewiseConstantWaveform, Waveform
 
 __all__ = [
@@ -148,6 +155,11 @@ class NoiseSweepConfig:
                 raise ValueError(f"amplitudes must be finite, got {a}")
         if any(a < 0 for a in self.amplitudes_mhz):
             raise ValueError("amplitudes must be >= 0")
+        # A bool is an Integral too; a float such as 8.5 or inf is not.
+        if (isinstance(self.samples, bool)
+                or not isinstance(self.samples, numbers.Integral)):
+            raise ValueError(
+                f"samples must be an integer, got {self.samples!r}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
 
@@ -174,9 +186,16 @@ class RobustnessReport:
 
 
 def _sample_rng(seed, amplitude_index, sample_index):
-    return np.random.default_rng(
-        np.random.SeedSequence([seed, amplitude_index, sample_index])
-    )
+    """The generator of one noise sample: what ``default_rng`` returns for
+    the sample's SeedSequence, built without its dispatch."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence([seed, amplitude_index, sample_index])))
+
+
+# Step unitaries held per chunk of noise samples, in bytes.  It bounds the
+# memory of a sweep whatever the number of samples: a chunk's Hamiltonians,
+# step unitaries and products take a few times this much.
+_CHUNK_BYTES = 1 << 19
 
 
 def noise_sweep(schedule, device, config=NoiseSweepConfig(),
@@ -195,9 +214,13 @@ def noise_sweep(schedule, device, config=NoiseSweepConfig(),
     reported mean equals it bit-for-bit.
 
     The baseline and the samples, in that order, are scored in chunks of
-    consecutive members, each evolved as one batch, so memory stays
-    bounded whatever ``config.samples`` is; a member scores exactly as it
-    does alone through :func:`~fluxgate.fidelity.score_waveform`.
+    consecutive members, so memory stays bounded whatever
+    ``config.samples`` is.  A chunk is one (P, n_qubits, n_segments) stack
+    of absolute frequencies, ``references + (detunings + noise)``; the runs
+    of all its members are found in one pass over the stack, evolved as
+    one batch and scored as one stack.  A member scores exactly as its
+    PiecewiseConstantWaveform does alone through
+    :func:`~fluxgate.fidelity.score_waveform`.
 
     Raises
     ------
@@ -208,19 +231,37 @@ def noise_sweep(schedule, device, config=NoiseSweepConfig(),
     if target is None:
         target = controlled_phase_ideal(device.n_transmons)
     shape = schedule.detunings.shape
+    references = np.asarray(schedule.search_references)[:, None]
+    scales = [amp * MHZ_TO_GHZ for amp in config.amplitudes_mhz]
+    # A member has at most one run per segment and one per step; one that
+    # takes no step is one identity matrix.
+    most_runs = max(1, min(shape[1], trotter.n_steps(schedule.duration)))
+    budget = max(1, _CHUNK_BYTES // (16 * basis_for(device).dimension ** 2))
+    per_chunk = -(-budget // most_runs)
 
-    def waveforms():
-        yield PiecewiseConstantWaveform(schedule)
-        for a_idx, amp in enumerate(config.amplitudes_mhz):
-            amp_ghz = amp * MHZ_TO_GHZ
-            for s_idx in range(config.samples):
-                rng = _sample_rng(config.seed, a_idx, s_idx)
-                noise = amp_ghz * rng.uniform(-1.0, 1.0, size=shape)
-                yield PiecewiseConstantWaveform(
-                    schedule.with_detunings(schedule.detunings + noise)
-                )
+    def scored():
+        # None is the noiseless pulse; (a, s) is sample s of amplitude a.
+        members = chain([None], product(range(len(scales)),
+                                        range(config.samples)))
+        while chunk := list(islice(members, per_chunk)):
+            noise = np.zeros((len(chunk), *shape))
+            scale = np.zeros(len(chunk))
+            for i, member in enumerate(chunk):
+                if member is not None:
+                    a_idx, s_idx = member
+                    scale[i] = scales[a_idx]
+                    noise[i] = _sample_rng(config.seed, a_idx, s_idx).uniform(
+                        -1.0, 1.0, size=shape)
+            frequencies = references + (
+                schedule.detunings + scale[:, None, None] * noise)
+            if chunk[0] is None:
+                # Exactly the pulse's own: adding a zero turns a -0.0
+                # detuning into +0.0, which a -0.0 reference would keep.
+                frequencies[0] = schedule.absolute_frequencies()
+            runs = _schedule_runs(schedule, frequencies, trotter)
+            yield from _score_runs(device, runs, target, trotter.step)
 
-    results = _score_waveforms(device, waveforms(), target, trotter)
+    results = scored()
     first = next(results)
     if isinstance(first, EvolutionError):
         raise first

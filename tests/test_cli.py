@@ -461,6 +461,35 @@ class TestOptimizeInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and text in err
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("de", '{"population_size": 8.5, "max_generations": 2}',
+         "population_size must be an integer, got 8.5"),
+        ("de", '{"population_size": 8, "max_generations": 1e400}',
+         "max_generations must be an integer, got inf"),
+        ("ls", '{"eps_max": Infinity, "eps_min": 1e-3}',
+         "eps_max must be finite, got inf"),
+        ("ls", '{"max_iterations": 1.5}',
+         "max_iterations must be an integer, got 1.5"),
+    ])
+    def test_config_value_rejected(self, workdir, capsys, name, text,
+                                   message):
+        # Refused where the config is read, before any evaluation or
+        # write: a population of 8.5 was a TypeError traceback, and 1e400
+        # generations ran until the target.
+        (workdir / "de.json").write_text(
+            '{"population_size": 8, "max_generations": 2}')
+        (workdir / "ls.json").write_text('{"max_iterations": 1}')
+        args = [
+            "optimize", "--device", str(workdir / "device.json"),
+            "--constraints", str(workdir / "constraints.json"),
+            "--de-config", str(workdir / "de.json"),
+            "--local-search", str(workdir / "ls.json"),
+            "--segments", "4", "--out", "bad.csv",
+        ]
+        (workdir / f"{name}.json").write_text(text)
+        self.expect_error(capsys, main(args), message)
+        assert not list(workdir.glob("bad*"))
+
     def test_resume_with_other_segment_count(self, workdir, capsys):
         assert self.optimize(workdir, extra=("--state-out", "st.json")) == 0
         capsys.readouterr()

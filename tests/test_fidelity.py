@@ -18,7 +18,7 @@ from fluxgate.fidelity import (
     fidelity_report,
     fit_phases,
     gate_fidelity,
-    _score_waveforms,
+    _score_runs,
     project_to_computational,
     score_waveform,
 )
@@ -33,7 +33,7 @@ from fluxgate.profiles import (
     three_transmon_chain,
     toy_two_transmon_chain,
 )
-from fluxgate.propagator import evolve
+from fluxgate.propagator import TrotterConfig, evolve
 from fluxgate.pulses import (
     PiecewiseConstantWaveform,
     PulseSchedule,
@@ -541,15 +541,13 @@ class TestScoreWaveform:
         assert err.value.time == 0.05  # the first Trotter-step midpoint
         assert err.value.transmon == 1
 
-    @pytest.mark.parametrize("chunk_bytes", [1, None])
-    def test_batch_core_matches_scalar(self, monkeypatch, chunk_bytes):
+    @pytest.mark.parametrize("per_call", [1, None])
+    def test_batch_core_matches_scalar(self, monkeypatch, per_call):
         # One mixed batch: 10 runs (the pulse, an amplitude-0 copy of it
         # and the pulse shifted by 2 MHz), 1 run (idle), 92 runs
         # (Erf-smoothed), a pole crossing (qubit M 0.5 MHz inside the floor
         # of the 7.8 GHz resonator in segment 1) and a zero-duration pulse.
-        # One chunk, then one member per chunk.
-        if chunk_bytes is not None:
-            monkeypatch.setattr(propagator, "_CHUNK_BYTES", chunk_bytes)
+        # One member per call, then all of them in one call.
         device = toy_two_transmon_chain()
         target = controlled_phase_ideal(2)
         pulse = load_toy_pulse()
@@ -576,9 +574,14 @@ class TestScoreWaveform:
             batches.append(len(rows))
             return segment_unitaries(template, rows, dts)
 
+        trotter = TrotterConfig()
+        runs = [propagator._sampled_runs(w, trotter) for w in waveforms]
         monkeypatch.setattr(propagator, "_segment_unitaries", counting)
-        results = list(_score_waveforms(device, iter(waveforms), target))
-        if chunk_bytes is None:
+        calls = [runs] if per_call is None else [[r] for r in runs]
+        results = [result for batch in calls
+                   for result in _score_runs(device, batch, target,
+                                             trotter.step)]
+        if per_call is None:
             # The pole fails the whole batch once; the other members then
             # share the second call, not one call each.
             assert len(batches) == 2
@@ -710,16 +713,12 @@ class TestStackedTail:
         assert str(frozen.value) == \
             "diagonal entry 4 is zero; its phase is undefined"
 
-    @pytest.mark.parametrize("chunk_bytes", [None, 48000])
-    def test_score_waveforms_with_poles_between_members(self, monkeypatch,
-                                                       chunk_bytes):
+    @pytest.mark.parametrize("per_call", [None, 3])
+    def test_score_runs_with_poles_between_members(self, per_call):
         # Noisy copies of the toy pulse with pole crossings between them:
         # the poles get their errors and every other member the frozen
-        # tail's bits on its own projected unitary.  A member has 10 runs
-        # of 10 x 10 steps, so the default chunk holds 33 members and one
-        # of 48000 bytes holds 3.
-        if chunk_bytes is not None:
-            monkeypatch.setattr(propagator, "_CHUNK_BYTES", chunk_bytes)
+        # tail's bits on its own projected unitary.  All 40 members in one
+        # call, then 3 a call.
         device = toy_two_transmon_chain()
         basis = basis_for(device)
         target = controlled_phase_ideal(2)
@@ -734,7 +733,12 @@ class TestStackedTail:
                                                       size=pole.shape))
             waveforms.append(PiecewiseConstantWaveform(
                 pulse.with_detunings(det)))
-        results = list(_score_waveforms(device, waveforms, target))
+        trotter = TrotterConfig()
+        runs = [propagator._sampled_runs(w, trotter) for w in waveforms]
+        size = per_call or len(runs)
+        results = [result for i in range(0, len(runs), size)
+                   for result in _score_runs(device, runs[i:i + size],
+                                             target, trotter.step)]
         assert len(results) == len(waveforms)
         for k, (waveform, result) in enumerate(zip(waveforms, results)):
             if k in (3, 4, 17, 39):

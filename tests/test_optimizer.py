@@ -6,6 +6,7 @@ import copy
 import json
 import logging
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -355,13 +356,38 @@ class TestRunSussade:
     (DEConfig, "crossover_bounds", (-math.inf, 1.0)),
     (LocalSearchConfig, "target_fidelity", math.nan),
     (LocalSearchConfig, "target_fidelity", -math.inf),
+    (LocalSearchConfig, "eps_max", math.inf),
+    (LocalSearchConfig, "eps_min", math.nan),
 ])
 def test_non_finite_search_settings_rejected(cls, name, value):
     # A NaN DE target ended the search at generation 0, a NaN readaptation
-    # probability never redrew a factor, and a NaN local-search target was
-    # never reached.
+    # probability never redrew a factor, a NaN local-search target was
+    # never reached, and an infinite eps_max gave 324 infinite rungs.
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         cls(**{name: value})
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (DEConfig, "population_size", 8.5),
+    (DEConfig, "population_size", 8.0),
+    (DEConfig, "population_size", True),
+    (DEConfig, "max_generations", math.inf),
+    (DEConfig, "max_generations", "5"),
+    (LocalSearchConfig, "max_iterations", 2.5),
+    (LocalSearchConfig, "max_iterations", math.inf),
+    (LocalSearchConfig, "window", 1.0),
+])
+def test_non_integer_search_counts_rejected(cls, name, value):
+    # A population of 8.5 ended in a TypeError deep in seed_population,
+    # and JSON's 1e400 (inf) generations ran until the target.
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got "
+                                         f"{re.escape(repr(value))}"):
+        cls(**{name: value})
+
+
+def test_numpy_integer_search_counts_accepted():
+    assert DEConfig(population_size=np.int64(8)).population_size == 8
+    assert LocalSearchConfig(window=np.int32(2)).window == 2
 
 
 class TestLocalSearch:

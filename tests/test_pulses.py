@@ -116,9 +116,20 @@ class TestSegmentRuns:
         return got
 
     def read_from_segments(self, schedule, step):
-        k = TrotterConfig(step).n_steps(schedule.duration)
-        return propagator._segment_runs(
-            PiecewiseConstantWaveform(schedule), step, k) is not None
+        """Whether the runs are read from the segment columns themselves,
+        without looking up the segment of every step's midpoint."""
+        lookups = []
+        segment_indices = PulseSchedule._segment_indices
+
+        def counting(sched, times):
+            lookups.append(len(times))
+            return segment_indices(sched, times)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(PulseSchedule, "_segment_indices", counting)
+            propagator._sampled_runs(PiecewiseConstantWaveform(schedule),
+                                     TrotterConfig(step))
+        return not lookups
 
     @pytest.mark.parametrize("step", [0.1, 0.25, 0.5, 1.0])
     def test_random_schedules_with_repeats(self, step):
@@ -134,8 +145,9 @@ class TestSegmentRuns:
         assert merged > 0
 
     def test_step_not_dividing_segments_samples(self):
-        # 0.3 ns divides the 3 ns pulse but not its 1 ns segments: the
-        # midpoints are sampled, and the runs are the sampled ones.
+        # 0.3 ns divides the 3 ns pulse but not its 1 ns segments: every
+        # midpoint's segment is looked up, and the runs are the sampled
+        # ones.
         rng = np.random.default_rng(7)
         for _ in range(20):
             sched = repeating_schedule(rng, 3, 3, 1.0)
@@ -177,14 +189,21 @@ class TestSegmentRuns:
 
     def test_overflow_to_infinity_is_named(self):
         # Finite detunings and references whose sum overflows: the
-        # segment columns are not finite, so the midpoints are sampled and
-        # the first one is named.
+        # segment columns are not finite, and the first step on one is
+        # named as sampling names it, alone and in a stack behind a
+        # finite member.
         sched = PulseSchedule([[0.0, 1.5e308]], 1.0, (1.5e308,))
         with np.errstate(over="ignore"):
             wf = PiecewiseConstantWaveform(sched)
-        with pytest.raises(ValueError, match=r"frequency inf GHz at "
-                                             r"t=1\.05 ns \(qubit 0\)"):
+            sampled = Sampled(sched)
+        named = r"frequency inf GHz at t=1\.05 ns \(qubit 0\)"
+        with pytest.raises(ValueError, match=named):
             propagator._sampled_runs(wf, TrotterConfig())
+        with pytest.raises(ValueError, match=named):
+            propagator._sampled_runs(sampled, TrotterConfig())
+        stack = np.stack([np.zeros((1, 2)), wf._absolute])
+        with pytest.raises(ValueError, match=named):
+            propagator._schedule_runs(sched, stack, TrotterConfig())
 
 
 class TestRoundTrips:

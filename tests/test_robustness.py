@@ -7,14 +7,19 @@ import math
 import numpy as np
 import pytest
 
+from fluxgate import robustness
 from fluxgate.errors import EvolutionError, SingularityError
-from fluxgate.fidelity import controlled_phase_ideal
+from fluxgate.fidelity import (
+    controlled_phase_ideal,
+    fidelity_report,
+    score_waveform,
+)
 from fluxgate.profiles import (
     TOY_REFERENCES,
     load_toy_pulse,
     toy_two_transmon_chain,
 )
-from fluxgate.propagator import evolve
+from fluxgate.propagator import TrotterConfig, evolve
 from fluxgate.pulses import PiecewiseConstantWaveform, PulseSchedule
 from fluxgate.robustness import (
     NoiseSweepConfig,
@@ -213,6 +218,21 @@ class TestNoiseSweep:
         assert (err.value.time, err.value.transmon) == (0.05, 1)
         assert str(err.value) == str(lone.value)
 
+    @pytest.mark.parametrize("samples", [8.5, math.inf, 2.0, True, "3"])
+    def test_samples_must_be_an_integer(self, samples):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            NoiseSweepConfig(samples=samples)
+
+    def test_sample_rng_draws_as_default_rng(self):
+        for seed, a_idx, s_idx in ((0, 0, 0), (3, 1, 7), (11, 100, 9999),
+                                   (2 ** 31 - 1, 5, 12)):
+            want = np.random.default_rng(
+                np.random.SeedSequence([seed, a_idx, s_idx]))
+            got = robustness._sample_rng(seed, a_idx, s_idx)
+            assert type(got) is type(want)
+            assert got.uniform(-1.0, 1.0, size=(3, 50)).tobytes() == \
+                want.uniform(-1.0, 1.0, size=(3, 50)).tobytes()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             NoiseSweepConfig(amplitudes_mhz=(-1.0,))
@@ -223,3 +243,170 @@ class TestNoiseSweep:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"finite, got {bad}"):
                 NoiseSweepConfig(amplitudes_mhz=(0.0, bad))
+
+
+def same_result(got, want):
+    """A noise-sweep member's result has the bits of the lone one: the
+    fidelity, the phases and the compensated unitary, or the error's
+    type, message, time and transmon."""
+    assert type(got) is type(want)
+    if isinstance(want, EvolutionError):
+        return (str(got), got.time, got.transmon) == \
+            (str(want), want.time, want.transmon)
+    phases = [np.array([r.phases.theta0, *r.phases.qubit_phases])
+              for r in (got, want)]
+    return (np.float64(got.fidelity).tobytes()
+            == np.float64(want.fidelity).tobytes()
+            and phases[0].tobytes() == phases[1].tobytes()
+            and got.compensated.tobytes() == want.compensated.tobytes())
+
+
+class TestNoiseStack:
+    """A noise sweep finds the runs of a whole chunk from one stack of
+    frequencies, and every member scores as its PiecewiseConstantWaveform
+    does alone through score_waveform, bit for bit."""
+
+    def setup_method(self):
+        self.dev = toy_two_transmon_chain()
+        self.target = controlled_phase_ideal(2)
+
+    def sweep(self, monkeypatch, schedule, config, trotter=TrotterConfig()):
+        """The report, and per chunk the run counts of its members and
+        their results, as the sweep scored them."""
+        chunks = []
+        score_runs = robustness._score_runs
+
+        def recording(device, runs, target, step):
+            results = score_runs(device, runs, target, step)
+            chunks.append(([None if r is None else len(r[1]) for r in runs],
+                           results))
+            return results
+
+        monkeypatch.setattr(robustness, "_score_runs", recording)
+        report = noise_sweep(schedule, self.dev, config, trotter,
+                             target=self.target)
+        return report, chunks
+
+    def lone(self, schedule, config, trotter=TrotterConfig(),
+             waveform=PiecewiseConstantWaveform):
+        """Per member, the noiseless pulse and then every sample drawn as
+        the sweep documents it, the result of score_waveform alone."""
+        schedules = [schedule]
+        for a_idx, amp in enumerate(config.amplitudes_mhz):
+            for s_idx in range(config.samples):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence([config.seed, a_idx, s_idx]))
+                noise = amp * 1e-3 * rng.uniform(
+                    -1.0, 1.0, size=schedule.detunings.shape)
+                schedules.append(
+                    schedule.with_detunings(schedule.detunings + noise))
+        results = []
+        for sched in schedules:
+            try:
+                results.append(score_waveform(self.dev, waveform(sched),
+                                              self.target, trotter))
+            except EvolutionError as err:
+                results.append(err)
+        return results
+
+    def assert_matches_lone(self, monkeypatch, schedule, config,
+                            trotter=TrotterConfig(),
+                            waveform=PiecewiseConstantWaveform):
+        report, chunks = self.sweep(monkeypatch, schedule, config, trotter)
+        got = [result for _, results in chunks for result in results]
+        want = self.lone(schedule, config, trotter, waveform)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert same_result(g, w)
+        assert report.baseline_fidelity == want[0].fidelity
+        members = iter(want[1:])
+        for a_idx in range(len(config.amplitudes_mhz)):
+            results = [next(members) for _ in range(config.samples)]
+            assert report.singular_counts[a_idx] == sum(
+                isinstance(r, EvolutionError) for r in results)
+        return report, chunks
+
+    @pytest.mark.parametrize("merged", [False, True])
+    def test_members_match_lone_scores(self, monkeypatch, merged):
+        # The toy pulse, and a copy whose segments 3 and 4 are equal: its
+        # noiseless and amplitude-0 members have 9 runs and its noisy ones
+        # 10, in one chunk.  Its last segment equals its first, so a run
+        # must not carry over from one member to the next.
+        schedule = load_toy_pulse()
+        if merged:
+            det = schedule.detunings.copy()
+            det[:, 4] = det[:, 3]
+            det[:, 9] = det[:, 0]
+            schedule = schedule.with_detunings(det)
+        config = NoiseSweepConfig(amplitudes_mhz=(0.0, 1.0, 5.0), samples=8,
+                                  seed=21)
+        report, chunks = self.assert_matches_lone(monkeypatch, schedule,
+                                                  config)
+        counts, _ = chunks[0]
+        assert len(chunks) == 1 and len(counts) == 25
+        assert set(counts) == ({9, 10} if merged else {10})
+        assert report.mean_fidelities[0] == report.baseline_fidelity
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 1])
+    def test_pole_crossings_match_lone(self, monkeypatch, chunk_bytes):
+        # Qubit M 0.5 MHz outside the 7.8 GHz resonator's floor in its
+        # second segment: 2 MHz noise pushes some samples onto the pole.
+        # The default chunk holds every member; one of 1 byte holds one.
+        if chunk_bytes is not None:
+            monkeypatch.setattr(robustness, "_CHUNK_BYTES", chunk_bytes)
+        schedule = PulseSchedule(np.array([[0.0, 0.0], [0.0, 1.6995]]), 1.0,
+                                 TOY_REFERENCES)
+        config = NoiseSweepConfig(amplitudes_mhz=(0.0, 2.0), samples=16,
+                                  seed=4)
+        report, chunks = self.assert_matches_lone(monkeypatch, schedule,
+                                                  config)
+        assert 0 < report.singular_counts[1] < 16
+        assert len(chunks) == (33 if chunk_bytes else 1)
+
+    def test_zero_segments_score_identities(self, monkeypatch):
+        schedule = PulseSchedule(np.zeros((2, 0)), 1.0, TOY_REFERENCES)
+        config = NoiseSweepConfig(amplitudes_mhz=(0.0, 3.0), samples=4)
+        report, chunks = self.assert_matches_lone(monkeypatch, schedule,
+                                                  config)
+        identity = fidelity_report(np.eye(4), self.target)
+        assert report.baseline_fidelity == identity.fidelity
+        assert report.mean_fidelities == (identity.fidelity,) * 2
+        assert report.std_errors == (0.0, 0.0)
+        for _, results in chunks:
+            for result in results:
+                assert np.array_equal(result.compensated,
+                                      identity.compensated)
+
+    def test_step_not_dividing_segments(self, monkeypatch):
+        # 0.4 ns divides the 10 ns pulse but not its 1 ns segments: each
+        # step's midpoint picks its segment, as sampling does.
+        class Sampled(PiecewiseConstantWaveform):
+            def sample(self, times):
+                return super().sample(times)
+
+        schedule = load_toy_pulse()
+        config = NoiseSweepConfig(amplitudes_mhz=(0.0, 4.0), samples=6,
+                                  seed=8)
+        trotter = TrotterConfig(0.4)
+        for waveform in (PiecewiseConstantWaveform, Sampled):
+            self.assert_matches_lone(monkeypatch, schedule, config, trotter,
+                                     waveform)
+
+    def test_chunks_bound_zero_duration_members(self, monkeypatch):
+        # A budget of three 10 x 10 matrices: zero-duration members count
+        # one each, so the 10 members are scored in chunks of three.  An
+        # idle pulse (one merged run per member) scores as it does alone.
+        monkeypatch.setattr(robustness, "_CHUNK_BYTES", 3 * 16 * 10 ** 2)
+        config = NoiseSweepConfig(amplitudes_mhz=(0.0, 1.0, 2.0), samples=3)
+        empty = PulseSchedule(np.zeros((2, 0)), 1.0, TOY_REFERENCES)
+        _, chunks = self.assert_matches_lone(monkeypatch, empty, config)
+        assert [len(counts) for counts, _ in chunks] == [3, 3, 3, 1]
+        assert all(c is None for counts, _ in chunks for c in counts)
+        identity = fidelity_report(np.eye(4), self.target)
+        for _, results in chunks:
+            for result in results:
+                assert np.array_equal(result.compensated,
+                                      identity.compensated)
+        idle = PulseSchedule(np.zeros((2, 10)), 1.0, TOY_REFERENCES)
+        self.assert_matches_lone(
+            monkeypatch, idle, NoiseSweepConfig((0.0,), samples=3))

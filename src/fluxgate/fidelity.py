@@ -13,12 +13,12 @@ and the result is scored against a target with
 
 The first term penalizes leakage out of the computational subspace (the
 projection of a leaky unitary is a contraction), the second rewards
-closeness to the target up to a global phase.  :func:`score_waveform` runs
-the whole chain, from evolution to score, for every caller; it is the
-one-waveform case of ``_score_runs``, which scores the sampled runs of many
-waveforms with one evolution batch (a noise-sweep chunk) and fits and
-scores their projected unitaries as one stack (``_fidelity_reports``, whose
-one-member case is :func:`fidelity_report`).
+closeness to the target up to a global phase.  Every caller scores
+through one chain, ``_Scorer``: it scores the sampled runs of many
+waveforms with one evolution batch and fits and scores their projected
+unitaries as one stack (``_fidelity_reports``, whose one-member case is
+:func:`fidelity_report`).  Reuse belongs to a fitness, not to the
+process: only the scorer a fitness owns keeps its last pulse's tree.
 """
 
 import math
@@ -29,7 +29,13 @@ import numpy as np
 
 from .device import _template, basis_for
 from .errors import DegenerateUnitaryError, EvolutionError
-from .propagator import TrotterConfig, _evolve_runs, _sampled_runs
+from .propagator import (
+    TrotterConfig,
+    _evolve_runs,
+    _run_unitaries,
+    _sampled_runs,
+    _schedule_runs,
+)
 
 __all__ = [
     "controlled_phase_ideal",
@@ -403,28 +409,52 @@ def fidelity_report(u, target, refine=True):
     return report
 
 
-def _score_runs(device, runs, target, step):
-    """Score sampled waveforms as :func:`score_waveform` does, from their
-    runs: per waveform its ``propagator._sampled_runs``, or None for one
-    that takes no step.
+class _Scorer:
+    """The scoring chain on one device, Trotter config and target.
 
-    The waveforms are evolved in one batch (``propagator._evolve_runs``)
-    and projected in one gather; the members without an EvolutionError
-    are then fitted and scored as one stack (:func:`_fidelity_reports`).
-    Returns, per waveform in order, its FidelityReport, or the
-    EvolutionError that :func:`score_waveform` raises for it.  A member's
-    report is bit-identical to the one it gets when scored alone.
+    ``kept`` holds the runs and product tree of the last lone pulse.  It is
+    replaced whole and never written into, so threads that share a scorer
+    race only for reuse, never for bits.
     """
-    basis = basis_for(device)
-    idx = basis.qubit_indices
-    target = np.asarray(target, dtype=complex)
-    unitaries, errors = _evolve_runs(_template(device, basis), runs, step)
-    scored = [p for p, error in enumerate(errors) if error is None]
-    if len(scored) < len(errors):
-        unitaries = unitaries[scored]
-    reports = iter(_fidelity_reports(
-        unitaries[:, idx[:, None], idx], target) if scored else ())
-    return [next(reports) if error is None else error for error in errors]
+
+    def __init__(self, device, trotter, target):
+        basis = basis_for(device)
+        self.template = _template(device, basis)
+        self.trotter, self.step = trotter, trotter.step
+        self.qubits = basis.qubit_indices
+        self.index = np.ix_(self.qubits, self.qubits)
+        self.target = np.asarray(target, dtype=complex)
+        self.kept = None
+
+    def score_runs(self, runs):
+        """Per waveform, given by its ``propagator._sampled_runs``, the
+        FidelityReport or EvolutionError of :func:`score_waveform`, bit
+        for bit: the waveforms are evolved in one batch, projected in one
+        gather, and fitted and scored as one stack."""
+        unitaries, errors = _evolve_runs(self.template, runs, self.step)
+        scored = [p for p, error in enumerate(errors) if error is None]
+        reports = iter(_fidelity_reports(
+            unitaries[np.ix_(scored, self.qubits, self.qubits)], self.target)
+            if scored else ())
+        return [next(reports) if error is None else error for error in errors]
+
+    def unitary(self, frequencies, segment_duration):
+        """The bits ``evolve`` gives the piecewise-constant pulse of absolute
+        ``frequencies`` (n_qubits, n_segments), from the kept tree: never
+        write into it.  A pole raises its EvolutionError, keeping the tree."""
+        (runs,) = _schedule_runs(frequencies[None], segment_duration,
+                                 self.trotter)
+        if runs is None:
+            return np.eye(self.template.dim, dtype=complex)
+        self.kept = kept = _run_unitaries(self.template, runs, self.step,
+                                          self.kept)
+        return kept[2][-1][0]
+
+    def score(self, frequencies, segment_duration):
+        """:meth:`unitary`'s FidelityReport, as score_waveform gives it."""
+        u = self.unitary(frequencies, segment_duration)
+        (report,) = _fidelity_reports(u[self.index][None], self.target)
+        return report
 
 
 def score_waveform(device, waveform, target, trotter=TrotterConfig()):
@@ -437,8 +467,8 @@ def score_waveform(device, waveform, target, trotter=TrotterConfig()):
         If the waveform crosses a resonator pole; see
         :func:`~fluxgate.propagator.evolve`.
     """
-    (result,) = _score_runs(device, [_sampled_runs(waveform, trotter)],
-                            target, trotter.step)
+    (result,) = _Scorer(device, trotter, target).score_runs(
+        [_sampled_runs(waveform, trotter)])
     if isinstance(result, EvolutionError):
         raise result
     return result

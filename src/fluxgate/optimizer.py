@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvaluationError, EvolutionError, InfeasibilityError
-from .fidelity import controlled_phase_ideal, score_waveform
+from .fidelity import _Scorer, controlled_phase_ideal
 from .propagator import TrotterConfig
-from .pulses import PiecewiseConstantWaveform, PulseSchedule
+from .pulses import PulseSchedule
 
 logger = logging.getLogger(__name__)
 
@@ -723,11 +723,14 @@ def ccphase_fitness(device, references, segment_duration=1.0,
                     trotter=TrotterConfig(), target=None):
     """Fidelity-of-the-controlled-phase-gate fitness over chromosomes.
 
-    Builds the schedule and scores it with
-    :func:`~fluxgate.fidelity.score_waveform`.  Failed evolutions (a
-    detuning walking into a resonator pole) score 0 rather than raising,
-    so the optimizer can continue.  The first failure is
-    logged as a warning with its diagnostic, later ones at debug level;
+    Scores a chromosome as :func:`~fluxgate.fidelity.score_waveform`
+    scores its schedule, from its segment frequencies alone.  Reuse
+    belongs to the fitness, not to the process: it keeps its last
+    chromosome's product tree, so a move recomputes only what changed;
+    ``evolve`` and ``score_waveform`` build a full tree on every call.
+    Failed evolutions (a detuning walking into a resonator pole) score 0
+    rather than raising, so the optimizer can continue.  The first failure
+    is logged as a warning with its diagnostic, later ones at debug level;
     the returned callable counts them in ``fitness.pole_failures``.
     """
     n = device.n_transmons
@@ -744,16 +747,21 @@ def ccphase_fitness(device, references, segment_duration=1.0,
                          f"duration {segment_duration} ns")
     if target is None:
         target = controlled_phase_ideal(n)
+    # As a PulseSchedule holds them, and with its checks below.
+    refs = np.array([float(r) for r in references])[:, None]
+    segment_duration = float(segment_duration)
+    scorer = _Scorer(device, trotter, target)
     # The fitness is public and may be called from user threads.
     lock = threading.Lock()
 
     def fitness(chromosome):
-        schedule = chromosome_to_schedule(
-            chromosome, n, segment_duration, references
-        )
-        waveform = PiecewiseConstantWaveform(schedule)
+        det = _as_matrix(chromosome, n)
+        if det.ndim != 2:
+            raise ValueError(f"detunings must be 2-D, got shape {det.shape}")
+        if not np.isfinite(det).all():
+            raise ValueError("detunings must be finite")
         try:
-            return score_waveform(device, waveform, target, trotter).fidelity
+            return scorer.score(refs + det, segment_duration).fidelity
         except EvolutionError as err:
             with lock:
                 fitness.pole_failures += 1

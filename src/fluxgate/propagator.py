@@ -18,28 +18,23 @@ depend on frequency, and because H conserves the total excitation number
 each excitation block is exponentiated for the whole batch by one stacked
 eigendecomposition: H is exactly Hermitian and small, so this is both
 accurate and unitary to machine precision, and entries between blocks are
-exactly zero.  The batch is checked once, for exact symmetry, not block by
-block.  Merged steps bit-identical to the previous call's are reused, not
-recomputed.
+exactly zero.  The batch is checked once, for exact symmetry.
 
 The step unitaries are multiplied pairwise, level by level, in a tree
-whose shape depends only on the step count.  A lone waveform keeps its
-tree, so when it changes a few steps from the previous call (a
-local-search move) only the nodes above those steps are multiplied again:
-about log2(S) products instead of S - 1.  Each node is one matmul of the
-same two child matrices either way, so the result has the same bits.  The
-updated tree's levels, its steps too, are new lists that share every
-unchanged matrix with the kept tree, so a move copies no step stack.  A
-rebuild of some of the steps stacks them into one array; a rebuild of
-every step builds the tree from the new steps alone.
+whose shape depends only on the step count.  :func:`evolve` builds the
+whole tree on every call.  Reuse belongs to a fitness, not to the
+process: a fitness keeps the runs and tree of its previous pulse
+(:func:`_run_unitaries`), so after a local-search move only the changed
+runs are exponentiated again and only the nodes above them are multiplied
+again: about log2(S) products instead of S - 1, with the same bits.
 
 Many waveforms can evolve together: their runs share one exponential
 batch, and the waveforms with equal run counts are multiplied out as one
 stack.  Every step and every product is computed exactly as for a lone
-waveform, so a waveform's unitary does not depend on its batch.  The noise
-sweep is the one such caller: it finds the runs of a whole stack of
-piecewise-constant pulses, given as their absolute segment frequencies, by
-one bit comparison, and no sample becomes a waveform object.
+waveform, so a waveform's unitary does not depend on its batch.  The runs
+of a stack of piecewise-constant pulses (a noise-sweep chunk, or a
+fitness's one chromosome), given as their absolute segment frequencies,
+come from one bit comparison, with no waveform object.
 
 A run on a resonator pole has no Hamiltonian: the batch's build raises the
 device's SingularityError at its earliest offending run.  That run's
@@ -192,11 +187,11 @@ def _non_finite(value, time, qubit):
                       f"(qubit {qubit}) is not finite")
 
 
-def _schedule_runs(schedule, frequencies, trotter):
+def _schedule_runs(frequencies, segment_duration, trotter):
     """The :func:`_sampled_runs` of each member of a (P, n_qubits,
-    n_segments) stack of absolute ``frequencies`` on the segments of
-    ``schedule``: what the member's PiecewiseConstantWaveform gives alone,
-    as a list.
+    n_segments) stack of absolute ``frequencies`` on segments of
+    ``segment_duration`` ns: what the member's PiecewiseConstantWaveform
+    gives alone, as a list.
 
     When the step divides the segments, the k steps are m per segment;
     sampling puts steps s*m to s*m + m - 1 in segment s, because k is the
@@ -207,14 +202,16 @@ def _schedule_runs(schedule, frequencies, trotter):
     does.  A non-finite frequency is a ValueError that names the earliest
     one's time and qubit, in the earliest member that has one.
     """
-    k = trotter.n_steps(schedule.duration)
+    n_segments = frequencies.shape[-1]
+    k = trotter.n_steps(n_segments * segment_duration)
     if k == 0:
         return [None] * len(frequencies)
-    m, rest = divmod(k, schedule.n_segments)
+    m, rest = divmod(k, n_segments)
     if rest:
         m = 1
-        frequencies = frequencies[..., schedule._segment_indices(
-            (np.arange(k) + 0.5) * trotter.step)]
+        times = (np.arange(k) + 0.5) * trotter.step
+        frequencies = frequencies[..., np.minimum(
+            (times / segment_duration).astype(np.intp), n_segments - 1)]
     if not np.isfinite(frequencies).all():
         bad = ~np.isfinite(frequencies.transpose(0, 2, 1))
         p, j, qubit = np.argwhere(bad)[0]
@@ -234,8 +231,8 @@ def _sampled_runs(waveform, trotter):
     columns (:func:`_schedule_runs`).
     """
     if type(waveform).sample is PiecewiseConstantWaveform.sample:
-        (runs,) = _schedule_runs(waveform.schedule, waveform._absolute[None],
-                                 trotter)
+        (runs,) = _schedule_runs(waveform._absolute[None],
+                                 waveform.schedule.segment_duration, trotter)
         return runs
     k = trotter.n_steps(waveform.duration)
     if k == 0:
@@ -249,53 +246,40 @@ def _sampled_runs(waveform, trotter):
     return runs
 
 
-# The previous lone call's (template, rows, dts, tree): ``tree`` holds the
-# levels of its pairwise product (see _product_tree), its step unitaries
-# first.  A local-search move changes one segment, so nearly all of its runs
-# and most tree nodes equal the call before.  The tuple is replaced whole
-# and nothing it holds is ever written into (a new tree shares the kept
-# tree's matrices, it does not copy them), so threads need no lock: a race
-# loses reuse, never correctness, because a node's bits do not depend on
-# the batch or the tree it was computed in.
-_LAST_RUNS = None
+def _run_unitaries(template, runs, step, kept):
+    """The (rows, dts, levels) of :func:`_product_tree` of a lone pulse's
+    :func:`_sampled_runs`, reusing ``kept``, that triple of an earlier
+    pulse, or None.
 
+    Runs bit-identical to the same run of ``kept`` (same row shape) reuse
+    its unitary; the others are exponentiated in one batch.  When some
+    runs are kept (or the tree is one run), only the nodes above the
+    changed ones are multiplied again (:func:`_update_tree`); otherwise
+    the whole tree is built.  The levels may be the kept ones, so callers
+    never write into them.
 
-def _run_unitaries(template, rows, dts):
-    """The levels of :func:`_product_tree` of a lone waveform's runs.
-
-    Runs bit-identical to the same run of the previous call (same template
-    and row shape) reuse its unitary; the others are exponentiated in one
-    batch.  When some runs are kept (or the tree is one run, which has no
-    product), only the tree nodes above the changed ones are multiplied
-    again, each by the matmul that builds it in :func:`_product_tree`;
-    otherwise the whole tree is built.  The levels may be the stored ones,
-    so callers never write into them.
-
-    A run on a pole raises the SingularityError of ``build``, its ``row``
-    the index of the earliest such run in ``rows``.  The reused runs are
-    clean, because a call that meets a pole keeps nothing for reuse.
+    A run on a pole raises the EvolutionError :func:`evolve` raises.
     """
-    global _LAST_RUNS
-    last = _LAST_RUNS
-    if last is None or last[0] is not template or last[1].shape != rows.shape:
-        last, fresh = None, np.arange(len(rows))
+    times, rows, counts = runs
+    dts = counts * step
+    if kept is None or kept[0].shape != rows.shape:
+        kept, fresh = None, np.arange(len(rows))
     else:
-        changed = (rows.view(np.uint64) != last[1].view(np.uint64)).any(axis=1)
-        changed |= dts.view(np.uint64) != last[2].view(np.uint64)
+        changed = (rows.view(np.uint64) != kept[0].view(np.uint64)).any(axis=1)
+        changed |= dts.view(np.uint64) != kept[1].view(np.uint64)
         if not changed.any():
-            return last[3]
+            return kept
         fresh = np.flatnonzero(changed)
     try:
         u = _segment_unitaries(template, rows[fresh], dts[fresh])
     except SingularityError as err:
         err.row = int(fresh[err.row])
-        raise
-    if last is not None and (len(fresh) < len(rows) or len(rows) == 1):
-        levels = _update_tree(last[3], u, fresh)
+        raise _pole_error(err, times) from err
+    if kept is not None and (len(fresh) < len(rows) or len(rows) == 1):
+        levels = _update_tree(kept[2], u, fresh)
     else:
         levels = _product_tree(u)
-    _LAST_RUNS = (template, rows, dts, levels)
-    return levels
+    return rows, dts, levels
 
 
 def _pole_error(err, times):
@@ -330,11 +314,6 @@ def _product_tree(u):
         u = np.concatenate([pairs, u[..., -1:, :, :]], axis=-3) if n % 2 else pairs
         levels.append(u)
     return levels
-
-
-def _ordered_product(u):
-    """u[..., S-1, :, :] @ ... @ u[..., 0, :, :] over a stack of S steps."""
-    return _product_tree(u)[-1][..., 0, :, :]
 
 
 def _update_tree(levels, u, fresh):
@@ -379,29 +358,17 @@ def _evolve_runs(template, runs, step):
     """
     out = np.zeros((len(runs), template.dim, template.dim), dtype=complex)
     errors = [None] * len(runs)
-    for p in range(len(runs)):
-        if runs[p] is None:
-            out[p] = np.eye(template.dim)
+    out[[p for p, r in enumerate(runs) if r is None]] = np.eye(template.dim)
     # A stable sort: members of one run count keep their order.
     order = sorted(
         (p for p in range(len(runs)) if runs[p] is not None),
         key=lambda p: len(runs[p][1]),
     )
-    if not order:
-        return out, errors
-    # Only a lone waveform is compared with, and kept as, the previous
-    # call's runs: the members of a batch are distinct samples or trials,
-    # so the next call does not share their runs.
-    lone = len(order) == 1
     while order:
         try:
-            if lone:
-                _times, rows, counts = runs[order[0]]
-                levels = _run_unitaries(template, rows, counts * step)
-            else:
-                rows = np.concatenate([runs[p][1] for p in order])
-                dts = np.concatenate([runs[p][2] for p in order]) * step
-                u = _segment_unitaries(template, rows, dts)
+            rows = np.concatenate([runs[p][1] for p in order])
+            dts = np.concatenate([runs[p][2] for p in order]) * step
+            u = _segment_unitaries(template, rows, dts)
             break
         except SingularityError as err:
             # The earliest pole row of the batch is the earliest of its
@@ -416,12 +383,8 @@ def _evolve_runs(template, runs, step):
     for length, group in groupby(order, key=lambda p: len(runs[p][1])):
         group = list(group)
         stop = start + length * len(group)
-        if lone:
-            out[group] = levels[-1][0]
-        else:
-            out[group] = _ordered_product(
-                u[start:stop].reshape(len(group), length, *out.shape[1:])
-            )
+        stack = u[start:stop].reshape(len(group), length, *out.shape[1:])
+        out[group] = _product_tree(stack)[-1][:, 0]
         start = stop
     return out, errors
 
@@ -431,9 +394,9 @@ def evolve(device, waveform, trotter=TrotterConfig(), basis=None):
 
     The waveform is sampled once, at all Trotter-step midpoints.  Runs of
     consecutive identical samples merge into one step of ``count * step``
-    ns; the merged steps that differ from the previous call's are
-    exponentiated in one batch (one stacked eigh per excitation block), and
-    the step unitaries are multiplied in time order, pairwise.
+    ns; the merged steps are exponentiated in one batch (one stacked eigh
+    per excitation block), and the step unitaries are multiplied in time
+    order, pairwise.
 
     Parameters
     ----------

@@ -31,9 +31,8 @@ from itertools import chain, islice, product
 
 import numpy as np
 
-from .device import basis_for
 from .errors import EvolutionError
-from .fidelity import _score_runs, controlled_phase_ideal, score_waveform
+from .fidelity import _Scorer, controlled_phase_ideal, score_waveform
 from .propagator import TrotterConfig, _schedule_runs
 from .pulses import PiecewiseConstantWaveform, Waveform
 
@@ -236,7 +235,8 @@ def noise_sweep(schedule, device, config=NoiseSweepConfig(),
     # A member has at most one run per segment and one per step; one that
     # takes no step is one identity matrix.
     most_runs = max(1, min(shape[1], trotter.n_steps(schedule.duration)))
-    budget = max(1, _CHUNK_BYTES // (16 * basis_for(device).dimension ** 2))
+    scorer = _Scorer(device, trotter, target)
+    budget = max(1, _CHUNK_BYTES // (16 * scorer.template.dim ** 2))
     per_chunk = -(-budget // most_runs)
 
     def scored():
@@ -258,8 +258,8 @@ def noise_sweep(schedule, device, config=NoiseSweepConfig(),
                 # Exactly the pulse's own: adding a zero turns a -0.0
                 # detuning into +0.0, which a -0.0 reference would keep.
                 frequencies[0] = schedule.absolute_frequencies()
-            runs = _schedule_runs(schedule, frequencies, trotter)
-            yield from _score_runs(device, runs, target, trotter.step)
+            yield from scorer.score_runs(_schedule_runs(
+                frequencies, schedule.segment_duration, trotter))
 
     results = scored()
     first = next(results)

@@ -18,7 +18,7 @@ from fluxgate.fidelity import (
     fidelity_report,
     fit_phases,
     gate_fidelity,
-    _score_runs,
+    _Scorer,
     project_to_computational,
     score_waveform,
 )
@@ -578,9 +578,9 @@ class TestScoreWaveform:
         runs = [propagator._sampled_runs(w, trotter) for w in waveforms]
         monkeypatch.setattr(propagator, "_segment_unitaries", counting)
         calls = [runs] if per_call is None else [[r] for r in runs]
+        scorer = _Scorer(device, trotter, target)
         results = [result for batch in calls
-                   for result in _score_runs(device, batch, target,
-                                             trotter.step)]
+                   for result in scorer.score_runs(batch)]
         if per_call is None:
             # The pole fails the whole batch once; the other members then
             # share the second call, not one call each.
@@ -736,9 +736,9 @@ class TestStackedTail:
         trotter = TrotterConfig()
         runs = [propagator._sampled_runs(w, trotter) for w in waveforms]
         size = per_call or len(runs)
+        scorer = _Scorer(device, trotter, target)
         results = [result for i in range(0, len(runs), size)
-                   for result in _score_runs(device, runs[i:i + size],
-                                             target, trotter.step)]
+                   for result in scorer.score_runs(runs[i:i + size])]
         assert len(results) == len(waveforms)
         for k, (waveform, result) in enumerate(zip(waveforms, results)):
             if k in (3, 4, 17, 39):

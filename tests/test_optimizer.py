@@ -15,6 +15,11 @@ import pytest
 
 from fluxgate import optimizer
 from fluxgate.errors import EvaluationError, InfeasibilityError
+from fluxgate.fidelity import (
+    controlled_phase_ideal,
+    fidelity_report,
+    score_waveform,
+)
 from fluxgate.optimizer import (
     ConstraintSet,
     DEConfig,
@@ -36,11 +41,14 @@ from fluxgate.optimizer import (
 from fluxgate.profiles import (
     THREE_QUBIT_REFERENCES,
     TOY_REFERENCES,
+    load_toy_pulse,
     three_qubit_constraints,
+    three_transmon_chain,
     toy_constraints,
     toy_two_transmon_chain,
 )
 from fluxgate.propagator import TrotterConfig
+from fluxgate.pulses import PiecewiseConstantWaveform
 
 
 @pytest.fixture(scope="module")
@@ -485,6 +493,81 @@ class TestFitnessPipeline:
         with pytest.raises(ValueError, match=r"step 0\.1 ns leaves no step "
                                              r"in segment duration 1e-12 ns"):
             ccphase_fitness(dev, TOY_REFERENCES, 1e-12, TrotterConfig(0.1))
+
+    def test_fitnesses_on_two_devices_keep_their_own_trees(self):
+        # A toy and a three-transmon fitness called in turn, each along a
+        # walk of one-gene moves that updates its kept tree: each gives
+        # the bits it gives alone, and a fresh fitness gives them too.
+        cases = [
+            (toy_two_transmon_chain(), toy_constraints(), TOY_REFERENCES),
+            (three_transmon_chain(), three_qubit_constraints("references"),
+             THREE_QUBIT_REFERENCES),
+        ]
+        rng = np.random.default_rng(61)
+        walks = []
+        for device, constraints, references in cases:
+            x = seed_population(DEConfig(population_size=4, seed=61),
+                                constraints, references, 10)[0]
+            walk = [x]
+            for _ in range(12):
+                x = x.copy()
+                x[rng.integers(x.size)] += rng.choice([-1e-3, 1e-3])
+                walk.append(x)
+            walks.append(walk)
+
+        def fitness(case):
+            device, _, references = cases[case]
+            return ccphase_fitness(device, references, 1.0)
+
+        alone = []
+        for k in range(2):
+            one = fitness(k)
+            alone.append([one(c) for c in walks[k]])
+        both = [fitness(0), fitness(1)]
+        turns = [[], []]
+        for step in range(len(walks[0])):
+            for k in (1, 0):
+                turns[k].append(both[k](walks[k][step]))
+        assert turns == alone
+        # A fresh fitness per chromosome builds every tree cold.
+        assert alone == [[fitness(k)(c) for c in walks[k]] for k in range(2)]
+
+    def test_chromosome_shapes_score_as_their_schedules(self):
+        # A change of segment count between calls, a zero-segment
+        # chromosome and non-finite genes, in one fitness: each scores as
+        # its schedule's waveform does through score_waveform, or raises
+        # the ValueError that building the schedule raises.
+        dev = toy_two_transmon_chain()
+        target = controlled_phase_ideal(2)
+        fitness = ccphase_fitness(dev, TOY_REFERENCES, 1.0)
+
+        def outcome(score, chromosome):
+            try:
+                return score(chromosome)
+            except ValueError as err:
+                return str(err)
+
+        def schedule_score(chromosome):
+            schedule = chromosome_to_schedule(chromosome, 2, 1.0,
+                                              TOY_REFERENCES)
+            return score_waveform(dev, PiecewiseConstantWaveform(schedule),
+                                  target).fidelity
+
+        pulse = load_toy_pulse().detunings
+        nan, inf = pulse.copy(), pulse.copy()
+        nan[1, 3] = np.nan
+        inf[0, 9] = -np.inf
+        moved = pulse.copy()
+        moved[0, 2] += 1e-3
+        chromosomes = [pulse, pulse[:, :7], moved[:, :7], np.zeros((2, 0)),
+                       moved, nan, moved, inf.reshape(-1), pulse[:, :1],
+                       np.zeros(0), np.zeros(7), pulse.reshape(-1)]
+        got = [outcome(fitness, c) for c in chromosomes]
+        assert got == [outcome(schedule_score, c) for c in chromosomes]
+        assert got[3] == got[9] == fidelity_report(np.eye(4), target).fidelity
+        assert got[5] == got[7] == "detunings must be finite"
+        assert got[10] == "chromosome length 7 is not a multiple of 2"
+        assert got[11] == got[0] != got[4]
 
     def test_zero_chromosome_in_range(self):
         dev = toy_two_transmon_chain()

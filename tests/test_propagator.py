@@ -10,7 +10,12 @@ import scipy.linalg
 from fluxgate import propagator
 from fluxgate.device import _template, basis_for, build_hamiltonian, full_basis
 from fluxgate.errors import EvolutionError, SingularityError
-from fluxgate.fidelity import fidelity_report, project_to_computational
+from fluxgate.fidelity import (
+    _Scorer,
+    controlled_phase_ideal,
+    fidelity_report,
+    project_to_computational,
+)
 from fluxgate.optimizer import DEConfig, chromosome_to_schedule, seed_population
 from fluxgate.propagator import TrotterConfig, evolve, expm_skew
 from fluxgate.profiles import (
@@ -83,15 +88,16 @@ def random_schedules(count, seed):
             for c in population[:count]]
 
 
-def cold_evolve(device, waveform):
-    """evolve with nothing reused from earlier calls; what they kept for
-    reuse is left as it was."""
-    kept = propagator._LAST_RUNS
-    propagator._LAST_RUNS = None
-    try:
-        return evolve(device, waveform)
-    finally:
-        propagator._LAST_RUNS = kept
+def lone_scorer(device):
+    """A fresh scorer of the three-transmon chain, as a fitness owns one:
+    it keeps the runs and product tree of the last pulse it scored alone."""
+    return _Scorer(device, TrotterConfig(), controlled_phase_ideal(3))
+
+
+def warm(scorer, det):
+    """The unitary of the 1 ns pulse with detunings ``det`` around
+    5/6/7 GHz, from ``scorer``'s kept tree updated to it."""
+    return scorer.unitary(np.array([[5.0], [6.0], [7.0]]) + det, 1.0)
 
 
 def counting_updates(monkeypatch):
@@ -182,38 +188,51 @@ class TestEvolve:
             return segment_unitaries(template, rows, dts)
 
         monkeypatch.setattr(propagator, "_segment_unitaries", counting)
-        monkeypatch.setattr(propagator, "_LAST_RUNS", None)
-        cold = evolve(device, PiecewiseConstantWaveform(sched))
-        warm = evolve(device, PiecewiseConstantWaveform(sched))
+        scorer = lone_scorer(device)
+        cold = scorer.unitary(sched.absolute_frequencies(), 1.0)
+        again = scorer.unitary(sched.absolute_frequencies(), 1.0)
         # Half the segments reused from another schedule's batch, half fresh.
-        monkeypatch.setattr(propagator, "_LAST_RUNS", None)
-        evolve(device, PiecewiseConstantWaveform(other))
-        mixed = evolve(device, PiecewiseConstantWaveform(sched))
+        scorer = lone_scorer(device)
+        scorer.unitary(other.absolute_frequencies(), 1.0)
+        mixed = scorer.unitary(sched.absolute_frequencies(), 1.0)
         assert batches == [50, 50, 25]
-        assert np.array_equal(cold, warm)
+        assert np.array_equal(cold, again)
         assert np.array_equal(cold, mixed)
+        # evolve keeps nothing: it exponentiates every run on every call.
+        for _ in range(2):
+            assert np.array_equal(
+                cold, evolve(device, PiecewiseConstantWaveform(sched)))
+        assert batches == [50, 50, 25, 50, 50]
 
     def test_writing_into_a_result_leaves_reuse_intact(self, device,
                                                        idle_schedule,
                                                        monkeypatch):
-        # One run (the idle pulse) and 50 runs: the caller owns the result,
-        # and the next evolve of the same pulse reuses the stored steps and
-        # tree, as does a one-segment move of it and the move back.
+        # One run (the idle pulse) and 50 runs: the caller owns evolve's
+        # result and a score's compensated unitary, and the next score of
+        # the same pulse reuses the kept steps and tree, as does a
+        # one-segment move of it and the move back.
         updates = counting_updates(monkeypatch)
         for sched in (idle_schedule, random_schedules(1, seed=29)[0]):
             wf = PiecewiseConstantWaveform(sched)
             det = sched.detunings.copy()
             det[1, 17] += 1e-3
-            moved = PiecewiseConstantWaveform(sched.with_detunings(det))
-            monkeypatch.setattr(propagator, "_LAST_RUNS", None)
+            moved = sched.with_detunings(det)
             cold = evolve(device, wf)
             want = cold.copy()
             cold[...] = 0.0
             assert np.array_equal(evolve(device, wf), want)
-            warm = evolve(device, moved)
-            assert np.array_equal(warm, cold_evolve(device, moved))
-            warm[...] = 0.0
-            assert np.array_equal(evolve(device, wf), want)
+            scorer = lone_scorer(device)
+            frequencies = sched.absolute_frequencies()
+            report = scorer.score(frequencies, 1.0)
+            compensated = report.compensated.copy()
+            report.compensated[...] = 0.0
+            assert np.array_equal(scorer.unitary(frequencies, 1.0), want)
+            assert np.array_equal(scorer.score(frequencies, 1.0).compensated,
+                                  compensated)
+            assert np.array_equal(
+                scorer.unitary(moved.absolute_frequencies(), 1.0),
+                evolve(device, PiecewiseConstantWaveform(moved)))
+            assert np.array_equal(scorer.unitary(frequencies, 1.0), want)
         # The 50-run pulse's move and move back update the kept tree.
         assert updates == [[17], [17]]
 
@@ -265,7 +284,6 @@ class TestEvolve:
         det[2, 1] = 1.2
         det[0, 3] = 3.05
         sched = PulseSchedule(det, 1.0, (5.0, 6.0, 7.0))
-        monkeypatch.setattr(propagator, "_LAST_RUNS", None)
         with pytest.raises(EvolutionError) as err:
             evolve(device, PiecewiseConstantWaveform(sched))
         assert err.value.transmon == 2
@@ -280,11 +298,10 @@ class TestEvolve:
         poles = np.zeros((3, 5))
         poles[2, 1] = 1.2
         poles[0, 3] = 3.05
-        evolve(device, PiecewiseConstantWaveform(
-            PulseSchedule(clean, 1.0, (5.0, 6.0, 7.0))))
+        scorer = lone_scorer(device)
+        warm(scorer, clean)
         with pytest.raises(EvolutionError) as err:
-            evolve(device, PiecewiseConstantWaveform(
-                PulseSchedule(poles, 1.0, (5.0, 6.0, 7.0))))
+            warm(scorer, poles)
         assert err.value.transmon == 2
         assert err.value.time == pytest.approx(1.05)
 
@@ -325,68 +342,70 @@ class TestEvolve:
 
 
 class TestProductTree:
-    """A lone waveform keeps its pairwise product tree, and the next one
-    multiplies again only the nodes above the runs that changed."""
+    """A scorer keeps the pairwise product tree of the last pulse it scored
+    alone, and the next one multiplies again only the nodes above the runs
+    that changed.  evolve keeps nothing, so it is the cold oracle."""
 
     @pytest.mark.parametrize("segments", [1, 2, 3, 7, 50])
     def test_warm_tree_equals_cold_product(self, device, segments,
                                            monkeypatch):
         rng = np.random.default_rng(segments)
         updates = counting_updates(monkeypatch)
-        monkeypatch.setattr(propagator, "_LAST_RUNS", None)
+        scorer = lone_scorer(device)
         last = segments - 1
         # Moves of one run (the last one is carried up every odd level),
         # of two runs, and of every run.
         moves = [[0], [last], [segments // 2], [0, last],
                  [segments // 2, last], list(range(segments)), [last]]
         det = rng.uniform(-0.1, 0.1, size=(3, segments))
-        evolve(device, pulse(det))
+        warm(scorer, det)
         for k, moved in enumerate(moves):
             det = det.copy()
             det[k % 3, moved] += rng.uniform(1e-4, 1e-3, size=len(moved))
-            wf = pulse(det)
-            assert np.array_equal(evolve(device, wf), cold_evolve(device, wf))
+            assert np.array_equal(warm(scorer, det),
+                                  evolve(device, pulse(det)))
         # A change of run count starts a new tree, which moves then update.
         det = np.concatenate([det, det[:, -1:] + 0.01], axis=1)
         for k in range(3):
             if k:
                 det = det.copy()
                 det[k, -1] += 1e-3
-            wf = pulse(det)
-            assert np.array_equal(evolve(device, wf), cold_evolve(device, wf))
+            assert np.array_equal(warm(scorer, det),
+                                  evolve(device, pulse(det)))
         assert len(updates) >= 5
         assert [last] in updates
 
     def test_pole_call_between_moves_keeps_tree(self, device, monkeypatch):
         rng = np.random.default_rng(41)
         updates = counting_updates(monkeypatch)
-        monkeypatch.setattr(propagator, "_LAST_RUNS", None)
+        scorer = lone_scorer(device)
         det = rng.uniform(-0.1, 0.1, size=(3, 7))
-        evolve(device, pulse(det))
+        warm(scorer, det)
         poles = det.copy()
         poles[2, 3] = 1.2  # qubit R onto its 8.2 GHz resonator
         with pytest.raises(EvolutionError):
-            evolve(device, pulse(poles))
+            warm(scorer, poles)
         moved = det.copy()
         moved[0, 5] += 1e-3
-        wf = pulse(moved)
-        assert np.array_equal(evolve(device, wf), cold_evolve(device, wf))
+        assert np.array_equal(warm(scorer, moved),
+                              evolve(device, pulse(moved)))
         # The pole call kept nothing: the move updates the tree before it.
         assert updates == [[5]]
 
     def test_stored_tree_is_never_written(self, device, monkeypatch):
-        # Threads share _LAST_RUNS without a lock because nothing a stored
-        # tree holds is written after it is stored: every level that an
-        # earlier call kept has its bytes at the end of a walk of moves.
+        # Threads that share a fitness share its scorer's kept tree without
+        # a lock because nothing a kept tree holds is written after it is
+        # kept: every level that an earlier call kept has its bytes at the
+        # end of a walk of moves.
         rng = np.random.default_rng(47)
         updates = counting_updates(monkeypatch)
-        monkeypatch.setattr(propagator, "_LAST_RUNS", None)
+        scorer = lone_scorer(device)
         det = rng.uniform(-0.1, 0.1, size=(3, 12))
         kept = []
 
         def call(det):
-            evolve(device, pulse(det))
-            tree = propagator._LAST_RUNS[3]
+            warm(scorer, det)
+            tree = scorer.kept[2]
             kept.append((tree, [np.array(level).tobytes() for level in tree]))
 
         call(det)
@@ -399,7 +418,7 @@ class TestProductTree:
                 poles = det.copy()
                 poles[2, 5] = 1.2  # qubit R onto its 8.2 GHz resonator
                 with pytest.raises(EvolutionError):
-                    evolve(device, pulse(poles))
+                    warm(scorer, poles)
                 continue
             det[rng.integers(3), moved] += rng.uniform(1e-4, 1e-3,
                                                         size=len(moved))
@@ -416,22 +435,21 @@ class TestProductTree:
         # lists of matrices), every level has the bits of a cold tree.
         rng = np.random.default_rng(53)
         updates = counting_updates(monkeypatch)
-        monkeypatch.setattr(propagator, "_LAST_RUNS", None)
+        scorer = lone_scorer(device)
         det = rng.uniform(-0.1, 0.1, size=(3, 12))
-        evolve(device, pulse(det))
+        warm(scorer, det)
         det = det.copy()
         det[1, 4] += 1e-3
-        evolve(device, pulse(det))
+        warm(scorer, det)
         assert updates == [[4]]
-        assert isinstance(propagator._LAST_RUNS[3][0], list)
+        assert isinstance(scorer.kept[2][0], list)
         det = det + rng.uniform(1e-4, 1e-3, size=det.shape)
-        wf = pulse(det)
-        assert np.array_equal(evolve(device, wf), cold_evolve(device, wf))
+        assert np.array_equal(warm(scorer, det), evolve(device, pulse(det)))
         assert updates == [[4]]
-        template, rows, dts, levels = propagator._LAST_RUNS
+        rows, dts, levels = scorer.kept
         assert len(rows) == 12
         cold = propagator._product_tree(
-            propagator._segment_unitaries(template, rows, dts))
+            propagator._segment_unitaries(scorer.template, rows, dts))
         assert len(levels) == len(cold)
         for got, want in zip(levels, cold):
             assert same_bytes(np.array(got), want)

@@ -117,19 +117,19 @@ class TestSegmentRuns:
 
     def read_from_segments(self, schedule, step):
         """Whether the runs are read from the segment columns themselves,
-        without looking up the segment of every step's midpoint."""
-        lookups = []
-        segment_indices = PulseSchedule._segment_indices
+        one column per segment, not one per step's midpoint."""
+        columns = []
+        stack_runs = propagator._stack_runs
 
-        def counting(sched, times):
-            lookups.append(len(times))
-            return segment_indices(sched, times)
+        def counting(stack, m, step):
+            columns.append(stack.shape[-1])
+            return stack_runs(stack, m, step)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(PulseSchedule, "_segment_indices", counting)
+            patch.setattr(propagator, "_stack_runs", counting)
             propagator._sampled_runs(PiecewiseConstantWaveform(schedule),
                                      TrotterConfig(step))
-        return not lookups
+        return columns == [schedule.n_segments]
 
     @pytest.mark.parametrize("step", [0.1, 0.25, 0.5, 1.0])
     def test_random_schedules_with_repeats(self, step):
@@ -203,7 +203,8 @@ class TestSegmentRuns:
             propagator._sampled_runs(sampled, TrotterConfig())
         stack = np.stack([np.zeros((1, 2)), wf._absolute])
         with pytest.raises(ValueError, match=named):
-            propagator._schedule_runs(sched, stack, TrotterConfig())
+            propagator._schedule_runs(stack, sched.segment_duration,
+                                      TrotterConfig())
 
 
 class TestRoundTrips:

@@ -9,7 +9,9 @@ import pytest
 
 from fluxgate import robustness
 from fluxgate.errors import EvolutionError, SingularityError
+from fluxgate.optimizer import ccphase_fitness
 from fluxgate.fidelity import (
+    _Scorer,
     controlled_phase_ideal,
     fidelity_report,
     score_waveform,
@@ -274,17 +276,19 @@ class TestNoiseStack:
         """The report, and per chunk the run counts of its members and
         their results, as the sweep scored them."""
         chunks = []
-        score_runs = robustness._score_runs
+        score_runs = _Scorer.score_runs
 
-        def recording(device, runs, target, step):
-            results = score_runs(device, runs, target, step)
+        def recording(scorer, runs):
+            results = score_runs(scorer, runs)
             chunks.append(([None if r is None else len(r[1]) for r in runs],
                            results))
             return results
 
-        monkeypatch.setattr(robustness, "_score_runs", recording)
-        report = noise_sweep(schedule, self.dev, config, trotter,
-                             target=self.target)
+        # score_waveform scores through a scorer too: record the sweep only.
+        with monkeypatch.context() as patch:
+            patch.setattr(_Scorer, "score_runs", recording)
+            report = noise_sweep(schedule, self.dev, config, trotter,
+                                 target=self.target)
         return report, chunks
 
     def lone(self, schedule, config, trotter=TrotterConfig(),
@@ -410,3 +414,44 @@ class TestNoiseStack:
         idle = PulseSchedule(np.zeros((2, 10)), 1.0, TOY_REFERENCES)
         self.assert_matches_lone(
             monkeypatch, idle, NoiseSweepConfig((0.0,), samples=3))
+
+
+class TestSecondOrderLaw:
+    """An oracle for the sweep's mean: uniform noise on [-a, a] on every
+    detuning gives E[F] = F0 + (a**2 / 6) * sum_i d2F/dx_i2 + O(a**4),
+    because the odd terms vanish by symmetry and each term's variance is
+    a**2 / 3."""
+
+    def test_toy_pulse_mean_at_2_mhz(self):
+        # The diagonal curvature by central differences of the fitness at
+        # a 1e-3 GHz step: -91.11 GHz^-2, the same to 5 digits at 3e-4.
+        pulse = load_toy_pulse()
+        fitness = ccphase_fitness(toy_two_transmon_chain(),
+                                  pulse.search_references,
+                                  pulse.segment_duration)
+        x = pulse.detunings.reshape(-1)
+        f0 = fitness(x)
+        h = 1e-3
+        curvature = 0.0
+        for i in range(x.size):
+            up, down = x.copy(), x.copy()
+            up[i] += h
+            down[i] -= h
+            curvature += (fitness(up) - 2.0 * f0 + fitness(down)) / h ** 2
+        assert curvature == pytest.approx(-91.11, abs=0.01)
+        a = 2.0 * 1e-3
+        law = f0 + a * a / 6.0 * curvature
+        report = noise_sweep(pulse, toy_two_transmon_chain(),
+                             NoiseSweepConfig(amplitudes_mhz=(2.0,),
+                                              samples=2000, seed=0))
+        assert report.baseline_fidelity == f0
+        # The tolerance: 4 standard errors plus 2e-7 for the fourth-order
+        # term.  At 2,000 samples the standard error is 1.1-1.2e-6, and
+        # over seeds 0-11, fixed before they were run, the mean sat
+        # between -1.91 and +1.58 standard errors from the law.  The
+        # fourth-order allowance is twice the 4 MHz gap between the sweep
+        # mean and the law at 20,000 samples (1.6e-6), scaled by
+        # (2 / 4)**4.
+        mean, error = report.mean_fidelities[0], report.std_errors[0]
+        assert 1e-6 < error < 1.5e-6
+        assert abs(mean - law) <= 4.0 * error + 2e-7

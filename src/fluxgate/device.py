@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SingularityError
+from .errors import SingularityError, _json_field
 
 TWO_PI = 2.0 * np.pi
 
@@ -652,26 +652,29 @@ def device_from_json(doc):
     Expected keys: ``transmons`` (list of ``{bare_frequency_ghz,
     anharmonicity_ghz, idle_frequency_ghz}``), ``resonators`` (list of
     ``{frequency_ghz, g_left_ghz, g_right_ghz}``), ``levels_per_transmon``,
-    ``max_total_excitation``; optional ``dispersive_floor_ghz``.
+    ``max_total_excitation``; optional ``dispersive_floor_ghz``.  A
+    missing or non-numeric key is a ValueError that names it.
     """
     transmons = tuple(
         TransmonSpec(
             index=i,
-            bare_frequency=t["bare_frequency_ghz"],
-            anharmonicity=t["anharmonicity_ghz"],
+            bare_frequency=_json_field(t, "bare_frequency_ghz",
+                                       f"transmon {i}"),
+            anharmonicity=_json_field(t, "anharmonicity_ghz", f"transmon {i}"),
             idle_frequency=t.get("idle_frequency_ghz"),
         )
-        for i, t in enumerate(doc["transmons"])
+        for i, t in enumerate(_json_field(doc, "transmons", "device", list))
     )
     couplings = tuple(
         ResonatorCoupling(
             left_index=i,
             right_index=i + 1,
-            resonator_frequency=r["frequency_ghz"],
-            g_left=r["g_left_ghz"],
-            g_right=r["g_right_ghz"],
+            resonator_frequency=_json_field(r, "frequency_ghz",
+                                            f"resonator {i}"),
+            g_left=_json_field(r, "g_left_ghz", f"resonator {i}"),
+            g_right=_json_field(r, "g_right_ghz", f"resonator {i}"),
         )
-        for i, r in enumerate(doc["resonators"])
+        for i, r in enumerate(_json_field(doc, "resonators", "device", list))
     )
     return DeviceChain(
         transmons,

@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the JSON field check."""
 
 __all__ = [
     "SingularityError",
@@ -54,3 +54,15 @@ class EvaluationError(RuntimeError):
 
 class TomographyError(RuntimeError):
     """Process-matrix estimation failed (e.g. rank-deficient input set)."""
+
+
+def _json_field(doc, key, where, kind=(int, float)):
+    """``doc[key]``, a number (not JSON's true or false) or a list; a
+    missing key or another kind is a ValueError naming ``key``."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"{where} lacks {key!r}")
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "a list" if kind is list else "a number"
+        raise ValueError(f"{where}: {key} must be {noun}, got {value!r}")
+    return value

@@ -14,9 +14,9 @@ and the result is scored against a target with
 The first term penalizes leakage out of the computational subspace (the
 projection of a leaky unitary is a contraction), the second rewards
 closeness to the target up to a global phase.  Every caller scores
-through one chain, ``_Scorer``: it scores the sampled runs of many
-waveforms with one evolution batch and fits and scores their projected
-unitaries as one stack (``_fidelity_reports``, whose one-member case is
+through one chain, ``_Scorer``: a lone pulse on the propagator's one
+lone path, and a noise sweep's stacks on its batch path, fitted and
+scored as one stack (``_fidelity_reports``, whose one-member case is
 :func:`fidelity_report`).  Reuse belongs to a fitness, not to the
 process: only the scorer a fitness owns keeps its last pulse's tree.
 """
@@ -28,13 +28,12 @@ from functools import lru_cache
 import numpy as np
 
 from .device import _template, basis_for
-from .errors import DegenerateUnitaryError, EvolutionError
+from .errors import DegenerateUnitaryError
 from .propagator import (
     TrotterConfig,
     _evolve_runs,
     _run_unitaries,
     _sampled_runs,
-    _schedule_runs,
 )
 
 __all__ = [
@@ -410,27 +409,27 @@ def fidelity_report(u, target, refine=True):
 
 
 class _Scorer:
-    """The scoring chain on one device, Trotter config and target.
-
-    ``kept`` holds the runs and product tree of the last lone pulse.  It is
-    replaced whole and never written into, so threads that share a scorer
-    race only for reuse, never for bits.
+    """The scoring chain on one device, Trotter config and target, fed
+    runs.  :meth:`score` takes the lone path and keeps, in ``kept``, the
+    runs and product tree of the last lone pulse: replaced whole and never
+    written into, so threads that share a scorer race only for reuse,
+    never for bits.  :meth:`score_runs` takes a noise sweep's batch path.
     """
 
     def __init__(self, device, trotter, target):
         basis = basis_for(device)
         self.template = _template(device, basis)
-        self.trotter, self.step = trotter, trotter.step
+        self.step = trotter.step
         self.qubits = basis.qubit_indices
         self.index = np.ix_(self.qubits, self.qubits)
         self.target = np.asarray(target, dtype=complex)
         self.kept = None
 
     def score_runs(self, runs):
-        """Per waveform, given by its ``propagator._sampled_runs``, the
-        FidelityReport or EvolutionError of :func:`score_waveform`, bit
-        for bit: the waveforms are evolved in one batch, projected in one
-        gather, and fitted and scored as one stack."""
+        """Per pulse, given by its runs, the FidelityReport or
+        EvolutionError of :func:`score_waveform`, bit for bit: the pulses
+        are evolved in one batch, projected in one gather, and fitted and
+        scored as one stack."""
         unitaries, errors = _evolve_runs(self.template, runs, self.step)
         scored = [p for p, error in enumerate(errors) if error is None]
         reports = iter(_fidelity_reports(
@@ -438,21 +437,19 @@ class _Scorer:
             if scored else ())
         return [next(reports) if error is None else error for error in errors]
 
-    def unitary(self, frequencies, segment_duration):
-        """The bits ``evolve`` gives the piecewise-constant pulse of absolute
-        ``frequencies`` (n_qubits, n_segments), from the kept tree: never
-        write into it.  A pole raises its EvolutionError, keeping the tree."""
-        (runs,) = _schedule_runs(frequencies[None], segment_duration,
-                                 self.trotter)
+    def unitary(self, runs):
+        """The bits ``evolve`` gives the pulse of ``runs``, from the kept
+        tree: never write into it.  A pole raises its EvolutionError,
+        keeping the tree."""
         if runs is None:
             return np.eye(self.template.dim, dtype=complex)
         self.kept = kept = _run_unitaries(self.template, runs, self.step,
                                           self.kept)
         return kept[2][-1][0]
 
-    def score(self, frequencies, segment_duration):
+    def score(self, runs):
         """:meth:`unitary`'s FidelityReport, as score_waveform gives it."""
-        u = self.unitary(frequencies, segment_duration)
+        u = self.unitary(runs)
         (report,) = _fidelity_reports(u[self.index][None], self.target)
         return report
 
@@ -467,8 +464,5 @@ def score_waveform(device, waveform, target, trotter=TrotterConfig()):
         If the waveform crosses a resonator pole; see
         :func:`~fluxgate.propagator.evolve`.
     """
-    (result,) = _Scorer(device, trotter, target).score_runs(
-        [_sampled_runs(waveform, trotter)])
-    if isinstance(result, EvolutionError):
-        raise result
-    return result
+    return _Scorer(device, trotter, target).score(
+        _sampled_runs(waveform, trotter))

@@ -26,9 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EvaluationError, EvolutionError, InfeasibilityError
+from .errors import (
+    EvaluationError,
+    EvolutionError,
+    InfeasibilityError,
+    _json_field,
+)
 from .fidelity import _Scorer, controlled_phase_ideal
-from .propagator import TrotterConfig
+from .propagator import TrotterConfig, _schedule_runs
 from .pulses import PulseSchedule
 
 logger = logging.getLogger(__name__)
@@ -380,7 +385,7 @@ class DEConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("population_size", "max_generations"):
+        for name in ("population_size", "max_generations", "seed"):
             _check_integer(self, name)
         if self.population_size < 4:
             raise ValueError(
@@ -389,11 +394,19 @@ class DEConfig:
             )
         # A NaN target ends the search at generation 0; a NaN probability
         # or bound switches its draw off.
-        for name in ("mutation_bounds", "crossover_bounds", "target_fidelity",
-                     "readapt_probability", "subspace_probability"):
+        for name in ("target_fidelity", "readapt_probability",
+                     "subspace_probability"):
             value = getattr(self, name)
-            if not all(map(math.isfinite, np.ravel(value))):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        # rng.uniform(*bounds) would read [lo] as [lo, 1) and name no field.
+        for name in ("mutation_bounds", "crossover_bounds"):
+            value = getattr(self, name)
+            if not (isinstance(value, (tuple, list)) and len(value) == 2
+                    and all(isinstance(v, numbers.Real) and math.isfinite(v)
+                            for v in value) and value[0] <= value[1]):
+                raise ValueError(f"{name} must be finite numbers [lo, hi] "
+                                 f"with lo <= hi, got {value!r}")
 
 
 def seed_population(config, constraints, references, n_segments, rng=None):
@@ -748,7 +761,7 @@ def ccphase_fitness(device, references, segment_duration=1.0,
     if target is None:
         target = controlled_phase_ideal(n)
     # As a PulseSchedule holds them, and with its checks below.
-    refs = np.array([float(r) for r in references])[:, None]
+    refs = np.array([float(r) for r in references])[None, :, None]
     segment_duration = float(segment_duration)
     scorer = _Scorer(device, trotter, target)
     # The fitness is public and may be called from user threads.
@@ -761,7 +774,8 @@ def ccphase_fitness(device, references, segment_duration=1.0,
         if not np.isfinite(det).all():
             raise ValueError("detunings must be finite")
         try:
-            return scorer.score(refs + det, segment_duration).fidelity
+            (runs,) = _schedule_runs(refs + det, segment_duration, trotter)
+            return scorer.score(runs).fidelity
         except EvolutionError as err:
             with lock:
                 fitness.pole_failures += 1
@@ -775,15 +789,16 @@ def ccphase_fitness(device, references, segment_duration=1.0,
 
 
 def constraints_from_json(doc):
-    """Build a ConstraintSet from a parsed JSON document."""
+    """Build a ConstraintSet from a parsed JSON document.  A missing or
+    non-numeric key is a ValueError that names it."""
     ranges = tuple(
         DetuningRange(
-            lo=r["lo_ghz"],
-            hi=r["hi_ghz"],
+            lo=_json_field(r, "lo_ghz", f"range {i}"),
+            hi=_json_field(r, "hi_ghz", f"range {i}"),
             lo_inclusive=r.get("lo_inclusive", True),
             hi_inclusive=r.get("hi_inclusive", True),
         )
-        for r in doc["ranges"]
+        for i, r in enumerate(_json_field(doc, "ranges", "constraints", list))
     )
     idle = doc.get("idle_frequencies_ghz")
     return ConstraintSet(

@@ -5,13 +5,14 @@ short constant-Hamiltonian exponentials,
 
     U(T) = U_k ... U_1 U_0,   U_0 = I,   U_i = exp(-i H(tau_i) dt),
 
-with the waveform sampled at every Trotter-step midpoint tau_i in one
-vectorized call.  Consecutive steps with identical samples share one
-constant Hamiltonian, so they merge into one exponential over their
-combined duration.  A piecewise-constant pulse is not sampled: its runs
-are read from its segment columns (each step's column when the step does
-not divide the segments), neighbours with the same bits merged, with the
-times, rows and counts sampling would give.  The
+with the waveform at every Trotter-step midpoint tau_i.  Every pulse
+becomes runs through one finder, :func:`_schedule_runs`: neighbouring
+frequency columns with the same bits share one constant Hamiltonian, so
+they merge into one exponential over their combined duration.  A
+piecewise-constant pulse gives its segment columns (each step's column
+when the step does not divide the segments); any other waveform gives
+its samples at every step's midpoint, taken in one vectorized call, as
+columns one step long.  The
 Hamiltonians of all merged steps are built in one batch from the device's
 precomputed template, which holds every term and index that does not
 depend on frequency, and because H conserves the total excitation number
@@ -21,25 +22,23 @@ accurate and unitary to machine precision, and entries between blocks are
 exactly zero.  The batch is checked once, for exact symmetry.
 
 The step unitaries are multiplied pairwise, level by level, in a tree
-whose shape depends only on the step count.  :func:`evolve` builds the
-whole tree on every call.  Reuse belongs to a fitness, not to the
-process: a fitness keeps the runs and tree of its previous pulse
-(:func:`_run_unitaries`), so after a local-search move only the changed
-runs are exponentiated again and only the nodes above them are multiplied
-again: about log2(S) products instead of S - 1, with the same bits.
+whose shape depends only on the step count.  A lone pulse takes one
+path, :func:`_run_unitaries`: :func:`evolve` builds the whole tree on
+every call, while a fitness keeps the runs and tree of its previous
+pulse, so after a local-search move only the changed runs are
+exponentiated again and only the nodes above them are multiplied again:
+about log2(S) products instead of S - 1, with the same bits.
 
-Many waveforms can evolve together: their runs share one exponential
-batch, and the waveforms with equal run counts are multiplied out as one
-stack.  Every step and every product is computed exactly as for a lone
-waveform, so a waveform's unitary does not depend on its batch.  The runs
-of a stack of piecewise-constant pulses (a noise-sweep chunk, or a
-fitness's one chromosome), given as their absolute segment frequencies,
-come from one bit comparison, with no waveform object.
+Only a noise sweep's stacks take the batch path (:func:`_evolve_runs`):
+their runs share one exponential batch, and the pulses with equal run
+counts are multiplied out as one stack.  Every step and every product is
+computed exactly as for a lone pulse, so a pulse's unitary does not
+depend on its batch.
 
 A run on a resonator pole has no Hamiltonian: the batch's build raises the
 device's SingularityError at its earliest offending run.  That run's
-waveform gets the EvolutionError that names the run's start time and the
-transmon, and the batch is exponentiated again without it.
+pulse gets the EvolutionError that names the run's start time and the
+transmon; a stack's batch is exponentiated again without that pulse.
 """
 
 import math
@@ -182,23 +181,18 @@ def _stack_runs(columns, m, step):
             for a, b in zip(bounds, bounds[1:])]
 
 
-def _non_finite(value, time, qubit):
-    return ValueError(f"waveform frequency {value} GHz at t={time:g} ns "
-                      f"(qubit {qubit}) is not finite")
-
-
 def _schedule_runs(frequencies, segment_duration, trotter):
-    """The :func:`_sampled_runs` of each member of a (P, n_qubits,
-    n_segments) stack of absolute ``frequencies`` on segments of
-    ``segment_duration`` ns: what the member's PiecewiseConstantWaveform
-    gives alone, as a list.
+    """The runs of each member of a (P, n_qubits, n_segments) stack of
+    absolute ``frequencies`` on segments of ``segment_duration`` ns, as a
+    list of one (start times, rows, counts) triple per member, or None for
+    a member that takes no step.  Every pulse becomes runs here.
 
     When the step divides the segments, the k steps are m per segment;
     sampling puts steps s*m to s*m + m - 1 in segment s, because k is the
     rounded duration / step, so no midpoint drifts by the half step that
     separates it from a segment boundary.  The runs are then read from the
     segment columns, without sampling.  Otherwise every step's midpoint
-    picks its segment's column, as ``PiecewiseConstantWaveform.sample``
+    picks its segment's column, as ``PiecewiseConstantWaveform.frequencies``
     does.  A non-finite frequency is a ValueError that names the earliest
     one's time and qubit, in the earliest member that has one.
     """
@@ -215,41 +209,31 @@ def _schedule_runs(frequencies, segment_duration, trotter):
     if not np.isfinite(frequencies).all():
         bad = ~np.isfinite(frequencies.transpose(0, 2, 1))
         p, j, qubit = np.argwhere(bad)[0]
-        raise _non_finite(frequencies[p, qubit, j],
-                          (j * m + 0.5) * trotter.step, qubit)
+        raise ValueError(
+            f"waveform frequency {frequencies[p, qubit, j]} GHz at "
+            f"t={(j * m + 0.5) * trotter.step:g} ns (qubit {qubit}) is not "
+            "finite")
     return _stack_runs(frequencies, m, trotter.step)
 
 
 def _sampled_runs(waveform, trotter):
-    """The waveform sampled at every Trotter-step midpoint, merged into runs.
-
-    Returns (start times, sample rows, counts): one entry per run of
-    consecutive bit-identical samples, in time order; or None when the
-    waveform takes no step.  A non-finite sample is a ValueError that
-    names its time and qubit.  A PiecewiseConstantWaveform whose
-    ``sample`` is not overridden gives the same runs from its segment
-    columns (:func:`_schedule_runs`).
-    """
-    if type(waveform).sample is PiecewiseConstantWaveform.sample:
-        (runs,) = _schedule_runs(waveform._absolute[None],
-                                 waveform.schedule.segment_duration, trotter)
-        return runs
-    k = trotter.n_steps(waveform.duration)
-    if k == 0:
-        return None
-    times = (np.arange(k) + 0.5) * trotter.step
-    samples = np.ascontiguousarray(waveform.sample(times), dtype=float)
-    if not np.isfinite(samples).all():
-        step, qubit = np.argwhere(~np.isfinite(samples))[0]
-        raise _non_finite(samples[step, qubit], times[step], qubit)
-    (runs,) = _stack_runs(samples.T[None], 1, trotter.step)
+    """The :func:`_schedule_runs` of one waveform: a PiecewiseConstantWaveform
+    gives its segment columns, and any other waveform its samples at every
+    Trotter-step midpoint, taken in one ``sample`` call, as columns one
+    step long."""
+    if isinstance(waveform, PiecewiseConstantWaveform):
+        columns, width = waveform._absolute, waveform.schedule.segment_duration
+    else:
+        k = trotter.n_steps(waveform.duration)
+        samples = waveform.sample((np.arange(k) + 0.5) * trotter.step)
+        columns, width = np.asarray(samples, dtype=float).T, trotter.step
+    (runs,) = _schedule_runs(columns[None], width, trotter)
     return runs
 
 
 def _run_unitaries(template, runs, step, kept):
     """The (rows, dts, levels) of :func:`_product_tree` of a lone pulse's
-    :func:`_sampled_runs`, reusing ``kept``, that triple of an earlier
-    pulse, or None.
+    runs, reusing ``kept``, that triple of an earlier pulse, or None.
 
     Runs bit-identical to the same run of ``kept`` (same row shape) reuse
     its unitary; the others are exponentiated in one batch.  When some
@@ -345,16 +329,16 @@ def _update_tree(levels, u, fresh):
 
 
 def _evolve_runs(template, runs, step):
-    """Total unitaries of sampled waveforms, and their pole errors.
+    """Total unitaries of a stack of pulses, and their pole errors: the
+    batch path, which only the noise sweep's stacks take.
 
-    ``runs`` holds, per waveform, its :func:`_sampled_runs`: a triple, or
-    None for a waveform that takes no step (the identity).  The runs of
-    all waveforms are exponentiated in one batch, ordered by run count, so
-    the waveforms with S runs are multiplied out as one (P, S, dim, dim)
-    view of it.
-    Returns the unitaries, shape (P, dim, dim), and per waveform None or
+    ``runs`` holds, per pulse, its :func:`_schedule_runs`: a triple, or
+    None for a pulse that takes no step (the identity).  The runs of all
+    pulses are exponentiated in one batch, ordered by run count, so the
+    pulses with S runs are multiplied out as one (P, S, dim, dim) view of
+    it.  Returns the unitaries, shape (P, dim, dim), and per pulse None or
     the EvolutionError that :func:`evolve` raises for it (its unitary is
-    then zero).  Each waveform on a pole costs the batch one more try.
+    then zero).  Each pulse on a pole costs the batch one more try.
     """
     out = np.zeros((len(runs), template.dim, template.dim), dtype=complex)
     errors = [None] * len(runs)
@@ -392,11 +376,11 @@ def _evolve_runs(template, runs, step):
 def evolve(device, waveform, trotter=TrotterConfig(), basis=None):
     """Total unitary of a waveform on the device's truncated basis.
 
-    The waveform is sampled once, at all Trotter-step midpoints.  Runs of
-    consecutive identical samples merge into one step of ``count * step``
-    ns; the merged steps are exponentiated in one batch (one stacked eigh
-    per excitation block), and the step unitaries are multiplied in time
-    order, pairwise.
+    The waveform becomes runs once (:func:`_sampled_runs`): consecutive
+    steps with identical frequencies merge into one step of
+    ``count * step`` ns.  The merged steps are exponentiated in one batch
+    (one stacked eigh per excitation block), and the step unitaries are
+    multiplied in time order, pairwise.
 
     Parameters
     ----------
@@ -423,9 +407,8 @@ def evolve(device, waveform, trotter=TrotterConfig(), basis=None):
     """
     if basis is None:
         basis = basis_for(device)
-    unitaries, errors = _evolve_runs(_template(device, basis),
-                                     [_sampled_runs(waveform, trotter)],
-                                     trotter.step)
-    if errors[0] is not None:
-        raise errors[0]
-    return unitaries[0]
+    template = _template(device, basis)
+    runs = _sampled_runs(waveform, trotter)
+    if runs is None:
+        return np.eye(template.dim, dtype=complex)
+    return _run_unitaries(template, runs, trotter.step, None)[2][-1][0]

@@ -2,12 +2,12 @@
 
 A :class:`PulseSchedule` stores per-qubit detuning sequences in GHz,
 relative to per-qubit search reference frequencies.  A :class:`Waveform`
-maps continuous time in ns to absolute per-qubit frequencies in GHz; the
-propagator samples it at all Trotter-step midpoints in one
-:meth:`Waveform.sample` call, so smoothed (distorted) pulse shapes reuse
-the same evolution code unchanged.  A :class:`PiecewiseConstantWaveform`
-is not sampled: the propagator reads its runs from the segment columns,
-with the same result.
+maps continuous time in ns to absolute per-qubit frequencies in GHz.
+Every pulse becomes runs through one finder, which reads a
+:class:`PiecewiseConstantWaveform` from its segment columns, chosen by
+type, and any other waveform (a smoothed, distorted pulse) from its
+samples at all Trotter-step midpoints, taken in one :meth:`Waveform.sample`
+call.
 
 Each file format has one codec pair on text or parsed JSON
 (:func:`schedule_to_csv`/:func:`schedule_from_csv`,
@@ -18,6 +18,8 @@ the file.
 import math
 
 import numpy as np
+
+from .errors import _json_field
 
 __all__ = [
     "PulseSchedule",
@@ -92,15 +94,6 @@ class PulseSchedule:
             raise ValueError(f"t={t} outside [0, {self.duration}]")
         return min(int(t / self.segment_duration), self.n_segments - 1)
 
-    def _segment_indices(self, times):
-        """Vectorized :meth:`segment_index` over an array of ``times``."""
-        times = np.asarray(times, dtype=float)
-        if times.size and not (times.min() >= 0 and times.max() <= self.duration):
-            raise ValueError(f"sample times outside [0, {self.duration}]")
-        return np.minimum(
-            (times / self.segment_duration).astype(np.intp), self.n_segments - 1
-        )
-
 
 class Waveform:
     """Map from time t in [0, duration] (ns) to per-qubit frequencies (GHz)."""
@@ -127,10 +120,6 @@ class PiecewiseConstantWaveform(Waveform):
 
     def frequencies(self, t):
         return self._absolute[:, self.schedule.segment_index(t)]
-
-    def sample(self, times):
-        """Vectorized :meth:`frequencies`: the same segment for every time."""
-        return self._absolute.T[self.schedule._segment_indices(times)]
 
 
 def _format(value):
@@ -172,8 +161,9 @@ def schedule_to_json(schedule):
 
 
 def schedule_from_json(doc):
+    """Inverse of :func:`schedule_to_json`; a bad key is a ValueError."""
     return PulseSchedule(
-        doc["detunings_ghz"],
-        segment_duration=doc["segment_duration_ns"],
-        search_references=doc["search_references_ghz"],
+        _json_field(doc, "detunings_ghz", "pulse", list),
+        _json_field(doc, "segment_duration_ns", "pulse"),
+        _json_field(doc, "search_references_ghz", "pulse", list),
     )

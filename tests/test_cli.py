@@ -136,18 +136,37 @@ def test_non_finite_references_rejected(workdir, capsys, command, pulse):
 def test_non_finite_json_input_rejected(workdir, capsys):
     # json.load reads NaN: a NaN search reference in the pulse JSON used to
     # end in "Eigenvalues did not converge", and a NaN bare frequency in
-    # the device JSON in a fidelity with exit code 0.
+    # the device JSON in a fidelity with exit code 0.  A missing key was a
+    # KeyError traceback, and a quoted number a TypeError one.
     pulse = read_json(workdir / "pulse.json")
     pulse["search_references_ghz"][0] = float("nan")
     (workdir / "nan_pulse.json").write_text(json.dumps(pulse))
-    device = read_json(workdir / "device.json")
-    device["transmons"][0]["bare_frequency_ghz"] = float("nan")
-    (workdir / "nan_device.json").write_text(json.dumps(device))
+    del pulse["segment_duration_ns"]
+    (workdir / "short_pulse.json").write_text(json.dumps(pulse))
+    for name, (part, i, key, value) in {
+        "nan_device.json": ("transmons", 0, "bare_frequency_ghz", math.nan),
+        "text_device.json": ("transmons", 1, "bare_frequency_ghz", "5.7"),
+        "bool_device.json": ("resonators", 0, "g_left_ghz", True),
+        "short_device.json": ("transmons", 0, "anharmonicity_ghz", None),
+    }.items():
+        device = read_json(workdir / "device.json")
+        device[part][i][key] = value
+        if value is None:
+            del device[part][i][key]
+        (workdir / name).write_text(json.dumps(device))
     for device_file, pulse_file, message in (
         ("device.json", "nan_pulse.json",
          "search_references must be finite"),
         ("nan_device.json", "pulse.json",
          "transmon 0: bare_frequency must be finite, got nan"),
+        ("device.json", "short_pulse.json",
+         "pulse lacks 'segment_duration_ns'"),
+        ("text_device.json", "pulse.json",
+         "transmon 1: bare_frequency_ghz must be a number, got '5.7'"),
+        ("bool_device.json", "pulse.json",
+         "resonator 0: g_left_ghz must be a number, got True"),
+        ("short_device.json", "pulse.json",
+         "transmon 0 lacks 'anharmonicity_ghz'"),
     ):
         rc = main(["simulate", "--device", str(workdir / device_file),
                    "--pulses", str(workdir / pulse_file), "--out", "out.json"])
@@ -466,6 +485,24 @@ class TestOptimizeInputErrors:
          "population_size must be an integer, got 8.5"),
         ("de", '{"population_size": 8, "max_generations": 1e400}',
          "max_generations must be an integer, got inf"),
+        ("de", '{"population_size": 8, "max_generations": 2, "seed": 1.5}',
+         "seed must be an integer, got 1.5"),
+        ("de", '{"max_generations": 2, "mutation_bounds": 0.5}',
+         "mutation_bounds must be finite numbers [lo, hi] with lo <= hi, "
+         "got 0.5"),
+        ("de", '{"max_generations": 2, "mutation_bounds": [0, 1, 2]}',
+         "mutation_bounds must be finite numbers [lo, hi] with lo <= hi, "
+         "got [0, 1, 2]"),
+        ("de", '{"max_generations": 2, "mutation_bounds": [0.5]}',
+         "mutation_bounds must be finite numbers [lo, hi] with lo <= hi, "
+         "got [0.5]"),
+        ("de", '{"max_generations": 2, "crossover_bounds": [0.9, 0.1]}',
+         "crossover_bounds must be finite numbers [lo, hi] with lo <= hi, "
+         "got [0.9, 0.1]"),
+        ("constraints", '{"ranges": [{"hi_ghz": 0.1}]}',
+         "range 0 lacks 'lo_ghz'"),
+        ("constraints", '{"ranges": {"lo_ghz": 0.0}}',
+         "constraints: ranges must be a list, got {'lo_ghz': 0.0}"),
         ("ls", '{"eps_max": Infinity, "eps_min": 1e-3}',
          "eps_max must be finite, got inf"),
         ("ls", '{"max_iterations": 1.5}',
@@ -475,7 +512,10 @@ class TestOptimizeInputErrors:
                                    message):
         # Refused where the config is read, before any evaluation or
         # write: a population of 8.5 was a TypeError traceback, and 1e400
-        # generations ran until the target.
+        # generations ran until the target.  A seed of 1.5, a bound that
+        # is no pair and a range without an end were tracebacks, bounds
+        # [0.5] drew from [0.5, 1), and [0.9, 0.1] failed in numpy's
+        # words, naming no field.
         (workdir / "de.json").write_text(
             '{"population_size": 8, "max_generations": 2}')
         (workdir / "ls.json").write_text('{"max_iterations": 1}')

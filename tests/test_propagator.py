@@ -25,7 +25,7 @@ from fluxgate.profiles import (
     three_transmon_chain,
     toy_two_transmon_chain,
 )
-from fluxgate.pulses import PiecewiseConstantWaveform, PulseSchedule
+from fluxgate.pulses import PiecewiseConstantWaveform, PulseSchedule, Waveform
 
 
 def random_hermitian(rng, dim, scale=1.0):
@@ -94,10 +94,19 @@ def lone_scorer(device):
     return _Scorer(device, TrotterConfig(), controlled_phase_ideal(3))
 
 
+def runs_of(frequencies):
+    """The runs of the pulse of absolute ``frequencies`` (n_qubits,
+    n_segments) on 1 ns segments, at the default step, as a fitness finds
+    them."""
+    (runs,) = propagator._schedule_runs(frequencies[None], 1.0,
+                                        TrotterConfig())
+    return runs
+
+
 def warm(scorer, det):
     """The unitary of the 1 ns pulse with detunings ``det`` around
     5/6/7 GHz, from ``scorer``'s kept tree updated to it."""
-    return scorer.unitary(np.array([[5.0], [6.0], [7.0]]) + det, 1.0)
+    return scorer.unitary(runs_of(np.array([[5.0], [6.0], [7.0]]) + det))
 
 
 def counting_updates(monkeypatch):
@@ -189,12 +198,12 @@ class TestEvolve:
 
         monkeypatch.setattr(propagator, "_segment_unitaries", counting)
         scorer = lone_scorer(device)
-        cold = scorer.unitary(sched.absolute_frequencies(), 1.0)
-        again = scorer.unitary(sched.absolute_frequencies(), 1.0)
+        cold = scorer.unitary(runs_of(sched.absolute_frequencies()))
+        again = scorer.unitary(runs_of(sched.absolute_frequencies()))
         # Half the segments reused from another schedule's batch, half fresh.
         scorer = lone_scorer(device)
-        scorer.unitary(other.absolute_frequencies(), 1.0)
-        mixed = scorer.unitary(sched.absolute_frequencies(), 1.0)
+        scorer.unitary(runs_of(other.absolute_frequencies()))
+        mixed = scorer.unitary(runs_of(sched.absolute_frequencies()))
         assert batches == [50, 50, 25]
         assert np.array_equal(cold, again)
         assert np.array_equal(cold, mixed)
@@ -223,16 +232,16 @@ class TestEvolve:
             assert np.array_equal(evolve(device, wf), want)
             scorer = lone_scorer(device)
             frequencies = sched.absolute_frequencies()
-            report = scorer.score(frequencies, 1.0)
+            report = scorer.score(runs_of(frequencies))
             compensated = report.compensated.copy()
             report.compensated[...] = 0.0
-            assert np.array_equal(scorer.unitary(frequencies, 1.0), want)
-            assert np.array_equal(scorer.score(frequencies, 1.0).compensated,
-                                  compensated)
+            assert np.array_equal(scorer.unitary(runs_of(frequencies)), want)
             assert np.array_equal(
-                scorer.unitary(moved.absolute_frequencies(), 1.0),
+                scorer.score(runs_of(frequencies)).compensated, compensated)
+            assert np.array_equal(
+                scorer.unitary(runs_of(moved.absolute_frequencies())),
                 evolve(device, PiecewiseConstantWaveform(moved)))
-            assert np.array_equal(scorer.unitary(frequencies, 1.0), want)
+            assert np.array_equal(scorer.unitary(runs_of(frequencies)), want)
         # The 50-run pulse's move and move back update the kept tree.
         assert updates == [[17], [17]]
 
@@ -306,11 +315,15 @@ class TestEvolve:
         assert err.value.time == pytest.approx(1.05)
 
     def test_non_finite_sample_names_time_and_qubit(self, device):
-        class Broken(PiecewiseConstantWaveform):
-            def sample(self, times):
-                samples = super().sample(times)
-                samples[times > 2.0, 1] = np.nan
-                return samples
+        # A plain Waveform, so it is sampled at every step's midpoint.
+        class Broken(Waveform):
+            def __init__(self, schedule):
+                self.pulse = PiecewiseConstantWaveform(schedule)
+                self.duration = schedule.duration
+
+            def frequencies(self, t):
+                return np.where([False, t > 2.0, False], np.nan,
+                                self.pulse.frequencies(t))
 
         sched = PulseSchedule(np.zeros((3, 5)), 1.0, (5.0, 6.0, 7.0))
         with pytest.raises(ValueError, match=r"frequency nan GHz at "
@@ -327,7 +340,6 @@ class TestEvolve:
         trotter = TrotterConfig(0.3)
         times = [(i + 0.5) * 0.3 for i in range(trotter.n_steps(3.0))]
         scalar = np.array([wf.frequencies(t) for t in times])
-        assert np.array_equal(wf.sample(times), scalar)
         basis = basis_for(device)
         per_step = np.eye(20, dtype=complex)
         for freqs in scalar:

@@ -12,6 +12,7 @@ from fluxgate.propagator import TrotterConfig
 from fluxgate.pulses import (
     PiecewiseConstantWaveform,
     PulseSchedule,
+    Waveform,
     schedule_from_csv,
     schedule_from_json,
     schedule_to_csv,
@@ -78,12 +79,17 @@ class TestPiecewiseConstantWaveform:
         assert np.array_equal(wf.frequencies(4.0), absolute[:, 4])
 
 
-class Sampled(PiecewiseConstantWaveform):
-    """Overrides ``sample`` without changing it, so the propagator samples
-    every midpoint instead of reading the runs from the segments."""
+class Sampled(Waveform):
+    """The schedule's PiecewiseConstantWaveform seen only through its
+    ``frequencies``: a plain Waveform, so the propagator samples it at
+    every step's midpoint instead of reading the runs from the segments."""
 
-    def sample(self, times):
-        return super().sample(times)
+    def __init__(self, schedule):
+        self.pulse = PiecewiseConstantWaveform(schedule)
+        self.duration = schedule.duration
+
+    def frequencies(self, t):
+        return self.pulse.frequencies(t)
 
 
 def repeating_schedule(rng, n_qubits, n_segments, segment_duration):

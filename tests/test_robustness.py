@@ -22,7 +22,7 @@ from fluxgate.profiles import (
     toy_two_transmon_chain,
 )
 from fluxgate.propagator import TrotterConfig, evolve
-from fluxgate.pulses import PiecewiseConstantWaveform, PulseSchedule
+from fluxgate.pulses import PiecewiseConstantWaveform, PulseSchedule, Waveform
 from fluxgate.robustness import (
     NoiseSweepConfig,
     SmoothingParams,
@@ -284,7 +284,7 @@ class TestNoiseStack:
                            results))
             return results
 
-        # score_waveform scores through a scorer too: record the sweep only.
+        # Only the sweep's stacks take score_runs; record them there.
         with monkeypatch.context() as patch:
             patch.setattr(_Scorer, "score_runs", recording)
             report = noise_sweep(schedule, self.dev, config, trotter,
@@ -384,9 +384,14 @@ class TestNoiseStack:
     def test_step_not_dividing_segments(self, monkeypatch):
         # 0.4 ns divides the 10 ns pulse but not its 1 ns segments: each
         # step's midpoint picks its segment, as sampling does.
-        class Sampled(PiecewiseConstantWaveform):
-            def sample(self, times):
-                return super().sample(times)
+        # A plain Waveform, so score_waveform samples every midpoint.
+        class Sampled(Waveform):
+            def __init__(self, schedule):
+                self.pulse = PiecewiseConstantWaveform(schedule)
+                self.duration = schedule.duration
+
+            def frequencies(self, t):
+                return self.pulse.frequencies(t)
 
         schedule = load_toy_pulse()
         config = NoiseSweepConfig(amplitudes_mhz=(0.0, 4.0), samples=6,

@@ -22,14 +22,13 @@ names the earliest offending sample row, its transmon and its level.
 """
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SingularityError, _json_field
+from .errors import SingularityError, _check_number, _json_field
 
 TWO_PI = 2.0 * np.pi
 
@@ -47,15 +46,6 @@ __all__ = [
     "device_from_json",
     "device_to_json",
 ]
-
-
-def _require_finite(owner, spec, *names):
-    """Raise ValueError unless each named float field of ``spec`` is finite:
-    JSON input may hold NaN or Infinity."""
-    for name in names:
-        value = getattr(spec, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{owner}: {name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -83,13 +73,11 @@ class TransmonSpec:
     def __post_init__(self):
         if self.idle_frequency is None:
             object.__setattr__(self, "idle_frequency", self.bare_frequency)
-        _require_finite(f"transmon {self.index}", self, "bare_frequency",
-                        "anharmonicity", "idle_frequency")
-        if self.bare_frequency <= 0:
-            raise ValueError(
-                f"transmon {self.index}: bare_frequency must be positive, "
-                f"got {self.bare_frequency}"
-            )
+        for name in ("bare_frequency", "anharmonicity", "idle_frequency"):
+            _check_number(f"transmon {self.index}: {name}", getattr(self, name))
+        # After the finite check, so a NaN reads "must be finite".
+        _check_number(f"transmon {self.index}: bare_frequency",
+                      self.bare_frequency, "positive")
 
 
 @dataclass(frozen=True)
@@ -113,8 +101,9 @@ class ResonatorCoupling:
                 "resonator couplings must link nearest neighbours: got "
                 f"({self.left_index}, {self.right_index})"
             )
-        _require_finite(f"resonator ({self.left_index}, {self.right_index})",
-                        self, "resonator_frequency", "g_left", "g_right")
+        for name in ("resonator_frequency", "g_left", "g_right"):
+            _check_number(f"resonator ({self.left_index}, {self.right_index}): "
+                          f"{name}", getattr(self, name))
 
     def g_for(self, transmon_index):
         """Coupling strength seen by one of the two attached transmons."""
@@ -154,7 +143,9 @@ class DeviceChain:
     def __post_init__(self):
         object.__setattr__(self, "transmons", _as_tuple(self.transmons))
         object.__setattr__(self, "couplings", _as_tuple(self.couplings))
-        _require_finite("device", self, "dispersive_floor")
+        _check_number("device: dispersive_floor", self.dispersive_floor)
+        for name in ("levels_per_transmon", "max_total_excitation"):
+            _check_number(f"device: {name}", getattr(self, name), "integer")
         n = len(self.transmons)
         if n < 1:
             raise ValueError("chain needs at least one transmon")
@@ -508,10 +499,8 @@ class _HamiltonianTemplate:
         if occ.max(initial=0) >= levels:
             raise ValueError("basis contains levels outside the device truncation")
         self.device = device
-        self.basis = basis
         self.occupations = occ
         self.dim = basis.dimension
-        self.levels = levels
         n = device.n_transmons
         self.pairs = _attachments(device)
         pair_of = {
@@ -650,10 +639,10 @@ def device_from_json(doc):
     """Build a :class:`DeviceChain` from a parsed JSON document.
 
     Expected keys: ``transmons`` (list of ``{bare_frequency_ghz,
-    anharmonicity_ghz, idle_frequency_ghz}``), ``resonators`` (list of
-    ``{frequency_ghz, g_left_ghz, g_right_ghz}``), ``levels_per_transmon``,
-    ``max_total_excitation``; optional ``dispersive_floor_ghz``.  A
-    missing or non-numeric key is a ValueError that names it.
+    anharmonicity_ghz}``, optional ``idle_frequency_ghz``) and ``resonators``
+    (list of ``{frequency_ghz, g_left_ghz, g_right_ghz}``); optional
+    ``levels_per_transmon``, ``max_total_excitation``, ``dispersive_floor_ghz``.
+    A missing or mistyped key is a ValueError that names it.
     """
     transmons = tuple(
         TransmonSpec(
@@ -661,7 +650,8 @@ def device_from_json(doc):
             bare_frequency=_json_field(t, "bare_frequency_ghz",
                                        f"transmon {i}"),
             anharmonicity=_json_field(t, "anharmonicity_ghz", f"transmon {i}"),
-            idle_frequency=t.get("idle_frequency_ghz"),
+            idle_frequency=_json_field(t, "idle_frequency_ghz",
+                                       f"transmon {i}", default=None),
         )
         for i, t in enumerate(_json_field(doc, "transmons", "device", list))
     )
@@ -679,9 +669,12 @@ def device_from_json(doc):
     return DeviceChain(
         transmons,
         couplings,
-        levels_per_transmon=doc.get("levels_per_transmon", 4),
-        max_total_excitation=doc.get("max_total_excitation", 3),
-        dispersive_floor=doc.get("dispersive_floor_ghz", 0.1),
+        levels_per_transmon=_json_field(doc, "levels_per_transmon", "device",
+                                        default=4),
+        max_total_excitation=_json_field(doc, "max_total_excitation",
+                                         "device", default=3),
+        dispersive_floor=_json_field(doc, "dispersive_floor_ghz", "device",
+                                     default=0.1),
     )
 
 

@@ -1,4 +1,8 @@
-"""Exception types shared across the library, and the JSON field check."""
+"""Exception types shared across the library, and the two checks of a number
+from outside: its JSON type (``_json_field``), its range (``_check_number``)."""
+
+import math
+import numbers
 
 __all__ = [
     "SingularityError",
@@ -56,13 +60,46 @@ class TomographyError(RuntimeError):
     """Process-matrix estimation failed (e.g. rank-deficient input set)."""
 
 
-def _json_field(doc, key, where, kind=(int, float)):
-    """``doc[key]``, a number (not JSON's true or false) or a list; a
-    missing key or another kind is a ValueError naming ``key``."""
+_REQUIRED = object()
+_JSON_NOUNS = {float: "a number", bool: "true or false", list: "a list"}
+
+
+def _json_field(doc, key, where, kind=float, default=_REQUIRED, null=False):
+    """``doc[key]`` of ``kind``: ``float`` (a number, not true or false),
+    ``bool``, ``list`` or ``[kind]``, a list of ``kind``; a missing key gives
+    ``default`` if one is given, and ``null`` lets the value be None.  Else
+    a missing key or another kind is a ValueError naming ``key``."""
     if not isinstance(doc, dict) or key not in doc:
-        raise ValueError(f"{where} lacks {key!r}")
+        if default is _REQUIRED:
+            raise ValueError(f"{where} lacks {key!r}")
+        return default
     value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        noun = "a list" if kind is list else "a number"
-        raise ValueError(f"{where}: {key} must be {noun}, got {value!r}")
+    if not (null and value is None):
+        _check_json_kind(value, kind, f"{where}: {key}")
     return value
+
+
+def _check_json_kind(value, kind, name):
+    if isinstance(kind, list):
+        _check_json_kind(value, list, name)
+        for i, item in enumerate(value):
+            _check_json_kind(item, kind[0], f"{name}[{i}]")
+    elif isinstance(value, bool) != (kind is bool) or not isinstance(
+            value, (int, float) if kind is float else kind):
+        raise ValueError(f"{name} must be {_JSON_NOUNS[kind]}, got {value!r}")
+
+
+def _check_number(name, value, rule="finite"):
+    """A ValueError naming ``name`` and ``value`` unless ``value`` (or each
+    element of a tuple or list) is ``finite``, ``positive`` and finite, or
+    an ``integer``: an Integral, not a bool or a float (1e400 reads as inf)."""
+    for v in value if isinstance(value, (tuple, list)) else (value,):
+        if rule == "integer":
+            ok = isinstance(v, numbers.Integral) and not isinstance(v, bool)
+        else:
+            ok = (isinstance(v, numbers.Real) and math.isfinite(v)
+                  and (rule == "finite" or v > 0))
+        if not ok:
+            noun = {"finite": "finite", "positive": "positive and finite",
+                    "integer": "an integer"}[rule]
+            raise ValueError(f"{name} must be {noun}, got {value!r}")

@@ -20,7 +20,6 @@ the smallest step has been tried.
 
 import logging
 import math
-import numbers
 import threading
 from dataclasses import dataclass, field
 
@@ -30,6 +29,7 @@ from .errors import (
     EvaluationError,
     EvolutionError,
     InfeasibilityError,
+    _check_number,
     _json_field,
 )
 from .fidelity import _Scorer, controlled_phase_ideal
@@ -72,9 +72,7 @@ class DetuningRange:
     hi_inclusive: bool = True
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(
-                f"range ends must be finite, got [{self.lo}, {self.hi}]")
+        _check_number("range ends", [self.lo, self.hi])
         if self.lo > self.hi:
             raise ValueError(f"range [{self.lo}, {self.hi}] is empty")
 
@@ -117,14 +115,11 @@ class ConstraintSet:
         # A NaN limit would switch its rule off (or fail every schedule)
         # without a sign.
         for name in ("max_step", "boundary_step", "min_separation"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValueError(
-                    f"{name} must be positive and finite, got {value}")
+            if (value := getattr(self, name)) is not None:
+                _check_number(name, value, "positive")
         if self.idle_frequencies is not None:
             idle = tuple(self.idle_frequencies)
-            if not all(map(math.isfinite, idle)):
-                raise ValueError(f"idle_frequencies must be finite, got {idle}")
+            _check_number("idle_frequencies", idle)
             object.__setattr__(self, "idle_frequencies", idle)
         if self.boundary_step is not None and self.idle_frequencies is None:
             raise ValueError("boundary_step needs idle_frequencies")
@@ -357,15 +352,6 @@ def repair_chromosome(chromosome, constraints, references, rng, clamp=True,
     return np.array(rows, dtype=float)
 
 
-def _check_integer(config, name):
-    """A config count must be an Integral that is not a bool.  A float is
-    refused even when whole: 8.5 fails deep in the search, and JSON's 1e400
-    parses as inf."""
-    value = getattr(config, name)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class DEConfig:
     """Differential-evolution settings.
@@ -386,7 +372,7 @@ class DEConfig:
 
     def __post_init__(self):
         for name in ("population_size", "max_generations", "seed"):
-            _check_integer(self, name)
+            _check_number(name, getattr(self, name), "integer")
         if self.population_size < 4:
             raise ValueError(
                 "population must hold at least 4 members (three donors plus "
@@ -396,15 +382,13 @@ class DEConfig:
         # or bound switches its draw off.
         for name in ("target_fidelity", "readapt_probability",
                      "subspace_probability"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            _check_number(name, getattr(self, name))
         # rng.uniform(*bounds) would read [lo] as [lo, 1) and name no field.
         for name in ("mutation_bounds", "crossover_bounds"):
             value = getattr(self, name)
+            _check_number(name, value)
             if not (isinstance(value, (tuple, list)) and len(value) == 2
-                    and all(isinstance(v, numbers.Real) and math.isfinite(v)
-                            for v in value) and value[0] <= value[1]):
+                    and value[0] <= value[1]):
                 raise ValueError(f"{name} must be finite numbers [lo, hi] "
                                  f"with lo <= hi, got {value!r}")
 
@@ -608,12 +592,10 @@ class LocalSearchConfig:
 
     def __post_init__(self):
         for name in ("max_iterations", "window"):
-            _check_integer(self, name)
+            _check_number(name, getattr(self, name), "integer")
         # An infinite eps_max gives infinite rungs; NaN fails the order.
         for name in ("target_fidelity", "eps_max", "eps_min"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            _check_number(name, getattr(self, name))
         if not 0 < self.eps_min < self.eps_max:
             raise ValueError("need 0 < eps_min < eps_max")
         if not 0 < self.shrink < 1:
@@ -749,12 +731,8 @@ def ccphase_fitness(device, references, segment_duration=1.0,
     n = device.n_transmons
     if len(references) != n:
         raise ValueError(f"need {n} references, got {len(references)}")
-    if not all(map(math.isfinite, references)):
-        raise ValueError(
-            f"search_references must be finite, got {tuple(references)}")
-    if not (math.isfinite(segment_duration) and segment_duration > 0):
-        raise ValueError("segment_duration must be positive and finite, "
-                         f"got {segment_duration}")
+    _check_number("search_references", tuple(references))
+    _check_number("segment_duration", segment_duration, "positive")
     if trotter.n_steps(segment_duration) == 0:
         raise ValueError(f"step {trotter.step} ns leaves no step in segment "
                          f"duration {segment_duration} ns")
@@ -789,24 +767,28 @@ def ccphase_fitness(device, references, segment_duration=1.0,
 
 
 def constraints_from_json(doc):
-    """Build a ConstraintSet from a parsed JSON document.  A missing or
-    non-numeric key is a ValueError that names it."""
+    """Build a ConstraintSet from a parsed JSON document; null is a rule
+    switched off.  A missing or mistyped key is a ValueError that names it."""
     ranges = tuple(
         DetuningRange(
             lo=_json_field(r, "lo_ghz", f"range {i}"),
             hi=_json_field(r, "hi_ghz", f"range {i}"),
-            lo_inclusive=r.get("lo_inclusive", True),
-            hi_inclusive=r.get("hi_inclusive", True),
+            lo_inclusive=_json_field(r, "lo_inclusive", f"range {i}", bool, True),
+            hi_inclusive=_json_field(r, "hi_inclusive", f"range {i}", bool, True),
         )
         for i, r in enumerate(_json_field(doc, "ranges", "constraints", list))
     )
-    idle = doc.get("idle_frequencies_ghz")
+
+    def optional(key, default=None, kind=float):
+        return _json_field(doc, key, "constraints", kind, default, null=True)
+
+    idle = optional("idle_frequencies_ghz", kind=[float])
     return ConstraintSet(
         ranges,
-        max_step=doc.get("max_step_ghz", 0.22),
-        boundary_step=doc.get("boundary_step_ghz"),
+        max_step=optional("max_step_ghz", 0.22),
+        boundary_step=optional("boundary_step_ghz"),
         idle_frequencies=tuple(idle) if idle else None,
-        min_separation=doc.get("min_separation_ghz"),
+        min_separation=optional("min_separation_ghz"),
     )
 
 

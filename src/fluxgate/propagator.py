@@ -48,7 +48,7 @@ from itertools import groupby
 import numpy as np
 
 from .device import _template, basis_for
-from .errors import EvolutionError, SingularityError
+from .errors import EvolutionError, SingularityError, _check_number
 from .pulses import PiecewiseConstantWaveform
 
 __all__ = ["TrotterConfig", "expm_skew", "evolve"]
@@ -63,9 +63,7 @@ class TrotterConfig:
     step: float = 0.1
 
     def __post_init__(self):
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError(
-                f"step must be positive and finite, got {self.step}")
+        _check_number("step", self.step, "positive")
 
     def n_steps(self, duration):
         """Number of steps covering ``duration``; must divide evenly."""

@@ -15,11 +15,9 @@ Each file format has one codec pair on text or parsed JSON
 the file.
 """
 
-import math
-
 import numpy as np
 
-from .errors import _json_field
+from .errors import _check_number, _json_field
 
 __all__ = [
     "PulseSchedule",
@@ -52,14 +50,11 @@ class PulseSchedule:
             raise ValueError(f"detunings must be 2-D, got shape {det.shape}")
         if not np.isfinite(det).all():
             raise ValueError("detunings must be finite")
-        if not (math.isfinite(segment_duration) and segment_duration > 0):
-            raise ValueError("segment_duration must be positive and finite, "
-                             f"got {segment_duration}")
+        _check_number("segment_duration", segment_duration, "positive")
         if search_references is None:
             raise ValueError("search_references is required")
         refs = tuple(float(r) for r in search_references)
-        if not all(map(math.isfinite, refs)):
-            raise ValueError(f"search_references must be finite, got {refs}")
+        _check_number("search_references", refs)
         if len(refs) != det.shape[0]:
             raise ValueError(
                 f"{len(refs)} references for {det.shape[0]} qubit rows"
@@ -163,7 +158,7 @@ def schedule_to_json(schedule):
 def schedule_from_json(doc):
     """Inverse of :func:`schedule_to_json`; a bad key is a ValueError."""
     return PulseSchedule(
-        _json_field(doc, "detunings_ghz", "pulse", list),
+        _json_field(doc, "detunings_ghz", "pulse", [[float]]),
         _json_field(doc, "segment_duration_ns", "pulse"),
-        _json_field(doc, "search_references_ghz", "pulse", list),
+        _json_field(doc, "search_references_ghz", "pulse", [float]),
     )

@@ -25,13 +25,12 @@ alone.
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import chain, islice, product
 
 import numpy as np
 
-from .errors import EvolutionError
+from .errors import EvolutionError, _check_number
 from .fidelity import _Scorer, controlled_phase_ideal, score_waveform
 from .propagator import TrotterConfig, _schedule_runs
 from .pulses import PiecewiseConstantWaveform, Waveform
@@ -58,9 +57,7 @@ class SmoothingParams:
     t_ramp: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_ramp) and self.t_ramp > 0):  # NaN too
-            raise ValueError(f"t_ramp must be positive and finite, got "
-                             f"{self.t_ramp}")
+        _check_number("t_ramp", self.t_ramp, "positive")
 
     @property
     def sigma(self):
@@ -150,15 +147,11 @@ class NoiseSweepConfig:
         if not self.amplitudes_mhz:
             raise ValueError("amplitudes must not be empty")
         for a in self.amplitudes_mhz:
-            if not math.isfinite(a):
-                raise ValueError(f"amplitudes must be finite, got {a}")
+            _check_number("amplitudes", a)
         if any(a < 0 for a in self.amplitudes_mhz):
             raise ValueError("amplitudes must be >= 0")
-        # A bool is an Integral too; a float such as 8.5 or inf is not.
-        if (isinstance(self.samples, bool)
-                or not isinstance(self.samples, numbers.Integral)):
-            raise ValueError(
-                f"samples must be an integer, got {self.samples!r}")
+        for name in ("samples", "seed"):
+            _check_number(name, getattr(self, name), "integer")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
 

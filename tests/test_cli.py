@@ -137,23 +137,53 @@ def test_non_finite_json_input_rejected(workdir, capsys):
     # json.load reads NaN: a NaN search reference in the pulse JSON used to
     # end in "Eigenvalues did not converge", and a NaN bare frequency in
     # the device JSON in a fidelity with exit code 0.  A missing key was a
-    # KeyError traceback, and a quoted number a TypeError one.
-    pulse = read_json(workdir / "pulse.json")
-    pulse["search_references_ghz"][0] = float("nan")
-    (workdir / "nan_pulse.json").write_text(json.dumps(pulse))
-    del pulse["segment_duration_ns"]
-    (workdir / "short_pulse.json").write_text(json.dumps(pulse))
-    for name, (part, i, key, value) in {
-        "nan_device.json": ("transmons", 0, "bare_frequency_ghz", math.nan),
-        "text_device.json": ("transmons", 1, "bare_frequency_ghz", "5.7"),
-        "bool_device.json": ("resonators", 0, "g_left_ghz", True),
-        "short_device.json": ("transmons", 0, "anharmonicity_ghz", None),
+    # KeyError traceback, and a quoted number a TypeError one.  Optional
+    # device keys of the wrong type were TypeError tracebacks too, or (a
+    # cap of 2.5) were used rounded down; quoted or boolean numbers in
+    # the pulse lists were read as numbers.
+    missing = object()
+    for name, (source, path, value) in {
+        "nan_pulse.json": ("pulse.json", ("search_references_ghz", 0),
+                           math.nan),
+        "short_pulse.json": ("pulse.json", ("segment_duration_ns",), missing),
+        "text_detuning_pulse.json": ("pulse.json", ("detunings_ghz", 0, 3),
+                                     "0.01"),
+        "text_reference_pulse.json": ("pulse.json",
+                                      ("search_references_ghz", 0), "5.7"),
+        "bool_detuning_pulse.json": ("pulse.json", ("detunings_ghz", 1, 0),
+                                     True),
+        "nan_device.json": ("device.json",
+                            ("transmons", 0, "bare_frequency_ghz"), math.nan),
+        "text_device.json": ("device.json",
+                             ("transmons", 1, "bare_frequency_ghz"), "5.7"),
+        "bool_device.json": ("device.json", ("resonators", 0, "g_left_ghz"),
+                             True),
+        "short_device.json": ("device.json",
+                              ("transmons", 0, "anharmonicity_ghz"), missing),
+        "text_idle_device.json": ("device.json",
+                                  ("transmons", 0, "idle_frequency_ghz"),
+                                  "5.7"),
+        "text_levels_device.json": ("device.json", ("levels_per_transmon",),
+                                    "4"),
+        "float_levels_device.json": ("device.json", ("levels_per_transmon",),
+                                     3.0),
+        "null_floor_device.json": ("device.json", ("dispersive_floor_ghz",),
+                                   None),
+        "float_cap_device.json": ("device.json", ("max_total_excitation",),
+                                  2.5),
+        "bool_cap_device.json": ("device.json", ("max_total_excitation",),
+                                 True),
     }.items():
-        device = read_json(workdir / "device.json")
-        device[part][i][key] = value
-        if value is None:
-            del device[part][i][key]
-        (workdir / name).write_text(json.dumps(device))
+        doc = read_json(workdir / source)
+        *parents, key = path
+        node = doc
+        for part in parents:
+            node = node[part]
+        if value is missing:
+            del node[key]
+        else:
+            node[key] = value
+        (workdir / name).write_text(json.dumps(doc))
     for device_file, pulse_file, message in (
         ("device.json", "nan_pulse.json",
          "search_references must be finite"),
@@ -167,6 +197,24 @@ def test_non_finite_json_input_rejected(workdir, capsys):
          "resonator 0: g_left_ghz must be a number, got True"),
         ("short_device.json", "pulse.json",
          "transmon 0 lacks 'anharmonicity_ghz'"),
+        ("text_idle_device.json", "pulse.json",
+         "transmon 0: idle_frequency_ghz must be a number, got '5.7'"),
+        ("text_levels_device.json", "pulse.json",
+         "device: levels_per_transmon must be a number, got '4'"),
+        ("float_levels_device.json", "pulse.json",
+         "device: levels_per_transmon must be an integer, got 3.0"),
+        ("null_floor_device.json", "pulse.json",
+         "device: dispersive_floor_ghz must be a number, got None"),
+        ("float_cap_device.json", "pulse.json",
+         "device: max_total_excitation must be an integer, got 2.5"),
+        ("bool_cap_device.json", "pulse.json",
+         "device: max_total_excitation must be a number, got True"),
+        ("device.json", "text_detuning_pulse.json",
+         "pulse: detunings_ghz[0][3] must be a number, got '0.01'"),
+        ("device.json", "text_reference_pulse.json",
+         "pulse: search_references_ghz[0] must be a number, got '5.7'"),
+        ("device.json", "bool_detuning_pulse.json",
+         "pulse: detunings_ghz[1][0] must be a number, got True"),
     ):
         rc = main(["simulate", "--device", str(workdir / device_file),
                    "--pulses", str(workdir / pulse_file), "--out", "out.json"])
@@ -507,6 +555,16 @@ class TestOptimizeInputErrors:
          "eps_max must be finite, got inf"),
         ("ls", '{"max_iterations": 1.5}',
          "max_iterations must be an integer, got 1.5"),
+        ("constraints", '{"ranges": [{"lo_ghz": -0.45, "hi_ghz": 0.45}, '
+         '{"lo_ghz": -0.45, "hi_ghz": 0.45}], "max_step_ghz": "0.22"}',
+         "constraints: max_step_ghz must be a number, got '0.22'"),
+        ("constraints", '{"ranges": [{"lo_ghz": -0.45, "hi_ghz": 0.45}, '
+         '{"lo_ghz": -0.45, "hi_ghz": 0.45}], "boundary_step_ghz": 0.5, '
+         '"idle_frequencies_ghz": ["5.7", "6.0"]}',
+         "constraints: idle_frequencies_ghz[0] must be a number, got '5.7'"),
+        ("constraints", '{"ranges": [{"lo_ghz": -0.45, "hi_ghz": 0.45, '
+         '"lo_inclusive": "no"}, {"lo_ghz": -0.45, "hi_ghz": 0.45}]}',
+         "range 0: lo_inclusive must be true or false, got 'no'"),
     ])
     def test_config_value_rejected(self, workdir, capsys, name, text,
                                    message):
@@ -515,7 +573,8 @@ class TestOptimizeInputErrors:
         # generations ran until the target.  A seed of 1.5, a bound that
         # is no pair and a range without an end were tracebacks, bounds
         # [0.5] drew from [0.5, 1), and [0.9, 0.1] failed in numpy's
-        # words, naming no field.
+        # words, naming no field.  A quoted step limit or idle frequency
+        # was a TypeError traceback, and "no" read as an inclusive end.
         (workdir / "de.json").write_text(
             '{"population_size": 8, "max_generations": 2}')
         (workdir / "ls.json").write_text('{"max_iterations": 1}')
@@ -528,6 +587,7 @@ class TestOptimizeInputErrors:
         ]
         (workdir / f"{name}.json").write_text(text)
         self.expect_error(capsys, main(args), message)
+        assert not list(workdir.glob("bad*"))
         assert not list(workdir.glob("bad*"))
 
     def test_resume_with_other_segment_count(self, workdir, capsys):

@@ -341,6 +341,18 @@ class TestConstruction:
         doc = device_to_json(dev)
         assert device_from_json(doc) == dev
 
+    @pytest.mark.parametrize("field, value", [
+        ("levels_per_transmon", 3.0), ("levels_per_transmon", True),
+        ("max_total_excitation", 2.5), ("max_total_excitation", "3"),
+    ])
+    def test_non_integer_truncation_rejected(self, field, value):
+        # A cap of 2.5 capped the basis at 2, a cap of True at 1, and a
+        # level count of 3.0 failed in range() as a TypeError.
+        dev = three_transmon_chain()
+        with pytest.raises(ValueError, match=f"device: {field} must be an "
+                                             "integer"):
+            DeviceChain(dev.transmons, dev.couplings, **{field: value})
+
 
 def test_coupling_vanishes_linearly_in_g():
     # J -> 0 as either g -> 0, linearly.

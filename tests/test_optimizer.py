@@ -117,6 +117,17 @@ class TestValidateConstraints:
         doc = constraints_to_json(cs3)
         assert constraints_from_json(doc) == cs3
 
+    def test_json_round_trip_of_switched_off_rules(self):
+        # constraints_to_json writes a switched-off rule as null.
+        cs = ConstraintSet(
+            ranges=(DetuningRange(-0.5, 0.5, lo_inclusive=False),),
+            max_step=None, boundary_step=None, idle_frequencies=None,
+            min_separation=None,
+        )
+        doc = json.loads(json.dumps(constraints_to_json(cs)))
+        assert doc["max_step_ghz"] is None
+        assert constraints_from_json(doc) == cs
+
     @pytest.mark.parametrize("path, value, message", [
         (("max_step_ghz",), math.nan, "max_step must be positive and finite"),
         (("max_step_ghz",), math.inf, "max_step must be positive and finite"),

@@ -7,8 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from fluxgate import cli
 from fluxgate.device import device_from_json
 from fluxgate.optimizer import (
+    DEConfig,
+    LocalSearchConfig,
     ccphase_fitness,
     constraints_from_json,
     validate_constraints,
@@ -69,6 +72,23 @@ def test_device_config_matches_profile(name, profile):
 def test_constraints_config_matches_profile(name, profile):
     doc = json.loads((CONFIGS / name).read_text())
     assert constraints_from_json(doc) == profile()
+
+
+@pytest.mark.parametrize("name, config", [
+    ("toy_de.json", DEConfig(population_size=32, max_generations=200,
+                             target_fidelity=0.995, seed=2024)),
+    ("three_qubit_de.json", DEConfig(population_size=200,
+                                     max_generations=100, seed=2019)),
+    ("toy_local_search.json", LocalSearchConfig(
+        eps_max=0.1, eps_min=1e-06, max_iterations=10,
+        target_fidelity=0.99995)),
+    ("three_qubit_local_search.json", LocalSearchConfig(
+        eps_max=0.1, eps_min=1e-06, max_iterations=1000)),
+])
+def test_search_config_reads(name, config):
+    # The optimize command reads these files; no other test does.
+    cls = type(config)
+    assert cls(**cli._read_config(cls, CONFIGS / name)) == config
 
 
 def test_search_references():

@@ -33,7 +33,7 @@ from .device import (
     dressed_frequency,
     full_basis,
 )
-from .errors import EvolutionError, InfeasibilityError
+from .errors import EvolutionError, InfeasibilityError, _json_field
 from .fidelity import (
     CompensationPhases,
     _fidelity_reports,
@@ -92,8 +92,10 @@ from .robustness import NoiseSweepConfig, noise_sweep
 
 SCHEMA_VERSION = 2
 _CHECKPOINT_EVERY = 25  # DE generations between optimize checkpoints
-# The local-search entry of an optimize checkpoint, in the order written.
-_LOCAL_SEARCH_KEYS = ("chromosome", "fidelity", "iterations", "stopped")
+# The keys of an optimize checkpoint's local-search entry, in the order
+# written, with their JSON kinds.
+_LOCAL_SEARCH_KEYS = {"chromosome": [float], "fidelity": float,
+                      "iterations": int, "stopped": bool}
 
 
 def _out_dir():
@@ -264,13 +266,15 @@ def _read_checkpoint(path, n_genes, population_size, config):
         raise ValueError(f"resume state {path} is not a JSON object")
     try:
         state = SussadeState.from_json(doc)
-        pole_failures = doc["pole_failures"]
-        written_by = doc["manifest_hash"]
-        entry = doc.get("local_search")
+        pole_failures = _json_field(doc, "pole_failures", "state", int)
+        written_by = _json_field(doc, "manifest_hash", "state", str)
+        entry = _json_field(doc, "local_search", "state", dict, None,
+                            null=True)
         if entry is not None:
-            entry = {key: entry[key] for key in _LOCAL_SEARCH_KEYS}
-    except KeyError as err:
-        raise ValueError(f"resume state {path} lacks {err}") from None
+            entry = {key: _json_field(entry, key, "state: local_search", kind)
+                     for key, kind in _LOCAL_SEARCH_KEYS.items()}
+    except ValueError as err:
+        raise ValueError(f"resume state {path}: {err}") from None
     ls_genes = n_genes if entry is None else len(entry["chromosome"])
     for what, got, want in (
         ("members (DE population_size)", len(state.population),
@@ -557,8 +561,10 @@ def cmd_verify(args):
     ))
 
     # One fitness scores the shipped CCZ pulse, a walk of 20 one-gene moves
-    # (each updates only the tree nodes above its segment), the idle pulse
-    # (a new tree) and the CCZ pulse again, each as a fresh fitness does.
+    # (each updates only the tree nodes above its segment), 20 repeated
+    # moves at one gene and their reversal (scored ahead in batches), the
+    # idle pulse (a new tree) and the CCZ pulse again, each as a fresh
+    # fitness does.
     ccz = load_ccphase_pulse()
     args = (device, ccz.search_references, ccz.segment_duration)
     fitness = ccphase_fitness(*args)
@@ -567,6 +573,10 @@ def cmd_verify(args):
     for _ in range(20):
         det = walk[-1].copy()
         det[move_rng.integers(3), move_rng.integers(ccz.n_segments)] += 1e-3
+        walk.append(det)
+    for step in [1e-3] * 20 + [-1e-3] * 20:
+        det = walk[-1].copy()
+        det[1, 17] += step
         walk.append(det)
     walk += [np.zeros((3, 1)), ccz.detunings]
     checks.append(("incremental product tree vs cold product",

@@ -61,14 +61,16 @@ class TomographyError(RuntimeError):
 
 
 _REQUIRED = object()
-_JSON_NOUNS = {float: "a number", bool: "true or false", list: "a list"}
+_JSON_NOUNS = {float: "a number", int: "an integer", bool: "true or false",
+               str: "a string", list: "a list", dict: "an object"}
 
 
 def _json_field(doc, key, where, kind=float, default=_REQUIRED, null=False):
     """``doc[key]`` of ``kind``: ``float`` (a number, not true or false),
-    ``bool``, ``list`` or ``[kind]``, a list of ``kind``; a missing key gives
-    ``default`` if one is given, and ``null`` lets the value be None.  Else
-    a missing key or another kind is a ValueError naming ``key``."""
+    ``int`` (one written without a point or exponent), ``bool``, ``str``,
+    ``list``, ``dict`` or ``[kind]``, a list of ``kind``; a missing key
+    gives ``default`` if one is given, and ``null`` lets the value be None.
+    Else a missing key or another kind is a ValueError naming ``key``."""
     if not isinstance(doc, dict) or key not in doc:
         if default is _REQUIRED:
             raise ValueError(f"{where} lacks {key!r}")
@@ -92,13 +94,17 @@ def _check_json_kind(value, kind, name):
 def _check_number(name, value, rule="finite"):
     """A ValueError naming ``name`` and ``value`` unless ``value`` (or each
     element of a tuple or list) is ``finite``, ``positive`` and finite, or
-    an ``integer``: an Integral, not a bool or a float (1e400 reads as inf)."""
+    an ``integer``: an Integral, not a bool or a float (1e400 reads as inf).
+    An integer too large for a float is not finite."""
     for v in value if isinstance(value, (tuple, list)) else (value,):
         if rule == "integer":
             ok = isinstance(v, numbers.Integral) and not isinstance(v, bool)
         else:
-            ok = (isinstance(v, numbers.Real) and math.isfinite(v)
-                  and (rule == "finite" or v > 0))
+            try:
+                ok = (isinstance(v, numbers.Real) and math.isfinite(v)
+                      and (rule == "finite" or v > 0))
+            except OverflowError:  # an integer beyond the float range
+                ok = False
         if not ok:
             noun = {"finite": "finite", "positive": "positive and finite",
                     "integer": "an integer"}[rule]

@@ -18,7 +18,9 @@ through one chain, ``_Scorer``: a lone pulse on the propagator's one
 lone path, and a noise sweep's stacks on its batch path, fitted and
 scored as one stack (``_fidelity_reports``, whose one-member case is
 :func:`fidelity_report`).  Reuse belongs to a fitness, not to the
-process: only the scorer a fitness owns keeps its last pulse's tree.
+process: a fitness keeps its last pulse's tree and scores a local-search
+walk ahead of its calls (:func:`~fluxgate.optimizer.ccphase_fitness`),
+and hands the scorer only the unitary to fit and score.
 """
 
 import math
@@ -414,6 +416,8 @@ class _Scorer:
     runs and product tree of the last lone pulse: replaced whole and never
     written into, so threads that share a scorer race only for reuse,
     never for bits.  :meth:`score_runs` takes a noise sweep's batch path.
+    A fitness keeps its tree with its walk, not in ``kept``, and has
+    :meth:`report` fit and score the unitary it finds.
     """
 
     def __init__(self, device, trotter, target):
@@ -449,7 +453,11 @@ class _Scorer:
 
     def score(self, runs):
         """:meth:`unitary`'s FidelityReport, as score_waveform gives it."""
-        u = self.unitary(runs)
+        return self.report(self.unitary(runs))
+
+    def report(self, u):
+        """The FidelityReport of a unitary on the working basis: projected,
+        fitted and scored alone."""
         (report,) = _fidelity_reports(u[self.index][None], self.target)
         return report
 

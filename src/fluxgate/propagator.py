@@ -27,7 +27,12 @@ path, :func:`_run_unitaries`: :func:`evolve` builds the whole tree on
 every call, while a fitness keeps the runs and tree of its previous
 pulse, so after a local-search move only the changed runs are
 exponentiated again and only the nodes above them are multiplied again:
-about log2(S) products instead of S - 1, with the same bits.
+about log2(S) products instead of S - 1, with the same bits.  A fitness
+also scores a walk ahead of its calls (:func:`_walk_batch`): pulses that
+each change the same one run of its kept pulse have that run
+exponentiated in one batch, and the nodes above it multiplied for all of
+them by one stacked matmul per level (:func:`_path_products`), again
+with the bits each gets alone.
 
 Only a noise sweep's stacks take the batch path (:func:`_evolve_runs`):
 their runs share one exponential batch, and the pulses with equal run
@@ -324,6 +329,86 @@ def _update_tree(levels, u, fresh):
                 level[j] = below[2 * j]
         tree.append(level)
     return tree
+
+
+def _path_products(levels, u, j):
+    """The nodes on the path from step ``j`` to the root of the tree
+    ``levels`` with that step replaced by each matrix of the (K, dim, dim)
+    stack ``u``, as one stack per level, ``u`` first.
+
+    A node is the product :func:`_update_tree` takes for a change at
+    ``j``, of the same two matrices in the same order: the path's node and
+    its sibling in ``levels``, one stacked matmul per level.  A node with
+    no sibling is carried up.
+    """
+    path = [u]
+    for below in levels[:-1]:
+        if j % 2:
+            u = u @ below[j - 1]
+        elif j + 1 < len(below):
+            u = below[j + 1] @ u
+        path.append(u)
+        j //= 2
+    return path
+
+
+def _with_path(levels, nodes, j):
+    """The tree ``levels`` with the nodes on the path from step ``j`` to
+    the root replaced by ``nodes``, one matrix per level, each copied so
+    that the tree holds no stack it came from.  The other nodes are shared
+    with ``levels``, which is left as it is."""
+    tree = []
+    for level, node in zip(levels, nodes):
+        level = list(level)
+        level[j] = node.copy()
+        tree.append(level)
+        j //= 2
+    return tree
+
+
+def _walk_batch(template, runs, step, kept):
+    """Score ahead of a walk: the (run, rows, path) of the leading pulses of
+    ``runs``, a list of :func:`_schedule_runs` triples, that each differ
+    from the pulse of ``kept``, the (rows, dts, levels) of
+    :func:`_run_unitaries`, in the same one run, or None when the first
+    does not.
+
+    The changed rows are exponentiated in one batch and multiplied up the
+    kept tree by :func:`_path_products`.  Member i's tree is then
+    ``(rows[i], dts, _with_path(levels, [p[i] for p in path], run))``:
+    the bits :func:`_run_unitaries` gives that pulse after ``kept``,
+    because a row's exponential does not depend on its batch and each
+    node multiplies the same two matrices.  A member on a pole ends the
+    batch before it, so its own call takes the lone path and its error.
+    """
+    rows, dts, levels = kept
+    count = 0
+    for r in runs:
+        if r[1].shape != rows.shape:
+            break
+        count += 1
+    if not count:
+        return None
+    members = np.stack([r[1] for r in runs[:count]])
+    same = (np.stack([r[2] for r in runs[:count]]) * step == dts).all(axis=1)
+    changed = (members.view(np.uint64) != rows.view(np.uint64)).any(axis=2)
+    first = np.flatnonzero(changed[0])
+    if len(first) != 1:
+        return None
+    run = int(first[0])
+    changed[:, run] = False
+    ok = same & ~changed.any(axis=1)
+    if not ok.all():
+        count = int(np.argmin(ok))
+    while count:
+        try:
+            u = _segment_unitaries(template, members[:count, run],
+                                   np.full(count, dts[run]))
+        except SingularityError as err:
+            count = err.row
+            continue
+        return run, members[:count], _path_products(levels, u, run)
+    return None
 
 
 def _evolve_runs(template, runs, step):

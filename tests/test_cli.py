@@ -140,7 +140,8 @@ def test_non_finite_json_input_rejected(workdir, capsys):
     # KeyError traceback, and a quoted number a TypeError one.  Optional
     # device keys of the wrong type were TypeError tracebacks too, or (a
     # cap of 2.5) were used rounded down; quoted or boolean numbers in
-    # the pulse lists were read as numbers.
+    # the pulse lists were read as numbers.  A 401-digit integer was an
+    # OverflowError traceback from the range check.
     missing = object()
     for name, (source, path, value) in {
         "nan_pulse.json": ("pulse.json", ("search_references_ghz", 0),
@@ -173,6 +174,8 @@ def test_non_finite_json_input_rejected(workdir, capsys):
                                   2.5),
         "bool_cap_device.json": ("device.json", ("max_total_excitation",),
                                  True),
+        "huge_device.json": ("device.json",
+                             ("transmons", 0, "bare_frequency_ghz"), 10 ** 400),
     }.items():
         doc = read_json(workdir / source)
         *parents, key = path
@@ -209,6 +212,8 @@ def test_non_finite_json_input_rejected(workdir, capsys):
          "device: max_total_excitation must be an integer, got 2.5"),
         ("bool_cap_device.json", "pulse.json",
          "device: max_total_excitation must be a number, got True"),
+        ("huge_device.json", "pulse.json",
+         f"transmon 0: bare_frequency must be finite, got {10 ** 400}"),
         ("device.json", "text_detuning_pulse.json",
          "pulse: detunings_ghz[0][3] must be a number, got '0.01'"),
         ("device.json", "text_reference_pulse.json",
@@ -637,6 +642,37 @@ class TestOptimizeInputErrors:
         rc = self.optimize(workdir,
                            extra=("--resume", str(workdir / "st.json")))
         self.expect_error(capsys, rc, "lacks 'pole_failures'")
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("generation",), "74",
+         "state: generation must be an integer, got '74'"),
+        (("pole_failures",), 0.0,
+         "state: pole_failures must be an integer, got 0.0"),
+        (("history", 0, "best_fidelity"), None,
+         "state: history[0]: best_fidelity must be a number, got None"),
+        (("population", 1, 2), "0.1",
+         "state: population[1][2] must be a number, got '0.1'"),
+        (("local_search",), [],
+         "state: local_search must be an object, got []"),
+    ], ids=["quoted_generation", "float_pole_failures", "null_fidelity",
+            "quoted_gene", "list_local_search"])
+    def test_resume_with_mistyped_key(self, workdir, capsys, path, value,
+                                      message):
+        # A quoted generation was a TypeError traceback from the
+        # checkpoint loop; every key is now read with its JSON kind.
+        assert self.optimize(workdir, extra=("--state-out", "st.json")) == 0
+        capsys.readouterr()
+        state = read_json(workdir / "st.json")
+        *parents, key = path
+        node = state
+        for part in parents:
+            node = node[part]
+        node[key] = value
+        (workdir / "st.json").write_text(json.dumps(state))
+        rc = self.optimize(workdir, extra=(
+            "--out", "resumed.csv", "--resume", str(workdir / "st.json")))
+        self.expect_error(capsys, rc, message)
+        assert not list(workdir.glob("resumed*"))
 
     def test_resume_under_other_configuration(self, workdir, capsys):
         # A state written with seed 3 and the ccphase target, resumed with

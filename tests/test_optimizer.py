@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from fluxgate import optimizer
+from fluxgate import optimizer, propagator
 from fluxgate.errors import EvaluationError, InfeasibilityError
 from fluxgate.fidelity import (
     controlled_phase_ideal,
@@ -282,19 +282,33 @@ class TestRunSussade:
                     x = y
             sequences.append(moves)
 
+        # Walk-shaped sequences too: repeated moves at one gene, the fitness
+        # scores ahead, and threads swap its walk batches under each other.
+        walks = []
+        for x in starts:
+            moves = []
+            for _ in range(6):
+                gene, step = rng.integers(x.size), rng.choice([-1e-3, 1e-3])
+                for _ in range(rng.integers(3, 12)):
+                    x = x.copy()
+                    x[gene] += step
+                    moves.append(x)
+            walks.append(moves)
+
         def score(moves):
             return [fitness(c) for c in moves]
 
-        serial = [score(moves) for moves in sequences]
-        old_interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                with ThreadPoolExecutor(max_workers=4) as pool:
-                    threaded = list(pool.map(score, sequences, timeout=120))
-                assert threaded == serial
-        finally:
-            sys.setswitchinterval(old_interval)
+        for case in (sequences, walks):
+            serial = [score(moves) for moves in case]
+            old_interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for _ in range(5):
+                    with ThreadPoolExecutor(max_workers=4) as pool:
+                        threaded = list(pool.map(score, case, timeout=120))
+                    assert threaded == serial
+            finally:
+                sys.setswitchinterval(old_interval)
 
     def test_every_evaluated_chromosome_feasible(self):
         cs = toy_constraints()
@@ -542,6 +556,109 @@ class TestFitnessPipeline:
         assert turns == alone
         # A fresh fitness per chromosome builds every tree cold.
         assert alone == [[fitness(k)(c) for c in walks[k]] for k in range(2)]
+
+    @pytest.mark.parametrize("case", ["toy", "three_qubit"])
+    def test_walks_score_as_fresh_fitnesses(self, case):
+        # The shapes a local search calls: long walks at one gene (scored
+        # ahead in batches), one across zero and powers of two (where
+        # repeated additions leave the guessed binade), a reversal, moves
+        # at other genes, a two-gene move and chromosomes seen before.
+        device, constraints, references = {
+            "toy": (toy_two_transmon_chain(), toy_constraints(),
+                    TOY_REFERENCES),
+            "three_qubit": (three_transmon_chain(),
+                            three_qubit_constraints("references"),
+                            THREE_QUBIT_REFERENCES),
+        }[case]
+        x = seed_population(DEConfig(population_size=4, seed=71),
+                            constraints, references, 10)[0]
+        walk = [x]
+
+        def move(genes, step, times):
+            for _ in range(times):
+                y = walk[-1].copy()
+                y[genes] += step
+                walk.append(y)
+
+        move(3, 1e-3, 40)
+        move(7, -0.0105 - walk[-1][7], 1)
+        move(7, 1.5e-3, 60)  # through 0, 2**-7, ..., 2**-4
+        move(7, -1.5e-3, 12)
+        move(12, 1e-3, 5)
+        move([4, 5], 1e-3, 4)
+        walk += [walk[10], walk[11], walk[44]]
+        move(3, 1e-3, 9)
+        fitness = ccphase_fitness(device, references, 1.0)
+        got = [fitness(c) for c in walk]
+        assert got == [ccphase_fitness(device, references, 1.0)(c)
+                       for c in walk]
+
+    def test_walk_is_scored_ahead_in_growing_batches(self, monkeypatch):
+        # Along a walk at one gene the batches double up to the cap, and a
+        # call served from a batch runs no exponential.
+        fitness = ccphase_fitness(toy_two_transmon_chain(), TOY_REFERENCES,
+                                  1.0)
+        x = seed_population(DEConfig(population_size=4, seed=67),
+                            toy_constraints(), TOY_REFERENCES, 10)[0]
+        fitness(x)
+        rows = []
+        segment_unitaries = propagator._segment_unitaries
+
+        def counting(template, r, dts):
+            rows[-1].append(len(r))
+            return segment_unitaries(template, r, dts)
+
+        monkeypatch.setattr(propagator, "_segment_unitaries", counting)
+        for _ in range(30):
+            x = x.copy()
+            x[3] += 1e-3
+            rows.append([])
+            fitness(x)
+        expected, size = [], 2
+        while len(expected) < 30:
+            expected += [[size]] + [[]] * (size - 1)
+            size = min(2 * size, optimizer._WALK_CAP)
+        assert rows == expected[:30]
+
+    def test_walk_guessed_past_the_float_range(self):
+        # A move to 1.5e308 guesses 3e308, inf, as the next member: the
+        # batch ends before it, and the call scores as a fresh fitness
+        # scores it, not with the error of a chromosome nobody asked for.
+        dev = toy_two_transmon_chain()
+        fitness = ccphase_fitness(dev, TOY_REFERENCES, 1.0)
+        x = np.zeros(20)
+        y = x.copy()
+        y[3] = 1.5e308
+        fitness(x)
+        with np.errstate(all="ignore"):
+            got = fitness(y)
+            want = ccphase_fitness(dev, TOY_REFERENCES, 1.0)(y)
+        assert repr(got) == repr(want)
+
+    def test_walk_onto_a_pole_fails_only_there(self, caplog):
+        # A batch ends before a member on a pole: only the call that asks
+        # for that chromosome fails, is counted and warns, as it would
+        # alone; the walk then turns back.
+        dev = toy_two_transmon_chain()
+        x = np.zeros(20)
+        x[12] = 1.56  # qubit M; from 1.7 on, 7.7 GHz, it is on the pole
+        walk = [x]
+        for _ in range(14):  # up to the pole at walk[14], the eighth
+            walk.append(walk[-1].copy())  # member of the third batch
+            walk[-1][12] += 0.01
+        y = walk[13]
+        for _ in range(6):  # and back down from the point before it
+            y = y.copy()
+            y[12] -= 0.01
+            walk.append(y)
+        fresh = [ccphase_fitness(dev, TOY_REFERENCES, 1.0)(c) for c in walk]
+        assert [i for i, f in enumerate(fresh) if f == 0.0] == [14]
+        caplog.clear()
+        fitness = ccphase_fitness(dev, TOY_REFERENCES, 1.0)
+        with caplog.at_level(logging.DEBUG, logger="fluxgate.optimizer"):
+            assert [fitness(c) for c in walk] == fresh
+        assert fitness.pole_failures == 1
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
 
     def test_chromosome_shapes_score_as_their_schedules(self):
         # A change of segment count between calls, a zero-segment

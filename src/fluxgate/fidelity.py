@@ -14,13 +14,11 @@ and the result is scored against a target with
 The first term penalizes leakage out of the computational subspace (the
 projection of a leaky unitary is a contraction), the second rewards
 closeness to the target up to a global phase.  Every caller scores
-through one chain, ``_Scorer``: a lone pulse on the propagator's one
-lone path, and a noise sweep's stacks on its batch path, fitted and
-scored as one stack (``_fidelity_reports``, whose one-member case is
-:func:`fidelity_report`).  Reuse belongs to a fitness, not to the
-process: a fitness keeps its last pulse's tree and scores a local-search
-walk ahead of its calls (:func:`~fluxgate.optimizer.ccphase_fitness`),
-and hands the scorer only the unitary to fit and score.
+through one chain, ``_Scorer``, which keeps no state: it fits and scores
+a lone pulse's unitary, and a noise sweep's stacks from the batch path
+as one stack (``_fidelity_reports``, whose one-member case is
+:func:`fidelity_report`).  Reuse belongs to a fitness's pulses, in the
+propagator (``_KeptPulses``), not to the scorer.
 """
 
 import math
@@ -31,12 +29,7 @@ import numpy as np
 
 from .device import _template, basis_for
 from .errors import DegenerateUnitaryError
-from .propagator import (
-    TrotterConfig,
-    _evolve_runs,
-    _run_unitaries,
-    _sampled_runs,
-)
+from .propagator import TrotterConfig, _evolve_runs, evolve
 
 __all__ = [
     "controlled_phase_ideal",
@@ -411,13 +404,10 @@ def fidelity_report(u, target, refine=True):
 
 
 class _Scorer:
-    """The scoring chain on one device, Trotter config and target, fed
-    runs.  :meth:`score` takes the lone path and keeps, in ``kept``, the
-    runs and product tree of the last lone pulse: replaced whole and never
-    written into, so threads that share a scorer race only for reuse,
-    never for bits.  :meth:`score_runs` takes a noise sweep's batch path.
-    A fitness keeps its tree with its walk, not in ``kept``, and has
-    :meth:`report` fit and score the unitary it finds.
+    """The scoring chain on one device, Trotter config and target; it
+    keeps nothing between calls.  :meth:`report` fits and scores a lone
+    pulse's unitary, and :meth:`score_runs` scores a noise sweep's stack
+    of runs on the batch path.
     """
 
     def __init__(self, device, trotter, target):
@@ -427,7 +417,6 @@ class _Scorer:
         self.qubits = basis.qubit_indices
         self.index = np.ix_(self.qubits, self.qubits)
         self.target = np.asarray(target, dtype=complex)
-        self.kept = None
 
     def score_runs(self, runs):
         """Per pulse, given by its runs, the FidelityReport or
@@ -440,20 +429,6 @@ class _Scorer:
             unitaries[np.ix_(scored, self.qubits, self.qubits)], self.target)
             if scored else ())
         return [next(reports) if error is None else error for error in errors]
-
-    def unitary(self, runs):
-        """The bits ``evolve`` gives the pulse of ``runs``, from the kept
-        tree: never write into it.  A pole raises its EvolutionError,
-        keeping the tree."""
-        if runs is None:
-            return np.eye(self.template.dim, dtype=complex)
-        self.kept = kept = _run_unitaries(self.template, runs, self.step,
-                                          self.kept)
-        return kept[2][-1][0]
-
-    def score(self, runs):
-        """:meth:`unitary`'s FidelityReport, as score_waveform gives it."""
-        return self.report(self.unitary(runs))
 
     def report(self, u):
         """The FidelityReport of a unitary on the working basis: projected,
@@ -472,5 +447,5 @@ def score_waveform(device, waveform, target, trotter=TrotterConfig()):
         If the waveform crosses a resonator pole; see
         :func:`~fluxgate.propagator.evolve`.
     """
-    return _Scorer(device, trotter, target).score(
-        _sampled_runs(waveform, trotter))
+    return _Scorer(device, trotter, target).report(
+        evolve(device, waveform, trotter))

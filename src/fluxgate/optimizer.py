@@ -22,7 +22,6 @@ import logging
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,13 +33,7 @@ from .errors import (
     _json_field,
 )
 from .fidelity import _Scorer, controlled_phase_ideal
-from .propagator import (
-    TrotterConfig,
-    _run_unitaries,
-    _schedule_runs,
-    _walk_batch,
-    _with_path,
-)
+from .propagator import TrotterConfig, _KeptPulses
 from .pulses import PulseSchedule
 
 logger = logging.getLogger(__name__)
@@ -735,43 +728,17 @@ def chromosome_to_schedule(chromosome, n_qubits, segment_duration, references):
     return PulseSchedule(det, segment_duration, references)
 
 
-_WALK_CAP = 8  # largest walk batch, chosen by measurement (CHANGES.md)
-
-
-class _Walk(NamedTuple):
-    """What a fitness keeps of the last pulse it evolved, replaced whole
-    and never written into: that pulse's detunings (a copy) and kept tree,
-    the gene and step of the walk it belongs to, the batch size that walk
-    last asked for, and the walk's prepared members, each keyed by its
-    detuning bytes as a (base tree, batch, index) triple of
-    :func:`~fluxgate.propagator._walk_batch`."""
-
-    det: np.ndarray
-    kept: tuple
-    gene: int = -1
-    step: float = 0.0
-    size: int = 0
-    members: dict = None
-
-
 def ccphase_fitness(device, references, segment_duration=1.0,
                     trotter=TrotterConfig(), target=None):
     """Fidelity-of-the-controlled-phase-gate fitness over chromosomes.
 
     Scores a chromosome as :func:`~fluxgate.fidelity.score_waveform`
     scores its schedule, from its segment frequencies alone, bit for bit.
-    Reuse belongs to the fitness, not to the process: it keeps its last
-    chromosome's product tree, so a move recomputes only what changed;
-    ``evolve`` and ``score_waveform`` build a full tree on every call.
-
-    The fitness also scores a walk ahead of its calls.  A chromosome that
-    differs from the last one in one gene, by d, is evolved in one batch
-    with the next K - 1 chromosomes of its walk, that gene advanced by d
-    again and again as a local search moves it: one exponential per
-    member and one stacked product per tree level.  A later call with one
-    of those chromosomes takes its tree from the batch and only fits its
-    phases.  K is 2 for a new gene or step and doubles, up to 8, while
-    the calls go on along the walk.
+    Reuse belongs to the fitness, not to the process: its chromosomes'
+    unitaries come from its own ``propagator._KeptPulses``, which keeps
+    the last product tree and evolves a local-search walk ahead of its
+    calls, so a move recomputes only what changed; ``evolve`` and
+    ``score_waveform`` build a full tree on every call.
 
     Failed evolutions (a detuning walking into a resonator pole) score 0
     rather than raising, so the optimizer can continue.  The first failure
@@ -788,73 +755,12 @@ def ccphase_fitness(device, references, segment_duration=1.0,
                          f"duration {segment_duration} ns")
     if target is None:
         target = controlled_phase_ideal(n)
-    # As a PulseSchedule holds them, and with its checks below.
-    refs = np.array([float(r) for r in references])[None, :, None]
-    segment_duration = float(segment_duration)
     scorer = _Scorer(device, trotter, target)
-    # The fitness is public and may be called from user threads.  They
-    # share the walk without a lock: each call reads it once and replaces
-    # it whole, so a race loses reuse, never bits.
+    pulses = _KeptPulses(scorer.template, references, segment_duration,
+                         trotter)
+    # The lock keeps pole_failures exact when user threads share the
+    # fitness; the pulses need none (see _KeptPulses).
     lock = threading.Lock()
-    walk = None
-
-    def adopt(det, base, batch, i, *walk_fields):
-        """Keep member i of a walk batch as the last pulse; its unitary."""
-        nonlocal walk
-        run, rows, path = batch
-        kept = (rows[i].copy(), base[1],
-                _with_path(base[2], [nodes[i] for nodes in path], run))
-        walk = _Walk(det.copy(), kept, *walk_fields)
-        return kept[2][-1][0]
-
-    def walk_ahead(last, det, gene):
-        """The unitary of ``det``, one gene off ``last``'s, from a batch
-        with the next members of its walk, or None."""
-        step = float(det.flat[gene]) - float(last.det.flat[gene])
-        size = 2
-        if (gene, step) == (last.gene, last.step):
-            size = min(2 * last.size, _WALK_CAP)
-        q, s = divmod(gene, det.shape[1])
-        values = [float(det[q, s])]
-        for _ in range(size - 1):
-            values.append(values[-1] + step)
-        dets = np.repeat(det[None], size, axis=0)
-        dets[:, q, s] = values
-        columns = refs + dets
-        finite = np.isfinite(columns[:, q, s])
-        count = size if finite.all() else int(np.argmin(finite))
-        batch = count and _walk_batch(
-            scorer.template,
-            _schedule_runs(columns[:count], segment_duration, trotter),
-            scorer.step, last.kept)
-        if not batch:
-            return None
-        members = {dets[i].tobytes(): (last.kept, batch, i)
-                   for i in range(1, len(batch[1]))}
-        return adopt(det, last.kept, batch, 0, gene, step, size, members)
-
-    def unitary(det):
-        """The unitary of ``det``'s pulse: a prepared member's, one from a
-        new walk batch, or the kept tree updated on the lone path."""
-        nonlocal walk
-        last = walk  # read once: other threads replace it whole
-        if last is not None and last.det.shape == det.shape:
-            member = last.members and last.members.get(det.tobytes())
-            if member:
-                return adopt(det, *member, last.gene, last.step, last.size,
-                             last.members)
-            moved = np.flatnonzero(det != last.det)
-            if len(moved) == 1:
-                u = walk_ahead(last, det, int(moved[0]))
-                if u is not None:
-                    return u
-        (runs,) = _schedule_runs(refs + det, segment_duration, trotter)
-        if runs is None:
-            return np.eye(scorer.template.dim, dtype=complex)
-        kept = _run_unitaries(scorer.template, runs, scorer.step,
-                              None if last is None else last.kept)
-        walk = _Walk(det.copy(), kept)
-        return kept[2][-1][0]
 
     def fitness(chromosome):
         det = _as_matrix(chromosome, n)
@@ -863,7 +769,7 @@ def ccphase_fitness(device, references, segment_duration=1.0,
         if not np.isfinite(det).all():
             raise ValueError("detunings must be finite")
         try:
-            return scorer.report(unitary(det)).fidelity
+            return scorer.report(pulses.unitary(det)).fidelity
         except EvolutionError as err:
             with lock:
                 fitness.pole_failures += 1

@@ -24,15 +24,15 @@ exactly zero.  The batch is checked once, for exact symmetry.
 The step unitaries are multiplied pairwise, level by level, in a tree
 whose shape depends only on the step count.  A lone pulse takes one
 path, :func:`_run_unitaries`: :func:`evolve` builds the whole tree on
-every call, while a fitness keeps the runs and tree of its previous
-pulse, so after a local-search move only the changed runs are
-exponentiated again and only the nodes above them are multiplied again:
-about log2(S) products instead of S - 1, with the same bits.  A fitness
-also scores a walk ahead of its calls (:func:`_walk_batch`): pulses that
-each change the same one run of its kept pulse have that run
-exponentiated in one batch, and the nodes above it multiplied for all of
-them by one stacked matmul per level (:func:`_path_products`), again
-with the bits each gets alone.
+every call.  A fitness's pulses go through one :class:`_KeptPulses`, the
+one owner of reuse: it keeps the runs and tree of the previous pulse, so
+after a local-search move only the changed runs are exponentiated again
+and only the nodes above them are multiplied again: about log2(S)
+products instead of S - 1, with the same bits.  It also evolves a walk
+ahead of its calls (:func:`_walk_batch`): pulses that each change the
+same one run of the kept pulse have that run exponentiated in one batch,
+and the nodes above it multiplied for all of them by one stacked matmul
+per level (:func:`_path_products`), again with the bits each gets alone.
 
 Only a noise sweep's stacks take the batch path (:func:`_evolve_runs`):
 their runs share one exponential batch, and the pulses with equal run
@@ -49,6 +49,7 @@ transmon; a stack's batch is exponentiated again without that pulse.
 import math
 from dataclasses import dataclass
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -409,6 +410,109 @@ def _walk_batch(template, runs, step, kept):
             continue
         return run, members[:count], _path_products(levels, u, run)
     return None
+
+
+_WALK_CAP = 8  # largest walk batch, chosen by measurement (CHANGES.md)
+
+
+class _Walk(NamedTuple):
+    """What a :class:`_KeptPulses` keeps of the last pulse it evolved:
+    that pulse's detunings (a copy) and kept tree, the gene and step of
+    the walk it belongs to, the batch size that walk last asked for, and
+    the walk's prepared members, each keyed by its detuning bytes as a
+    (base tree, batch, index) triple of :func:`_walk_batch`."""
+
+    det: np.ndarray
+    kept: tuple
+    gene: int = -1
+    step: float = 0.0
+    size: int = 0
+    members: dict = None
+
+
+class _KeptPulses:
+    """The unitaries of one fitness's pulses, each given by its detunings
+    (n_qubits, n_segments) around ``references`` on segments of
+    ``segment_duration`` ns, with the bits :func:`evolve` gives each.
+
+    It keeps the runs and product tree of the last pulse it evolved, so a
+    local-search move exponentiates only the changed runs on the lone
+    path (:func:`_run_unitaries`).  It also evolves a walk ahead of its
+    calls: a pulse one gene off the last, by d, is evolved in one batch
+    with the next K - 1 pulses of its walk, that gene moved by d again
+    and again (:func:`_walk_batch`).  A later call with one of those
+    pulses takes its tree from the batch.  K is 2 for a new gene or step
+    and doubles, up to ``_WALK_CAP``, while the calls go on along the
+    walk.
+
+    Threads may share one: each call reads the :class:`_Walk` once and
+    replaces it whole, and nothing kept is written into, so a race loses
+    reuse, never bits.
+    """
+
+    def __init__(self, template, references, segment_duration, trotter):
+        self.template = template
+        # As a PulseSchedule holds them.
+        self.refs = np.array([float(r) for r in references])[None, :, None]
+        self.segment_duration = float(segment_duration)
+        self.trotter = trotter
+        self.walk = None
+
+    def unitary(self, det):
+        """The unitary of ``det``'s pulse: a prepared member's, one from a
+        new walk batch, or the kept tree updated on the lone path; never
+        write into it.  A pole raises its EvolutionError, keeping the
+        tree."""
+        last = self.walk  # read once: other threads replace it whole
+        if last is not None and last.det.shape == det.shape:
+            member = last.members and last.members.get(det.tobytes())
+            walk = last[2:]
+            if not member:
+                moved = np.flatnonzero(det != last.det)
+                if len(moved) == 1:
+                    member, walk = self._walk_ahead(last, det, int(moved[0]))
+            if member:
+                base, (run, rows, path), i = member
+                kept = (rows[i].copy(), base[1],
+                        _with_path(base[2], [nodes[i] for nodes in path], run))
+                self.walk = _Walk(det.copy(), kept, *walk)
+                return kept[2][-1][0]
+        (runs,) = _schedule_runs(self.refs + det, self.segment_duration,
+                                 self.trotter)
+        if runs is None:
+            return np.eye(self.template.dim, dtype=complex)
+        kept = _run_unitaries(self.template, runs, self.trotter.step,
+                              None if last is None else last.kept)
+        self.walk = _Walk(det.copy(), kept)
+        return kept[2][-1][0]
+
+    def _walk_ahead(self, last, det, gene):
+        """The (base tree, batch, 0) member of ``det``, one gene off
+        ``last``'s, in a batch with the next members of its walk, and the
+        walk's fields; or (None, None)."""
+        step = float(det.flat[gene]) - float(last.det.flat[gene])
+        size = 2
+        if (gene, step) == (last.gene, last.step):
+            size = min(2 * last.size, _WALK_CAP)
+        q, s = divmod(gene, det.shape[1])
+        values = [float(det[q, s])]
+        for _ in range(size - 1):
+            values.append(values[-1] + step)
+        dets = np.repeat(det[None], size, axis=0)
+        dets[:, q, s] = values
+        columns = self.refs + dets
+        finite = np.isfinite(columns[:, q, s])
+        count = size if finite.all() else int(np.argmin(finite))
+        batch = count and _walk_batch(
+            self.template,
+            _schedule_runs(columns[:count], self.segment_duration,
+                           self.trotter),
+            self.trotter.step, last.kept)
+        if not batch:
+            return None, None
+        members = {dets[i].tobytes(): (last.kept, batch, i)
+                   for i in range(1, len(batch[1]))}
+        return (last.kept, batch, 0), (gene, step, size, members)
 
 
 def _evolve_runs(template, runs, step):

@@ -617,7 +617,7 @@ class TestFitnessPipeline:
         expected, size = [], 2
         while len(expected) < 30:
             expected += [[size]] + [[]] * (size - 1)
-            size = min(2 * size, optimizer._WALK_CAP)
+            size = min(2 * size, propagator._WALK_CAP)
         assert rows == expected[:30]
 
     def test_walk_guessed_past_the_float_range(self):

@@ -15,6 +15,7 @@ from fluxgate.fidelity import (
     controlled_phase_ideal,
     fidelity_report,
     project_to_computational,
+    score_waveform,
 )
 from fluxgate.optimizer import DEConfig, chromosome_to_schedule, seed_population
 from fluxgate.propagator import TrotterConfig, evolve, expm_skew
@@ -88,12 +89,6 @@ def random_schedules(count, seed):
             for c in population[:count]]
 
 
-def lone_scorer(device):
-    """A fresh scorer of the three-transmon chain, as a fitness owns one:
-    it keeps the runs and product tree of the last pulse it scored alone."""
-    return _Scorer(device, TrotterConfig(), controlled_phase_ideal(3))
-
-
 def runs_of(frequencies):
     """The runs of the pulse of absolute ``frequencies`` (n_qubits,
     n_segments) on 1 ns segments, at the default step, as a fitness finds
@@ -103,10 +98,24 @@ def runs_of(frequencies):
     return runs
 
 
-def warm(scorer, det):
-    """The unitary of the 1 ns pulse with detunings ``det`` around
-    5/6/7 GHz, from ``scorer``'s kept tree updated to it."""
-    return scorer.unitary(runs_of(np.array([[5.0], [6.0], [7.0]]) + det))
+def lone(device, frequencies, kept=None):
+    """The (rows, dts, levels) triple of the lone path for the pulse of
+    absolute ``frequencies`` on 1 ns segments, reusing ``kept``, the
+    triple of an earlier pulse, as a fitness's pulses take it."""
+    return propagator._run_unitaries(
+        _template(device, basis_for(device)), runs_of(frequencies),
+        TrotterConfig().step, kept)
+
+
+def warm(device, kept, det):
+    """:func:`lone` for the 1 ns pulse with detunings ``det`` around
+    5/6/7 GHz, from the triple ``kept`` updated to it."""
+    return lone(device, np.array([[5.0], [6.0], [7.0]]) + det, kept)
+
+
+def unitary(kept):
+    """The total unitary of a lone-path triple: its tree's root."""
+    return kept[2][-1][0]
 
 
 def counting_updates(monkeypatch):
@@ -197,13 +206,12 @@ class TestEvolve:
             return segment_unitaries(template, rows, dts)
 
         monkeypatch.setattr(propagator, "_segment_unitaries", counting)
-        scorer = lone_scorer(device)
-        cold = scorer.unitary(runs_of(sched.absolute_frequencies()))
-        again = scorer.unitary(runs_of(sched.absolute_frequencies()))
+        kept = lone(device, sched.absolute_frequencies())
+        cold = unitary(kept)
+        again = unitary(lone(device, sched.absolute_frequencies(), kept))
         # Half the segments reused from another schedule's batch, half fresh.
-        scorer = lone_scorer(device)
-        scorer.unitary(runs_of(other.absolute_frequencies()))
-        mixed = scorer.unitary(runs_of(sched.absolute_frequencies()))
+        kept = lone(device, other.absolute_frequencies())
+        mixed = unitary(lone(device, sched.absolute_frequencies(), kept))
         assert batches == [50, 50, 25]
         assert np.array_equal(cold, again)
         assert np.array_equal(cold, mixed)
@@ -212,6 +220,12 @@ class TestEvolve:
             assert np.array_equal(
                 cold, evolve(device, PiecewiseConstantWaveform(sched)))
         assert batches == [50, 50, 25, 50, 50]
+        # Nor does the scorer: each score_waveform is one full batch.
+        scores = [score_waveform(device, PiecewiseConstantWaveform(sched),
+                                 controlled_phase_ideal(3))
+                  for _ in range(2)]
+        assert batches == [50, 50, 25, 50, 50, 50, 50]
+        assert scores[0].fidelity == scores[1].fidelity
 
     def test_writing_into_a_result_leaves_reuse_intact(self, device,
                                                        idle_schedule,
@@ -230,18 +244,24 @@ class TestEvolve:
             want = cold.copy()
             cold[...] = 0.0
             assert np.array_equal(evolve(device, wf), want)
-            scorer = lone_scorer(device)
+            scorer = _Scorer(device, TrotterConfig(),
+                             controlled_phase_ideal(3))
             frequencies = sched.absolute_frequencies()
-            report = scorer.score(runs_of(frequencies))
+            kept = lone(device, frequencies)
+            report = scorer.report(unitary(kept))
             compensated = report.compensated.copy()
             report.compensated[...] = 0.0
-            assert np.array_equal(scorer.unitary(runs_of(frequencies)), want)
+            kept = lone(device, frequencies, kept)
+            assert np.array_equal(unitary(kept), want)
+            kept = lone(device, frequencies, kept)
             assert np.array_equal(
-                scorer.score(runs_of(frequencies)).compensated, compensated)
+                scorer.report(unitary(kept)).compensated, compensated)
+            kept = lone(device, moved.absolute_frequencies(), kept)
             assert np.array_equal(
-                scorer.unitary(runs_of(moved.absolute_frequencies())),
+                unitary(kept),
                 evolve(device, PiecewiseConstantWaveform(moved)))
-            assert np.array_equal(scorer.unitary(runs_of(frequencies)), want)
+            kept = lone(device, frequencies, kept)
+            assert np.array_equal(unitary(kept), want)
         # The 50-run pulse's move and move back update the kept tree.
         assert updates == [[17], [17]]
 
@@ -307,10 +327,9 @@ class TestEvolve:
         poles = np.zeros((3, 5))
         poles[2, 1] = 1.2
         poles[0, 3] = 3.05
-        scorer = lone_scorer(device)
-        warm(scorer, clean)
+        kept = warm(device, None, clean)
         with pytest.raises(EvolutionError) as err:
-            warm(scorer, poles)
+            warm(device, kept, poles)
         assert err.value.transmon == 2
         assert err.value.time == pytest.approx(1.05)
 
@@ -354,27 +373,27 @@ class TestEvolve:
 
 
 class TestProductTree:
-    """A scorer keeps the pairwise product tree of the last pulse it scored
-    alone, and the next one multiplies again only the nodes above the runs
-    that changed.  evolve keeps nothing, so it is the cold oracle."""
+    """The lone path, handed the pairwise product tree it built for the
+    last pulse, multiplies again only the nodes above the runs that
+    changed.  evolve keeps nothing, so it is the cold oracle."""
 
     @pytest.mark.parametrize("segments", [1, 2, 3, 7, 50])
     def test_warm_tree_equals_cold_product(self, device, segments,
                                            monkeypatch):
         rng = np.random.default_rng(segments)
         updates = counting_updates(monkeypatch)
-        scorer = lone_scorer(device)
         last = segments - 1
         # Moves of one run (the last one is carried up every odd level),
         # of two runs, and of every run.
         moves = [[0], [last], [segments // 2], [0, last],
                  [segments // 2, last], list(range(segments)), [last]]
         det = rng.uniform(-0.1, 0.1, size=(3, segments))
-        warm(scorer, det)
+        kept = warm(device, None, det)
         for k, moved in enumerate(moves):
             det = det.copy()
             det[k % 3, moved] += rng.uniform(1e-4, 1e-3, size=len(moved))
-            assert np.array_equal(warm(scorer, det),
+            kept = warm(device, kept, det)
+            assert np.array_equal(unitary(kept),
                                   evolve(device, pulse(det)))
         # A change of run count starts a new tree, which moves then update.
         det = np.concatenate([det, det[:, -1:] + 0.01], axis=1)
@@ -382,7 +401,8 @@ class TestProductTree:
             if k:
                 det = det.copy()
                 det[k, -1] += 1e-3
-            assert np.array_equal(warm(scorer, det),
+            kept = warm(device, kept, det)
+            assert np.array_equal(unitary(kept),
                                   evolve(device, pulse(det)))
         assert len(updates) >= 5
         assert [last] in updates
@@ -390,34 +410,34 @@ class TestProductTree:
     def test_pole_call_between_moves_keeps_tree(self, device, monkeypatch):
         rng = np.random.default_rng(41)
         updates = counting_updates(monkeypatch)
-        scorer = lone_scorer(device)
         det = rng.uniform(-0.1, 0.1, size=(3, 7))
-        warm(scorer, det)
+        kept = warm(device, None, det)
         poles = det.copy()
         poles[2, 3] = 1.2  # qubit R onto its 8.2 GHz resonator
         with pytest.raises(EvolutionError):
-            warm(scorer, poles)
+            warm(device, kept, poles)
         moved = det.copy()
         moved[0, 5] += 1e-3
-        assert np.array_equal(warm(scorer, moved),
+        assert np.array_equal(unitary(warm(device, kept, moved)),
                               evolve(device, pulse(moved)))
         # The pole call kept nothing: the move updates the tree before it.
         assert updates == [[5]]
 
     def test_stored_tree_is_never_written(self, device, monkeypatch):
-        # Threads that share a fitness share its scorer's kept tree without
-        # a lock because nothing a kept tree holds is written after it is
-        # kept: every level that an earlier call kept has its bytes at the
-        # end of a walk of moves.
+        # Threads that share a fitness share its kept tree without a lock
+        # because nothing a kept tree holds is written after it is kept:
+        # every level that an earlier call kept has its bytes at the end
+        # of a walk of moves.
         rng = np.random.default_rng(47)
         updates = counting_updates(monkeypatch)
-        scorer = lone_scorer(device)
         det = rng.uniform(-0.1, 0.1, size=(3, 12))
+        last = None
         kept = []
 
         def call(det):
-            warm(scorer, det)
-            tree = scorer.kept[2]
+            nonlocal last
+            last = warm(device, last, det)
+            tree = last[2]
             kept.append((tree, [np.array(level).tobytes() for level in tree]))
 
         call(det)
@@ -430,7 +450,7 @@ class TestProductTree:
                 poles = det.copy()
                 poles[2, 5] = 1.2  # qubit R onto its 8.2 GHz resonator
                 with pytest.raises(EvolutionError):
-                    warm(scorer, poles)
+                    warm(device, last, poles)
                 continue
             det[rng.integers(3), moved] += rng.uniform(1e-4, 1e-3,
                                                         size=len(moved))
@@ -447,21 +467,21 @@ class TestProductTree:
         # lists of matrices), every level has the bits of a cold tree.
         rng = np.random.default_rng(53)
         updates = counting_updates(monkeypatch)
-        scorer = lone_scorer(device)
         det = rng.uniform(-0.1, 0.1, size=(3, 12))
-        warm(scorer, det)
+        kept = warm(device, None, det)
         det = det.copy()
         det[1, 4] += 1e-3
-        warm(scorer, det)
+        kept = warm(device, kept, det)
         assert updates == [[4]]
-        assert isinstance(scorer.kept[2][0], list)
+        assert isinstance(kept[2][0], list)
         det = det + rng.uniform(1e-4, 1e-3, size=det.shape)
-        assert np.array_equal(warm(scorer, det), evolve(device, pulse(det)))
+        kept = warm(device, kept, det)
+        assert np.array_equal(unitary(kept), evolve(device, pulse(det)))
         assert updates == [[4]]
-        rows, dts, levels = scorer.kept
+        rows, dts, levels = kept
         assert len(rows) == 12
-        cold = propagator._product_tree(
-            propagator._segment_unitaries(scorer.template, rows, dts))
+        cold = propagator._product_tree(propagator._segment_unitaries(
+            _template(device, basis_for(device)), rows, dts))
         assert len(levels) == len(cold)
         for got, want in zip(levels, cold):
             assert same_bytes(np.array(got), want)

@@ -180,6 +180,10 @@ def _pulse_inputs(args):
     else:
         schedule = schedule_from_csv(data.decode(), args.segment_duration,
                                      references)
+    if schedule.n_qubits != device.n_transmons:
+        raise ValueError(
+            f"pulse {args.pulses} has {schedule.n_qubits} qubits; the device "
+            f"has {device.n_transmons} transmons")
     config = {
         **device_keys,
         "pulses": args.pulses,
@@ -309,6 +313,10 @@ def cmd_optimize(args):
     device, references, trotter, target, config = _chain_inputs(args)
     data, constraints_digest = _read_input(args.constraints)
     constraints = constraints_from_json(json.loads(data))
+    if constraints.n_qubits != device.n_transmons:
+        raise ValueError(
+            f"constraints {args.constraints} are for {constraints.n_qubits} "
+            f"qubits; the device has {device.n_transmons} transmons")
     de_doc = _read_config(DEConfig, args.de_config) if args.de_config else {}
     if args.seed is not None:
         de_doc["seed"] = args.seed

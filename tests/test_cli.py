@@ -23,6 +23,7 @@ from fluxgate.optimizer import (
 from fluxgate.profiles import (
     THREE_QUBIT_REFERENCES,
     TOY_REFERENCES,
+    load_ccphase_pulse,
     load_toy_pulse,
     three_qubit_constraints,
     three_transmon_chain,
@@ -286,6 +287,31 @@ def test_pole_crossing_pulse_reports_error(workdir, capsys, command):
     assert rc == 2
     assert "error: singular Hamiltonian at t=0.05 ns (transmon 1)" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "qpt", "robustness"])
+@pytest.mark.parametrize("device, pulse, qubits, transmons", [
+    (three_transmon_chain(), "pulse.json", 2, 3),
+    (toy_two_transmon_chain(), "pulse3.json", 3, 2),
+], ids=["two_qubit_pulse", "three_qubit_pulse"])
+def test_pulse_for_other_qubit_count_rejected(workdir, capsys, command,
+                                              device, pulse, qubits,
+                                              transmons):
+    # The toy two-qubit pulse on the three-transmon chain ended in an
+    # IndexError traceback, and the three-qubit pulse on the toy chain in
+    # numpy's broadcast error: both are refused where the pulse is read.
+    (workdir / "other.json").write_text(json.dumps(device_to_json(device)))
+    write_pulse(workdir / "pulse3.json", load_ccphase_pulse())
+    rc = main([
+        command, "--device", str(workdir / "other.json"),
+        "--pulses", str(workdir / pulse), "--out", "out.json",
+        *(["--report", "report.json"] if command == "qpt" else []),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: pulse {workdir / pulse} has {qubits} qubits; the device "
+        f"has {transmons} transmons\n")
+    assert not list(workdir.glob("out*")) and not list(workdir.glob("report*"))
 
 
 class TestOptimize:
@@ -593,6 +619,32 @@ class TestOptimizeInputErrors:
         (workdir / f"{name}.json").write_text(text)
         self.expect_error(capsys, main(args), message)
         assert not list(workdir.glob("bad*"))
+        assert not list(workdir.glob("bad*"))
+
+    @pytest.mark.parametrize("swap, segments, qubits, transmons", [
+        ("device", 3, 2, 3), ("device", 4, 2, 3), ("constraints", 4, 3, 2),
+    ], ids=["two_qubit_rules_3_segments", "two_qubit_rules_4_segments",
+            "three_qubit_rules"])
+    def test_constraints_for_other_qubit_count(self, workdir, capsys, swap,
+                                               segments, qubits, transmons):
+        # The toy (two-qubit) constraints on the three-transmon chain
+        # exited 0 at 3 segments, with a pulse drawn and repaired under
+        # the two-qubit rules, and at 4 segments exited 2 with "chromosome
+        # length 8 is not a multiple of 3"; three-qubit constraints on the
+        # toy chain were an IndexError traceback.  Each is refused before
+        # any output or checkpoint is written.
+        if swap == "device":
+            (workdir / "device.json").write_text(
+                json.dumps(device_to_json(three_transmon_chain())))
+        else:
+            (workdir / "constraints.json").write_text(
+                json.dumps(constraints_to_json(three_qubit_constraints())))
+        rc = self.optimize(workdir, segments=segments, extra=(
+            "--out", "bad.csv", "--log", "bad_history.csv",
+            "--state-out", "bad_state.json"))
+        self.expect_error(capsys, rc, (
+            f"constraints {workdir / 'constraints.json'} are for {qubits} "
+            f"qubits; the device has {transmons} transmons"))
         assert not list(workdir.glob("bad*"))
 
     def test_resume_with_other_segment_count(self, workdir, capsys):

@@ -25,14 +25,16 @@ The step unitaries are multiplied pairwise, level by level, in a tree
 whose shape depends only on the step count.  A lone pulse takes one
 path, :func:`_run_unitaries`: :func:`evolve` builds the whole tree on
 every call.  A fitness's pulses go through one :class:`_KeptPulses`, the
-one owner of reuse: it keeps the runs and tree of the previous pulse, so
-after a local-search move only the changed runs are exponentiated again
-and only the nodes above them are multiplied again: about log2(S)
-products instead of S - 1, with the same bits.  It also evolves a walk
-ahead of its calls (:func:`_walk_batch`): pulses that each change the
-same one run of the kept pulse have that run exponentiated in one batch,
-and the nodes above it multiplied for all of them by one stacked matmul
-per level (:func:`_path_products`), again with the bits each gets alone.
+one owner of reuse: it keeps the runs and tree of the previous pulse.
+A kept tree is updated in one way only, by a walk batch
+(:func:`_walk_batch`): pulses that change only runs the first of them
+changes have those runs exponentiated in one batch, and the nodes above
+them multiplied for all of them by one stacked matmul per node
+(:func:`_path_products`), with the bits each gets alone.  After a
+local-search move the pulse is a batch of one, so only the changed runs
+are exponentiated again and about log2(S) products are taken instead of
+S - 1; a walk of one gene is evolved ahead of its calls as a batch of
+several.
 
 Only a noise sweep's stacks take the batch path (:func:`_evolve_runs`):
 their runs share one exponential batch, and the pulses with equal run
@@ -239,35 +241,29 @@ def _run_unitaries(template, runs, step, kept):
     """The (rows, dts, levels) of :func:`_product_tree` of a lone pulse's
     runs, reusing ``kept``, that triple of an earlier pulse, or None.
 
-    Runs bit-identical to the same run of ``kept`` (same row shape) reuse
-    its unitary; the others are exponentiated in one batch.  When some
-    runs are kept (or the tree is one run), only the nodes above the
-    changed ones are multiplied again (:func:`_update_tree`); otherwise
-    the whole tree is built.  The levels may be the kept ones, so callers
-    never write into them.
+    A warm pulse is a one-member :func:`_walk_batch`, the one way a kept
+    tree is updated: a pulse that changes no run of ``kept`` returns it
+    itself, and one that changes some of its runs (or its one run) has
+    only those exponentiated and the nodes above them multiplied again.
+    A pulse of another run shape, or one that changes every run of
+    several, gets the whole tree.  The levels may be the kept ones, so
+    callers never write into them.
 
     A run on a pole raises the EvolutionError :func:`evolve` raises.
     """
+    batch = None if kept is None else _walk_batch(template, [runs], step, kept)
+    if batch is not None:
+        fresh, rows, dts, path = batch
+        if not fresh:
+            return kept
+        return rows[0], dts[0], _with_paths(kept[2], path, 0)
     times, rows, counts = runs
     dts = counts * step
-    if kept is None or kept[0].shape != rows.shape:
-        kept, fresh = None, np.arange(len(rows))
-    else:
-        changed = (rows.view(np.uint64) != kept[0].view(np.uint64)).any(axis=1)
-        changed |= dts.view(np.uint64) != kept[1].view(np.uint64)
-        if not changed.any():
-            return kept
-        fresh = np.flatnonzero(changed)
     try:
-        u = _segment_unitaries(template, rows[fresh], dts[fresh])
+        u = _segment_unitaries(template, rows, dts)
     except SingularityError as err:
-        err.row = int(fresh[err.row])
         raise _pole_error(err, times) from err
-    if kept is not None and (len(fresh) < len(rows) or len(rows) == 1):
-        levels = _update_tree(kept[2], u, fresh)
-    else:
-        levels = _product_tree(u)
-    return rows, dts, levels
+    return rows, dts, _product_tree(u)
 
 
 def _pole_error(err, times):
@@ -304,83 +300,66 @@ def _product_tree(u):
     return levels
 
 
-def _update_tree(levels, u, fresh):
-    """:func:`_product_tree` of the steps of ``levels`` with the steps at
-    the sorted indices ``fresh`` replaced by ``u``, one matrix each.
+def _path_products(levels, u, fresh):
+    """The nodes above the sorted steps ``fresh`` of the tree ``levels``
+    with those steps replaced by each member of the (K, F, dim, dim) stack
+    ``u``: a list of one {index: (K, dim, dim) node} dict per level, the
+    steps first.
 
-    Only the nodes above ``fresh`` are multiplied again, one matmul each;
-    the others are taken from ``levels``, which is left as it is.  Every
-    new level, the steps too, is a list of matrices that shares the
-    unchanged ones with ``levels``: nothing is copied.
+    A node is the product :func:`_product_tree` takes, of the same two
+    matrices in the same order, each the members' new node or the kept one
+    of ``levels``: one stacked matmul over the K members.  A node with no
+    right neighbour is carried up.
     """
-    dirty = fresh.tolist()
-    steps = list(levels[0])
-    for j, step in zip(dirty, u):
-        steps[j] = step
-    tree = [steps]
-    for old in levels[1:]:
-        below = tree[-1]
-        n = len(below)
-        level = list(old)
-        dirty = list(dict.fromkeys(j // 2 for j in dirty))
-        for j in dirty:
-            if 2 * j + 1 < n:
-                level[j] = below[2 * j + 1] @ below[2 * j]
-            else:
-                level[j] = below[2 * j]
-        tree.append(level)
-    return tree
-
-
-def _path_products(levels, u, j):
-    """The nodes on the path from step ``j`` to the root of the tree
-    ``levels`` with that step replaced by each matrix of the (K, dim, dim)
-    stack ``u``, as one stack per level, ``u`` first.
-
-    A node is the product :func:`_update_tree` takes for a change at
-    ``j``, of the same two matrices in the same order: the path's node and
-    its sibling in ``levels``, one stacked matmul per level.  A node with
-    no sibling is carried up.
-    """
-    path = [u]
+    nodes = dict(zip(fresh, u.swapaxes(0, 1)))
+    path = [nodes]
     for below in levels[:-1]:
-        if j % 2:
-            u = u @ below[j - 1]
-        elif j + 1 < len(below):
-            u = below[j + 1] @ u
-        path.append(u)
-        j //= 2
+        n = len(below)
+        up = {}
+        for j, node in nodes.items():
+            if j // 2 in up:  # its earlier sibling came first
+                continue
+            k = j ^ 1
+            if k < n:
+                other = nodes[k] if k in nodes else below[k]
+                node = node @ other if j % 2 else other @ node
+            up[j // 2] = node
+        nodes = up
+        path.append(nodes)
     return path
 
 
-def _with_path(levels, nodes, j):
-    """The tree ``levels`` with the nodes on the path from step ``j`` to
-    the root replaced by ``nodes``, one matrix per level, each copied so
-    that the tree holds no stack it came from.  The other nodes are shared
-    with ``levels``, which is left as it is."""
+def _with_paths(levels, path, i):
+    """The tree ``levels`` with member ``i``'s nodes of ``path``
+    (:func:`_path_products`) in place of its own, each copied so that the
+    tree holds no stack it came from.  The other nodes are shared with
+    ``levels``, which is left as it is."""
     tree = []
-    for level, node in zip(levels, nodes):
+    for level, nodes in zip(levels, path):
         level = list(level)
-        level[j] = node.copy()
+        for j, node in nodes.items():
+            level[j] = node[i].copy()
         tree.append(level)
-        j //= 2
     return tree
 
 
 def _walk_batch(template, runs, step, kept):
-    """Score ahead of a walk: the (run, rows, path) of the leading pulses of
-    ``runs``, a list of :func:`_schedule_runs` triples, that each differ
-    from the pulse of ``kept``, the (rows, dts, levels) of
-    :func:`_run_unitaries`, in the same one run, or None when the first
-    does not.
+    """Evolve from ``kept``, the (rows, dts, levels) of
+    :func:`_run_unitaries` of an earlier pulse, the leading pulses of
+    ``runs``, a list of :func:`_schedule_runs` triples, that have kept's
+    run shape and change only runs that the first changes.
 
-    The changed rows are exponentiated in one batch and multiplied up the
-    kept tree by :func:`_path_products`.  Member i's tree is then
-    ``(rows[i], dts, _with_path(levels, [p[i] for p in path], run))``:
-    the bits :func:`_run_unitaries` gives that pulse after ``kept``,
-    because a row's exponential does not depend on its batch and each
-    node multiplies the same two matrices.  A member on a pole ends the
-    batch before it, so its own call takes the lone path and its error.
+    Returns None when the first needs a whole tree: it has another run
+    shape, or changes every run of several.  Otherwise (fresh, rows, dts,
+    path): the sorted runs the first changes, the members' rows and dts,
+    and the :func:`_path_products` of their changed runs, exponentiated
+    in one batch; path is None when ``fresh`` is empty, the first pulse
+    being kept's own.  Member i's tree is then
+    ``(rows[i], dts[i], _with_paths(levels, path, i))``, with the bits the
+    member gets alone, because a row's exponential does not depend on its
+    batch and each node multiplies the same two matrices.  A member on a
+    pole ends the batch before it; the first on a pole raises the
+    EvolutionError :func:`evolve` raises.
     """
     rows, dts, levels = kept
     count = 0
@@ -390,26 +369,34 @@ def _walk_batch(template, runs, step, kept):
         count += 1
     if not count:
         return None
-    members = np.stack([r[1] for r in runs[:count]])
-    same = (np.stack([r[2] for r in runs[:count]]) * step == dts).all(axis=1)
+    members = np.array([r[1] for r in runs[:count]])
+    spans = np.array([r[2] for r in runs[:count]]) * step
     changed = (members.view(np.uint64) != rows.view(np.uint64)).any(axis=2)
-    first = np.flatnonzero(changed[0])
-    if len(first) != 1:
+    changed |= spans.view(np.uint64) != dts.view(np.uint64)
+    fresh = np.flatnonzero(changed[0])
+    if len(fresh) == len(rows) > 1:
         return None
-    run = int(first[0])
-    changed[:, run] = False
-    ok = same & ~changed.any(axis=1)
-    if not ok.all():
-        count = int(np.argmin(ok))
-    while count:
+    if not len(fresh):
+        return [], members[:1], spans[:1], None
+    changed[:, fresh] = False
+    stray = changed.any(axis=1)
+    if stray.any():
+        count = int(stray.argmax())
+    while True:
         try:
-            u = _segment_unitaries(template, members[:count, run],
-                                   np.full(count, dts[run]))
+            u = _segment_unitaries(
+                template, members[:count, fresh].reshape(-1, rows.shape[1]),
+                spans[:count, fresh].reshape(-1))
         except SingularityError as err:
-            count = err.row
+            count, row = divmod(err.row, len(fresh))
+            if not count:
+                err.row = int(fresh[row])
+                raise _pole_error(err, runs[0][0]) from err
             continue
-        return run, members[:count], _path_products(levels, u, run)
-    return None
+        fresh = fresh.tolist()
+        u = u.reshape(count, len(fresh), *u.shape[1:])
+        return (fresh, members[:count], spans[:count],
+                _path_products(levels, u, fresh))
 
 
 _WALK_CAP = 8  # largest walk batch, chosen by measurement (CHANGES.md)
@@ -435,15 +422,14 @@ class _KeptPulses:
     (n_qubits, n_segments) around ``references`` on segments of
     ``segment_duration`` ns, with the bits :func:`evolve` gives each.
 
-    It keeps the runs and product tree of the last pulse it evolved, so a
-    local-search move exponentiates only the changed runs on the lone
-    path (:func:`_run_unitaries`).  It also evolves a walk ahead of its
-    calls: a pulse one gene off the last, by d, is evolved in one batch
-    with the next K - 1 pulses of its walk, that gene moved by d again
-    and again (:func:`_walk_batch`).  A later call with one of those
-    pulses takes its tree from the batch.  K is 2 for a new gene or step
-    and doubles, up to ``_WALK_CAP``, while the calls go on along the
-    walk.
+    It keeps the runs and product tree of the last pulse it evolved, and
+    updates it only through :func:`_walk_batch`.  A pulse one gene off the
+    last, by d, is evolved in one batch with the next K - 1 pulses of its
+    walk, that gene moved by d again and again; a later call with one of
+    those pulses takes its tree from the batch.  K is 2 for a new gene or
+    step and doubles, up to ``_WALK_CAP``, while the calls go on along the
+    walk.  Any other pulse takes the lone path (:func:`_run_unitaries`),
+    where a pulse of the kept run shape is a batch of one.
 
     Threads may share one: each call reads the :class:`_Walk` once and
     replaces it whole, and nothing kept is written into, so a race loses
@@ -460,8 +446,8 @@ class _KeptPulses:
 
     def unitary(self, det):
         """The unitary of ``det``'s pulse: a prepared member's, one from a
-        new walk batch, or the kept tree updated on the lone path; never
-        write into it.  A pole raises its EvolutionError, keeping the
+        new walk batch, or the lone path's from the kept tree; never write
+        into it.  A pole raises its EvolutionError, keeping the
         tree."""
         last = self.walk  # read once: other threads replace it whole
         if last is not None and last.det.shape == det.shape:
@@ -472,9 +458,8 @@ class _KeptPulses:
                 if len(moved) == 1:
                     member, walk = self._walk_ahead(last, det, int(moved[0]))
             if member:
-                base, (run, rows, path), i = member
-                kept = (rows[i].copy(), base[1],
-                        _with_path(base[2], [nodes[i] for nodes in path], run))
+                base, (_, rows, dts, path), i = member
+                kept = (rows[i].copy(), dts[i], _with_paths(base[2], path, i))
                 self.walk = _Walk(det.copy(), kept, *walk)
                 return kept[2][-1][0]
         (runs,) = _schedule_runs(self.refs + det, self.segment_duration,
@@ -508,7 +493,7 @@ class _KeptPulses:
             _schedule_runs(columns[:count], self.segment_duration,
                            self.trotter),
             self.trotter.step, last.kept)
-        if not batch:
+        if not (batch and batch[0]):
             return None, None
         members = {dets[i].tobytes(): (last.kept, batch, i)
                    for i in range(1, len(batch[1]))}

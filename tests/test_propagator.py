@@ -119,15 +119,18 @@ def unitary(kept):
 
 
 def counting_updates(monkeypatch):
-    """Record the changed runs of each incremental product-tree update."""
+    """Record the changed runs of each one-member warm batch: the lone
+    path's update of a kept tree."""
     updates = []
-    update_tree = propagator._update_tree
+    walk_batch = propagator._walk_batch
 
-    def counting(levels, u, fresh):
-        updates.append(fresh.tolist())
-        return update_tree(levels, u, fresh)
+    def counting(template, runs, step, kept):
+        batch = walk_batch(template, runs, step, kept)
+        if len(runs) == 1 and batch is not None and batch[0]:
+            updates.append(batch[0])
+        return batch
 
-    monkeypatch.setattr(propagator, "_update_tree", counting)
+    monkeypatch.setattr(propagator, "_walk_batch", counting)
     return updates
 
 
@@ -487,19 +490,32 @@ class TestProductTree:
             assert same_bytes(np.array(got), want)
 
     def test_levels_match_stacked_loop(self):
-        # Every node of an updated tree, not only the product, has the
-        # bits of the same node built by the stacked pairwise loop.
+        # Every node of every member's updated tree, not only the product,
+        # has the bits of the same node built by the stacked pairwise loop
+        # over that member's steps, in batches of one member and of three.
         rng = np.random.default_rng(43)
-        u = rng.normal(size=(13, 6, 6)) + 1j * rng.normal(size=(13, 6, 6))
-        levels = propagator._product_tree(u)
-        for fresh in ([12], [3, 4], [0, 5, 11], [12]):
-            u = u.copy()
-            u[fresh] = rng.normal(size=(len(fresh), 6, 6))
-            levels = propagator._update_tree(levels, u[fresh], np.array(fresh))
-            cold = propagator._product_tree(u)
-            assert len(levels) == len(cold)
-            for got, want in zip(levels, cold):
-                assert np.array_equal(np.array(got), want)
+
+        def matrices(*shape):
+            return rng.normal(size=(*shape, 6, 6)) \
+                + 1j * rng.normal(size=(*shape, 6, 6))
+
+        for members in (1, 3):
+            u = matrices(13)
+            levels = propagator._product_tree(u)
+            for fresh in ([12], [3, 4], [0, 5, 11], [12]):
+                new = matrices(members, len(fresh))
+                path = propagator._path_products(levels, new, fresh)
+                trees = [propagator._with_paths(levels, path, i)
+                         for i in range(members)]
+                for i, tree in enumerate(trees):
+                    steps = u.copy()
+                    steps[fresh] = new[i]
+                    cold = propagator._product_tree(steps)
+                    assert len(tree) == len(cold)
+                    for got, want in zip(tree, cold):
+                        assert same_bytes(np.array(got), want)
+                u[fresh] = new[-1]
+                levels = trees[-1]
 
 
 def frozen_expm_stack(h, dts, herm_tol=1e-12):

@@ -176,10 +176,16 @@ def _pulse_inputs(args):
     device, references, trotter, target, device_keys = _chain_inputs(args)
     data, digest = _read_input(args.pulses)
     if args.pulses.endswith(".json"):
+        for flag, value in (("--references", args.references),
+                            ("--segment-duration", args.segment_duration)):
+            if value is not None:
+                raise ValueError(f"{flag} is for CSV pulses; the JSON pulse "
+                                 f"{args.pulses} carries its own")
         schedule = schedule_from_json(json.loads(data))
     else:
-        schedule = schedule_from_csv(data.decode(), args.segment_duration,
-                                     references)
+        duration = (1.0 if args.segment_duration is None
+                    else args.segment_duration)
+        schedule = schedule_from_csv(data.decode(), duration, references)
     if schedule.n_qubits != device.n_transmons:
         raise ValueError(
             f"pulse {args.pulses} has {schedule.n_qubits} qubits; the device "
@@ -716,12 +722,15 @@ def build_parser():
 
     def add_pulse_args(p):
         p.add_argument("--pulses", required=True,
-                       help="pulse schedule (.csv detunings or .json)")
+                       help="pulse schedule (.csv detunings or .json, which "
+                            "carries its own references and segment "
+                            "duration)")
         p.add_argument("--references", type=float, nargs="+", default=None,
-                       help="per-qubit reference frequencies in GHz for CSV "
-                            "pulses (default: device idle frequencies)")
-        p.add_argument("--segment-duration", type=float, default=1.0,
-                       help="segment duration in ns for CSV pulses")
+                       help="per-qubit reference frequencies in GHz, for CSV "
+                            "pulses only (default: device idle frequencies)")
+        p.add_argument("--segment-duration", type=float, default=None,
+                       help="segment duration in ns, for CSV pulses only "
+                            "(default: 1)")
 
     p = run_parser("simulate", cmd_simulate,
                    "evolve a pulse and score its fidelity")

@@ -93,12 +93,14 @@ def _check_json_kind(value, kind, name):
 
 def _check_number(name, value, rule="finite"):
     """A ValueError naming ``name`` and ``value`` unless ``value`` (or each
-    element of a tuple or list) is ``finite``, ``positive`` and finite, or
-    an ``integer``: an Integral, not a bool or a float (1e400 reads as inf).
-    An integer too large for a float is not finite."""
+    element of a tuple or list) is ``finite``, ``positive`` and finite, an
+    ``integer`` (an Integral, not a bool or a float: 1e400 reads as inf),
+    or a ``non-negative`` integer.  An integer too large for a float is
+    not finite."""
     for v in value if isinstance(value, (tuple, list)) else (value,):
-        if rule == "integer":
-            ok = isinstance(v, numbers.Integral) and not isinstance(v, bool)
+        if rule in ("integer", "non-negative"):
+            ok = (isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                  and (rule == "integer" or v >= 0))
         else:
             try:
                 ok = (isinstance(v, numbers.Real) and math.isfinite(v)
@@ -107,5 +109,6 @@ def _check_number(name, value, rule="finite"):
                 ok = False
         if not ok:
             noun = {"finite": "finite", "positive": "positive and finite",
-                    "integer": "an integer"}[rule]
+                    "integer": "an integer",
+                    "non-negative": "a non-negative integer"}[rule]
             raise ValueError(f"{name} must be {noun}, got {value!r}")

@@ -373,6 +373,7 @@ class DEConfig:
     def __post_init__(self):
         for name in ("population_size", "max_generations", "seed"):
             _check_number(name, getattr(self, name), "integer")
+        _check_number("seed", self.seed, "non-negative")  # numpy's rule
         if self.population_size < 4:
             raise ValueError(
                 "population must hold at least 4 members (three donors plus "

@@ -105,13 +105,6 @@ class DistortionReport:
     def delta(self):
         return self.baseline_fidelity - self.smoothed_fidelity
 
-    def to_json(self):
-        return {
-            "baseline_fidelity": self.baseline_fidelity,
-            "smoothed_fidelity": self.smoothed_fidelity,
-            "delta": self.delta,
-        }
-
 
 def distortion_report(schedule, device, trotter=TrotterConfig(), target=None,
                       params=SmoothingParams()):
@@ -152,6 +145,7 @@ class NoiseSweepConfig:
             raise ValueError("amplitudes must be >= 0")
         for name in ("samples", "seed"):
             _check_number(name, getattr(self, name), "integer")
+        _check_number("seed", self.seed, "non-negative")  # numpy's rule
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
 

@@ -272,6 +272,46 @@ def test_bad_run_settings_rejected(workdir, capsys, command, pulse, flags,
 
 
 @pytest.mark.parametrize("command", ["simulate", "qpt", "robustness"])
+@pytest.mark.parametrize("flags", [["--references", "1", "2", "3"],
+                                   ["--segment-duration", "7"]],
+                         ids=["references", "segment_duration"])
+def test_json_pulse_refuses_csv_flags(workdir, capsys, command, flags):
+    # A JSON pulse carries its own references and segment duration: the
+    # two flags were ignored for it, and the run scored the pulse's own
+    # with exit code 0.
+    pulse = workdir / "pulse.json"
+    rc = main([
+        command, "--device", str(workdir / "device.json"),
+        "--pulses", str(pulse), *flags, "--out", "out.json",
+        *(["--report", "report.json"] if command == "qpt" else []),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {flags[0]} is for CSV pulses; the JSON pulse {pulse} "
+        "carries its own\n")
+    assert not list(workdir.glob("out*")) and not list(workdir.glob("report*"))
+
+
+@pytest.mark.parametrize("command, seed", [("optimize", "-3"),
+                                           ("robustness", "-1")])
+def test_negative_seed_rejected(workdir, capsys, command, seed):
+    # numpy refused the seed with "expected non-negative integer", which
+    # named no flag.
+    rc = main([
+        command, "--device", str(workdir / "device.json"),
+        *(["--pulses", str(workdir / "pulse.json")]
+          if command == "robustness" else
+          ["--constraints", str(workdir / "constraints.json"),
+           "--segments", "4"]),
+        "--seed", seed, "--out", "out.csv",
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        f"error: seed must be a non-negative integer, got {seed}\n"
+    assert not list(workdir.glob("out*"))
+
+
+@pytest.mark.parametrize("command", ["simulate", "qpt", "robustness"])
 def test_pole_crossing_pulse_reports_error(workdir, capsys, command):
     # Qubit M detuned by 1.8 GHz in the first segment sits on a resonator
     # pole: a clean error and exit code 2, not a traceback.

@@ -418,6 +418,15 @@ def test_non_integer_search_counts_rejected(cls, name, value):
         cls(**{name: value})
 
 
+def test_negative_seed_rejected():
+    # numpy refused a negative seed only when the first generator was
+    # drawn, with a message that named no field.
+    with pytest.raises(ValueError, match="seed must be a non-negative "
+                                         "integer, got -1"):
+        DEConfig(seed=-1)
+    assert DEConfig(seed=0).seed == 0
+
+
 def test_numpy_integer_search_counts_accepted():
     assert DEConfig(population_size=np.int64(8)).population_size == 8
     assert LocalSearchConfig(window=np.int32(2)).window == 2

@@ -225,6 +225,12 @@ class TestNoiseSweep:
         with pytest.raises(ValueError, match="samples must be an integer"):
             NoiseSweepConfig(samples=samples)
 
+    def test_negative_seed_rejected(self):
+        # numpy refused it at the first sample, naming no field.
+        with pytest.raises(ValueError, match="seed must be a non-negative "
+                                             "integer, got -1"):
+            NoiseSweepConfig(seed=-1)
+
     def test_sample_rng_draws_as_default_rng(self):
         for seed, a_idx, s_idx in ((0, 0, 0), (3, 1, 7), (11, 100, 9999),
                                    (2 ** 31 - 1, 5, 12)):

@@ -242,8 +242,8 @@ def _move_is_feasible(y, genes, constraints, references):
 def _separated(refs, column, min_gap):
     """Whether adjacent absolute frequencies of a column are min_gap apart."""
     below = refs[0] + column[0]
-    for ref, value in zip(refs[1:], column[1:]):
-        here = ref + value
+    for k in range(1, len(column)):
+        here = refs[k] + column[k]
         if not abs(here - below) >= min_gap:
             return False
         below = here
@@ -300,30 +300,31 @@ def repair_chromosome(chromosome, constraints, references, rng, clamp=True,
     into the window allowed by the range, step, and boundary rules, then
     the whole column is rejection-resampled until the adjacent-qubit
     separation holds.  ``budget`` bounds the total resampling attempts
-    for this chromosome.  The walk runs on Python floats; draws come from
-    ``rng`` qubit by qubit, a resampled column as one ``rng.random(n)``
-    mapped as ``rng.uniform`` maps its draw (``lo + (hi - lo) * u``), so
-    the output and the generator state depend only on the input and the
-    generator state.
+    for this chromosome.  The walk runs column by column on Python floats,
+    and each bound is the comparison ``max`` or ``min`` makes.  All windows
+    of a segment come before its draws: from ``rng`` qubit by qubit, a
+    resampled column as one ``rng.random(n)`` mapped as ``rng.uniform``
+    maps its draw (``lo + (hi - lo) * u``), so the output and the generator
+    state depend only on the input and the generator state.
     """
     cs = constraints
-    rows = _as_matrix(chromosome, cs.n_qubits).tolist()
-    n, n_seg = len(rows), len(rows[0])
+    det = _as_matrix(chromosome, cs.n_qubits)
+    n, n_seg = det.shape
+    columns = det.T.tolist()
     refs = [float(r) for r in references]
     limits = _window_limits(cs, refs, n_seg)
     max_step = cs.max_step
     min_gap = None if cs.min_separation is None else cs.min_separation - STEP_TOL
-    uniform = rng.uniform
-    attempts = 0
-    for s in range(n_seg):
-        windows = []
+    prev, attempts = None, 0  # prev: the column before, under a step rule
+    for s, column in enumerate(columns):
+        windows, outside = [], []
         for k, (lo, hi, rest) in enumerate(limits[s]):
-            if max_step is not None and s > 0:
-                prev = rows[k][s - 1]
-                lo = max(lo, prev - max_step)
-                hi = min(hi, prev + max_step)
+            if prev is not None:
+                lo = b if (b := prev[k] - max_step) > lo else lo
+                hi = b if (b := prev[k] + max_step) < hi else hi
             if rest is not None:
-                lo, hi = max(lo, rest[0]), min(hi, rest[1])
+                lo = rest[0] if rest[0] > lo else lo
+                hi = rest[1] if rest[1] < hi else hi
             if lo > hi:
                 raise InfeasibilityError(
                     f"qubit {k}, segment {s}: no feasible detuning (window "
@@ -331,13 +332,13 @@ def repair_chromosome(chromosome, constraints, references, rng, clamp=True,
                     "inconsistent"
                 )
             windows.append((lo, hi))
-        column = [row[s] for row in rows]
-        for k, (lo, hi) in enumerate(windows):
             v = column[k]
             if clamp:
-                column[k] = min(max(v, lo), hi)
+                column[k] = lo if lo > v else hi if hi < v else v
             elif not lo <= v <= hi:
-                column[k] = uniform(lo, hi)
+                outside.append(k)
+        for k in outside:
+            column[k] = rng.uniform(*windows[k])
         while min_gap is not None and not _separated(refs, column, min_gap):
             attempts += 1
             if attempts > budget:
@@ -345,11 +346,10 @@ def repair_chromosome(chromosome, constraints, references, rng, clamp=True,
                     f"segment {s}: could not satisfy the separation rule after "
                     f"{budget} resampling attempts"
                 )
-            column = [lo + (hi - lo) * u
-                      for (lo, hi), u in zip(windows, rng.random(n).tolist())]
-        for row, v in zip(rows, column):
-            row[s] = v
-    return np.array(rows, dtype=float)
+            column = columns[s] = [lo + (hi - lo) * u for (lo, hi), u
+                                   in zip(windows, rng.random(n).tolist())]
+        prev = column if max_step is not None else None
+    return np.array(columns, dtype=float).reshape(n_seg, n).T.copy()
 
 
 @dataclass(frozen=True)
@@ -373,7 +373,9 @@ class DEConfig:
     def __post_init__(self):
         for name in ("population_size", "max_generations", "seed"):
             _check_number(name, getattr(self, name), "integer")
-        _check_number("seed", self.seed, "non-negative")  # numpy's rule
+        # numpy refuses a negative seed; a negative count would run as 0.
+        for name in ("max_generations", "seed"):
+            _check_number(name, getattr(self, name), "non-negative")
         if self.population_size < 4:
             raise ValueError(
                 "population must hold at least 4 members (three donors plus "
@@ -553,14 +555,12 @@ def run_sussade(fitness, config, constraints, references, population=None,
                 f_m[i] = rng.uniform(*config.mutation_bounds)
             if rng.random() < config.readapt_probability:
                 c_r[i] = rng.uniform(*config.crossover_bounds)
-            donors = rng.choice(pop_size - 1, size=3, replace=False)
-            donors = np.where(donors >= i, donors + 1, donors)
-            a, b, c = population[donors]
+            donors = rng.choice(pop_size - 1, size=3, replace=False).tolist()
+            a, b, c = (population[d + (d >= i)] for d in donors)  # skip i
             mask = rng.random(n_genes) < config.subspace_probability
             if not mask.any():
                 mask[rng.integers(n_genes)] = True
-            mutant = a.copy()
-            mutant[mask] = a[mask] + f_m[i] * (b[mask] - c[mask])
+            mutant = np.where(mask, a + f_m[i] * (b - c), a)
             cross = rng.random(n_genes) < c_r[i]
             cross[rng.integers(n_genes)] = True
             trial = np.where(cross, mutant, population[i])
@@ -608,6 +608,7 @@ class LocalSearchConfig:
     def __post_init__(self):
         for name in ("max_iterations", "window"):
             _check_number(name, getattr(self, name), "integer")
+        _check_number("max_iterations", self.max_iterations, "non-negative")
         # An infinite eps_max gives infinite rungs; NaN fails the order.
         for name in ("target_fidelity", "eps_max", "eps_min"):
             _check_number(name, getattr(self, name))

@@ -626,6 +626,10 @@ class TestOptimizeInputErrors:
          "eps_max must be finite, got inf"),
         ("ls", '{"max_iterations": 1.5}',
          "max_iterations must be an integer, got 1.5"),
+        ("de", '{"population_size": 8, "max_generations": -5}',
+         "max_generations must be a non-negative integer, got -5"),
+        ("ls", '{"max_iterations": -2}',
+         "max_iterations must be a non-negative integer, got -2"),
         ("constraints", '{"ranges": [{"lo_ghz": -0.45, "hi_ghz": 0.45}, '
          '{"lo_ghz": -0.45, "hi_ghz": 0.45}], "max_step_ghz": "0.22"}',
          "constraints: max_step_ghz must be a number, got '0.22'"),
@@ -646,6 +650,7 @@ class TestOptimizeInputErrors:
         # [0.5] drew from [0.5, 1), and [0.9, 0.1] failed in numpy's
         # words, naming no field.  A quoted step limit or idle frequency
         # was a TypeError traceback, and "no" read as an inclusive end.
+        # A negative generation or iteration count ran as 0 with exit 0.
         (workdir / "de.json").write_text(
             '{"population_size": 8, "max_generations": 2}')
         (workdir / "ls.json").write_text('{"max_iterations": 1}')

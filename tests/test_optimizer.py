@@ -3,6 +3,7 @@ loop's contracts (determinism, monotonicity, feasibility of everything it
 evaluates, checkpoint resume), and the local-search algorithm."""
 
 import copy
+import hashlib
 import json
 import logging
 import math
@@ -375,6 +376,34 @@ class TestRunSussade:
         assert np.array_equal(resumed.best_chromosome, full.best_chromosome)
         assert resumed.history == full.history
 
+    def test_seeded_run_bytes_pinned(self):
+        # The trial loop's draws, arithmetic and replacement rule, held to
+        # the bytes of a run recorded before the loop and the repair walk
+        # were rewritten.  The fitness uses Python floats only, so no SIMD
+        # or BLAS path enters the pin.
+        def fitness(c):
+            total = 0.0
+            for g, v in enumerate(c.tolist()):
+                total += (v - 0.002 * (g % 11 - 5)) ** 2
+            return 1.0 - total
+
+        cs = three_qubit_constraints("references")
+        cfg = DEConfig(population_size=20, max_generations=10, seed=2718,
+                       target_fidelity=2.0)
+        pop = seed_population(cfg, cs, THREE_QUBIT_REFERENCES, 50)
+        state = run_sussade(fitness, cfg, cs, THREE_QUBIT_REFERENCES,
+                            population=pop).state
+        assert state.generation == 10 and state.evaluations == 220
+        digest = hashlib.sha256()
+        for array in (pop, state.population, state.fitnesses,
+                      state.mutation_factors, state.crossover_rates):
+            digest.update(array.tobytes())
+        digest.update(json.dumps(
+            [state.rng_state, [vars(r) for r in state.history]],
+            sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "16e54445c157ee7ca9dfa9b3f12061fda8309d8b6f14b15a33465426ffea1dbb")
+
     def test_population_size_minimum(self):
         with pytest.raises(ValueError):
             DEConfig(population_size=3)
@@ -425,6 +454,18 @@ def test_negative_seed_rejected():
                                          "integer, got -1"):
         DEConfig(seed=-1)
     assert DEConfig(seed=0).seed == 0
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (DEConfig, "max_generations", -5),
+    (LocalSearchConfig, "max_iterations", -2),
+])
+def test_negative_search_counts_rejected(cls, name, value):
+    # A negative count ran as 0 generations or iterations, with no word.
+    with pytest.raises(ValueError, match=f"{name} must be a non-negative "
+                                         f"integer, got {value}"):
+        cls(**{name: value})
+    assert getattr(cls(**{name: 0}), name) == 0
 
 
 def test_numpy_integer_search_counts_accepted():
@@ -891,6 +932,16 @@ EXCLUSIVE = ConstraintSet(
 )
 
 
+# One qubit, which no separation rule binds, with a signed-zero range end.
+ONE_QUBIT = ConstraintSet(
+    ranges=(DetuningRange(-0.3, -0.0),),
+    max_step=0.1,
+    boundary_step=0.25,
+    idle_frequencies=(5.0,),
+    min_separation=0.2,
+)
+
+
 class TestRepairOracle:
     """repair_chromosome is bit-identical to the numpy original: output
     array and generator state, or error message."""
@@ -911,6 +962,15 @@ class TestRepairOracle:
                 assert_repair_matches(proposal, cs, refs,
                                       rng.bit_generator.state, clamp=clamp)
                 rng.random()
+        # No segments, and a single qubit.
+        for cs, refs in cases + [(ONE_QUBIT, (5.1,))]:
+            assert_repair_matches(np.zeros((cs.n_qubits, 0)), cs, refs,
+                                  rng.bit_generator.state, clamp=clamp)
+        for _ in range(75):
+            proposal = rng.uniform(-0.7, 0.7, size=(1, rng.integers(1, 30)))
+            assert_repair_matches(proposal, ONE_QUBIT, (5.1,),
+                                  rng.bit_generator.state, clamp=clamp)
+            rng.random()
 
     def test_captured_de_trials(self, monkeypatch):
         cs = three_qubit_constraints("references")
@@ -1157,6 +1217,7 @@ class TestRepairFrozen:
             assert str(got.value) == str(err)
         else:
             got = repair_chromosome(proposal, cs, refs, rng_new, **kwargs)
+            assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
         assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
@@ -1182,6 +1243,20 @@ class TestRepairFrozen:
                 proposal[(picks >= 0.2) & (picks < 0.4)] = -0.0
                 self.assert_same(proposal, cs, refs, rng.bit_generator.state,
                                  clamp=clamp)
+                rng.random()
+        # No segments, and a single qubit.
+        for cs, refs in cases + [(ONE_QUBIT, (5.1,))]:
+            self.assert_same(np.zeros((cs.n_qubits, 0)), cs, refs,
+                             rng.bit_generator.state, clamp=clamp)
+        for refs in ((5.1,), (5.0,), (4.8,)):
+            for _ in range(40):
+                n_seg = int(rng.integers(1, 12))
+                proposal = rng.uniform(-0.7, 0.7, size=(1, n_seg))
+                picks = rng.random(proposal.shape)
+                proposal[picks < 0.2] = 0.0
+                proposal[(picks >= 0.2) & (picks < 0.4)] = -0.0
+                self.assert_same(proposal, ONE_QUBIT, refs,
+                                 rng.bit_generator.state, clamp=clamp)
                 rng.random()
 
     def test_cache_keeps_signed_zeros_apart(self):

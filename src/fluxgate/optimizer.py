@@ -303,9 +303,11 @@ def repair_chromosome(chromosome, constraints, references, rng, clamp=True,
     for this chromosome.  The walk runs column by column on Python floats,
     and each bound is the comparison ``max`` or ``min`` makes.  All windows
     of a segment come before its draws: from ``rng`` qubit by qubit, a
-    resampled column as one ``rng.random(n)`` mapped as ``rng.uniform``
-    maps its draw (``lo + (hi - lo) * u``), so the output and the generator
-    state depend only on the input and the generator state.
+    resampled column as one ``rng.random(n)``, each draw u mapped as
+    ``rng.uniform`` maps it (``lo + (hi - lo) * u``), so the output and the
+    generator state depend only on the input and the generator state.  A
+    window of signed zeros, [0.0, -0.0], passes ``lo > hi`` and draws 0.0,
+    where ``rng.uniform`` would refuse it.
     """
     cs = constraints
     det = _as_matrix(chromosome, cs.n_qubits)
@@ -338,7 +340,8 @@ def repair_chromosome(chromosome, constraints, references, rng, clamp=True,
             elif not lo <= v <= hi:
                 outside.append(k)
         for k in outside:
-            column[k] = rng.uniform(*windows[k])
+            lo, hi = windows[k]
+            column[k] = lo + (hi - lo) * rng.random()
         while min_gap is not None and not _separated(refs, column, min_gap):
             attempts += 1
             if attempts > budget:

@@ -33,8 +33,12 @@ them multiplied for all of them by one stacked matmul per node
 (:func:`_path_products`), with the bits each gets alone.  After a
 local-search move the pulse is a batch of one, so only the changed runs
 are exponentiated again and about log2(S) products are taken instead of
-S - 1; a walk of one gene is evolved ahead of its calls as a batch of
-several.
+S - 1.  A walk of one gene is evolved ahead of its calls as a batch of
+several, from an origin: the kept pulse one gene off the call, which
+may be the last call, the origin of the current batch or one of its
+members.  A batch that starts a walk also holds its reflection, the
+move a local search tries after a rejected one; its first batch holds
+4 steps and later ones 8.
 
 Only a noise sweep's stacks take the batch path (:func:`_evolve_runs`):
 their runs share one exponential batch, and the pulses with equal run
@@ -399,22 +403,42 @@ def _walk_batch(template, runs, step, kept):
                 _path_products(levels, u, fresh))
 
 
+_WALK_START = 4  # first batch of a walk, chosen by measurement (CHANGES.md)
 _WALK_CAP = 8  # largest walk batch, chosen by measurement (CHANGES.md)
+
+
+class _Batch(NamedTuple):
+    """A walk batch of a :class:`_KeptPulses`: its origin's detunings and
+    kept tree, every member's detunings (K, n_qubits, n_segments) and step
+    along the walk, the :func:`_walk_batch` of those members evolved from
+    the origin, and the index of each prepared member after the first,
+    keyed by its detuning bytes."""
+
+    det: np.ndarray
+    kept: tuple
+    dets: np.ndarray
+    steps: list
+    batch: tuple
+    members: dict
+
+    def tree(self, i):
+        """Member ``i``'s (rows, dts, levels), built when it is asked for."""
+        _, rows, dts, path = self.batch
+        return rows[i].copy(), dts[i], _with_paths(self.kept[2], path, i)
 
 
 class _Walk(NamedTuple):
     """What a :class:`_KeptPulses` keeps of the last pulse it evolved:
-    that pulse's detunings (a copy) and kept tree, the gene and step of
-    the walk it belongs to, the batch size that walk last asked for, and
-    the walk's prepared members, each keyed by its detuning bytes as a
-    (base tree, batch, index) triple of :func:`_walk_batch`."""
+    that pulse's detunings (never written into) and kept tree, the gene
+    and step of the walk it belongs to, the forward batch size that walk
+    last asked for, and the :class:`_Batch` it was evolved in, if any."""
 
     det: np.ndarray
     kept: tuple
     gene: int = -1
     step: float = 0.0
     size: int = 0
-    members: dict = None
+    batch: _Batch = None
 
 
 class _KeptPulses:
@@ -423,13 +447,22 @@ class _KeptPulses:
     ``segment_duration`` ns, with the bits :func:`evolve` gives each.
 
     It keeps the runs and product tree of the last pulse it evolved, and
-    updates it only through :func:`_walk_batch`.  A pulse one gene off the
-    last, by d, is evolved in one batch with the next K - 1 pulses of its
-    walk, that gene moved by d again and again; a later call with one of
-    those pulses takes its tree from the batch.  K is 2 for a new gene or
-    step and doubles, up to ``_WALK_CAP``, while the calls go on along the
-    walk.  Any other pulse takes the lone path (:func:`_run_unitaries`),
-    where a pulse of the kept run shape is a batch of one.
+    updates it only through :func:`_walk_batch`.  A pulse that no prepared
+    member serves looks for an origin, a pulse whose tree it holds and
+    that differs from the call in exactly one gene: the last pulse, the
+    origin of the current batch, then that batch's prepared members (a
+    member's tree is built only when it is chosen).  A pulse one gene off
+    its origin o, by d, is evolved in one batch with the next K - 1
+    pulses of its walk, that gene moved by d again and again.  A batch
+    that starts a walk also holds the reflection, o's gene moved by -d,
+    second: a local search tries it after a rejected +d.  A batch that
+    continues the walk from the last pulse, at the same gene and step,
+    does not, because the search never returns to the point it just
+    left.  K is ``_WALK_START`` for a new walk and doubles, up to
+    ``_WALK_CAP``, while the calls go on along it.  A later call with a
+    prepared member takes its tree from the batch.  A pulse with no
+    origin takes the lone path (:func:`_run_unitaries`), where a pulse of
+    the kept run shape is a batch of one.
 
     Threads may share one: each call reads the :class:`_Walk` once and
     replaces it whole, and nothing kept is written into, so a race loses
@@ -451,17 +484,16 @@ class _KeptPulses:
         tree."""
         last = self.walk  # read once: other threads replace it whole
         if last is not None and last.det.shape == det.shape:
-            member = last.members and last.members.get(det.tobytes())
-            walk = last[2:]
-            if not member:
-                moved = np.flatnonzero(det != last.det)
-                if len(moved) == 1:
-                    member, walk = self._walk_ahead(last, det, int(moved[0]))
-            if member:
-                base, (_, rows, dts, path), i = member
-                kept = (rows[i].copy(), dts[i], _with_paths(base[2], path, i))
-                self.walk = _Walk(det.copy(), kept, *walk)
-                return kept[2][-1][0]
+            batch = last.batch
+            i = batch and batch.members.get(det.tobytes())
+            if i:
+                walk = _Walk(batch.dets[i], batch.tree(i), last.gene,
+                             batch.steps[i], last.size, batch)
+            else:
+                walk = self._walk_ahead(last, det)
+            if walk is not None:
+                self.walk = walk
+                return walk.kept[2][-1][0]
         (runs,) = _schedule_runs(self.refs + det, self.segment_duration,
                                  self.trotter)
         if runs is None:
@@ -471,33 +503,63 @@ class _KeptPulses:
         self.walk = _Walk(det.copy(), kept)
         return kept[2][-1][0]
 
-    def _walk_ahead(self, last, det, gene):
-        """The (base tree, batch, 0) member of ``det``, one gene off
-        ``last``'s, in a batch with the next members of its walk, and the
-        walk's fields; or (None, None)."""
-        step = float(det.flat[gene]) - float(last.det.flat[gene])
-        size = 2
-        if (gene, step) == (last.gene, last.step):
-            size = min(2 * last.size, _WALK_CAP)
+    @staticmethod
+    def _origin(last, det):
+        """(detunings, tree, gene) of ``det``'s origin: the first of
+        ``last``'s pulse, its batch's origin and its batch's prepared
+        members that differs from ``det`` in exactly one gene; or None,
+        also for ``det`` equal to the last pulse's."""
+        moved = np.flatnonzero(det != last.det)
+        if len(moved) == 1:
+            return last.det, last.kept, int(moved[0])
+        batch = last.batch
+        if batch is None or not len(moved):
+            return None
+        moved = np.flatnonzero(det != batch.det)
+        if len(moved) == 1:
+            return batch.det, batch.kept, int(moved[0])
+        count = len(batch.batch[1])
+        moved = (batch.dets[:count] != det).reshape(count, -1)
+        hits = np.flatnonzero(np.count_nonzero(moved, axis=1) == 1)
+        if not len(hits):
+            return None
+        i = int(hits[0])
+        return batch.dets[i], batch.tree(i), int(np.flatnonzero(moved[i])[0])
+
+    def _walk_ahead(self, last, det):
+        """The :class:`_Walk` of ``det`` evolved from its origin in a batch
+        with the next members of its walk, or None."""
+        origin = self._origin(last, det)
+        if origin is None:
+            return None
+        base_det, base, gene = origin
+        step = float(det.flat[gene]) - float(base_det.flat[gene])
+        size, reflect = _WALK_START, True
+        if base_det is last.det and (gene, step) == (last.gene, last.step):
+            size, reflect = min(2 * last.size, _WALK_CAP), False
         q, s = divmod(gene, det.shape[1])
         values = [float(det[q, s])]
         for _ in range(size - 1):
             values.append(values[-1] + step)
-        dets = np.repeat(det[None], size, axis=0)
+        steps = [step] * size
+        if reflect:
+            values.insert(1, float(base_det[q, s]) - step)
+            steps.insert(1, -step)
+        dets = np.repeat(det[None], len(values), axis=0)
         dets[:, q, s] = values
         columns = self.refs + dets
         finite = np.isfinite(columns[:, q, s])
-        count = size if finite.all() else int(np.argmin(finite))
+        count = len(values) if finite.all() else int(np.argmin(finite))
         batch = count and _walk_batch(
             self.template,
             _schedule_runs(columns[:count], self.segment_duration,
                            self.trotter),
-            self.trotter.step, last.kept)
+            self.trotter.step, base)
         if not (batch and batch[0]):
-            return None, None
-        members = {dets[i].tobytes(): (last.kept, batch, i)
-                   for i in range(1, len(batch[1]))}
-        return (last.kept, batch, 0), (gene, step, size, members)
+            return None
+        members = {dets[i].tobytes(): i for i in range(1, len(batch[1]))}
+        batch = _Batch(base_det, base, dets, steps, batch, members)
+        return _Walk(dets[0], batch.tree(0), gene, step, size, batch)
 
 
 def _evolve_runs(template, runs, step):

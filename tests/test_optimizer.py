@@ -608,17 +608,20 @@ class TestFitnessPipeline:
         assert alone == [[fitness(k)(c) for c in walks[k]] for k in range(2)]
 
     @pytest.mark.parametrize("case", ["toy", "three_qubit"])
-    def test_walks_score_as_fresh_fitnesses(self, case):
+    def test_walks_score_as_fresh_fitnesses(self, case, caplog):
         # The shapes a local search calls: long walks at one gene (scored
         # ahead in batches), one across zero and powers of two (where
         # repeated additions leave the guessed binade), a reversal, moves
-        # at other genes, a two-gene move and chromosomes seen before.
-        device, constraints, references = {
+        # at other genes, a two-gene move, chromosomes seen before, -d
+        # after a rejected +d, the next gene moved from the point accepted
+        # before a rejected move, and a walk whose reflection is on a pole.
+        # ``pole`` is qubit M's detuning onto its resonator's pole.
+        device, constraints, references, pole = {
             "toy": (toy_two_transmon_chain(), toy_constraints(),
-                    TOY_REFERENCES),
+                    TOY_REFERENCES, 1.7),
             "three_qubit": (three_transmon_chain(),
                             three_qubit_constraints("references"),
-                            THREE_QUBIT_REFERENCES),
+                            THREE_QUBIT_REFERENCES, 1.95),
         }[case]
         x = seed_population(DEConfig(population_size=4, seed=71),
                             constraints, references, 10)[0]
@@ -638,14 +641,38 @@ class TestFitnessPipeline:
         move([4, 5], 1e-3, 4)
         walk += [walk[10], walk[11], walk[44]]
         move(3, 1e-3, 9)
+
+        def moved(point, gene, step):
+            walk.append(point.copy())
+            walk[-1][gene] += step
+            return walk[-1]
+
+        o = walk[-1]
+        moved(o, 8, 1e-3)
+        moved(o, 8, -1e-3)
+        a = moved(o, 9, 1e-3)
+        moved(a, 9, 1e-3)
+        moved(a, 10, 1e-3)
+        moved(a, 10, -1e-3)
+        # Down from just below the pole, a walk whose reflection (pole +
+        # 0.005) nobody asks for; then up onto the pole, asked for once.
+        move(15, pole - 0.005 - walk[-1][15], 1)
+        move(15, -0.01, 3)
+        move(15, 0.01, 4)
+        fresh = [ccphase_fitness(device, references, 1.0)(c) for c in walk]
+        assert fresh.count(0.0) == 1 and fresh[-1] == 0.0
+        caplog.clear()
         fitness = ccphase_fitness(device, references, 1.0)
-        got = [fitness(c) for c in walk]
-        assert got == [ccphase_fitness(device, references, 1.0)(c)
-                       for c in walk]
+        with caplog.at_level(logging.DEBUG, logger="fluxgate.optimizer"):
+            got = [fitness(c) for c in walk]
+        assert got == fresh
+        assert fitness.pole_failures == 1
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
 
     def test_walk_is_scored_ahead_in_growing_batches(self, monkeypatch):
-        # Along a walk at one gene the batches double up to the cap, and a
-        # call served from a batch runs no exponential.
+        # A walk at one gene starts with a batch of _WALK_START members
+        # and the reflection, and its later batches double up to the cap
+        # without one; a call served from a batch runs no exponential.
         fitness = ccphase_fitness(toy_two_transmon_chain(), TOY_REFERENCES,
                                   1.0)
         x = seed_population(DEConfig(population_size=4, seed=67),
@@ -664,11 +691,64 @@ class TestFitnessPipeline:
             x[3] += 1e-3
             rows.append([])
             fitness(x)
-        expected, size = [], 2
+        size = propagator._WALK_START
+        expected = [[size + 1]] + [[]] * (size - 1)
         while len(expected) < 30:
-            expected += [[size]] + [[]] * (size - 1)
             size = min(2 * size, propagator._WALK_CAP)
+            expected += [[size]] + [[]] * (size - 1)
+        assert expected[:20] == [[5]] + [[]] * 3 + ([[8]] + [[]] * 7) * 2
         assert rows == expected[:30]
+
+    def test_search_shapes_are_evolved_from_their_origin(self, monkeypatch):
+        # The two call shapes of a local search that are not one gene off
+        # the last call: -d after a rejected +d is served from the batch
+        # that +d opened, and a move of the next gene from the point
+        # accepted before a rejected move (an origin, or a later member
+        # of its batch) is evolved from that point's tree.  Neither takes
+        # the lone path, and each exponentiates only its own gene's run,
+        # one row per member, or nothing.
+        dev = toy_two_transmon_chain()
+        fitness = ccphase_fitness(dev, TOY_REFERENCES, 1.0)
+        x = seed_population(DEConfig(population_size=4, seed=67),
+                            toy_constraints(), TOY_REFERENCES, 10)[0]
+        fitness(x)
+
+        def moved(point, gene, step):
+            y = point.copy()
+            y[gene] += step
+            return y
+
+        d = 1e-3
+        a = moved(x, 4, d)
+        b = moved(a, 4, d)
+        calls = [moved(x, 3, d), moved(x, 3, -d),  # +d rejected, then -d
+                 a, b,  # the next gene from x, accepted twice
+                 moved(b, 4, d),  # rejected
+                 moved(b, 5, d), moved(b, 5, -d)]  # the next gene from b
+        rows, lone = [], []
+        segment_unitaries = propagator._segment_unitaries
+        run_unitaries = propagator._run_unitaries
+
+        def counting(template, r, dts):
+            rows[-1].append(len(r))
+            return segment_unitaries(template, r, dts)
+
+        def lone_path(*args):
+            lone.append(len(rows) - 1)
+            return run_unitaries(*args)
+
+        monkeypatch.setattr(propagator, "_segment_unitaries", counting)
+        monkeypatch.setattr(propagator, "_run_unitaries", lone_path)
+        got = []
+        for y in calls:
+            rows.append([])
+            got.append(fitness(y))
+        assert lone == []
+        start = [propagator._WALK_START + 1]
+        assert rows == [start, [], start, [], [], start, []]
+        monkeypatch.undo()
+        assert got == [ccphase_fitness(dev, TOY_REFERENCES, 1.0)(y)
+                       for y in calls]
 
     def test_walk_guessed_past_the_float_range(self):
         # A move to 1.5e308 guesses 3e308, inf, as the next member: the
@@ -693,11 +773,12 @@ class TestFitnessPipeline:
         x = np.zeros(20)
         x[12] = 1.56  # qubit M; from 1.7 on, 7.7 GHz, it is on the pole
         walk = [x]
-        for _ in range(14):  # up to the pole at walk[14], the eighth
+        for _ in range(14):  # up to the pole at walk[14], the second
             walk.append(walk[-1].copy())  # member of the third batch
             walk[-1][12] += 0.01
         y = walk[13]
-        for _ in range(6):  # and back down from the point before it
+        for _ in range(6):  # and back down from the point before it,
+            # a new walk whose reflection is the pole again
             y = y.copy()
             y[12] -= 0.01
             walk.append(y)
@@ -1018,6 +1099,22 @@ class TestRepairOracle:
         with pytest.raises(InfeasibilityError, match="window empty"):
             repair_chromosome(proposal, three_qubit_constraints("idle"),
                               THREE_QUBIT_REFERENCES, generator_at(state))
+
+    def test_signed_zero_window(self):
+        # At a 4.75 GHz reference ONE_QUBIT's edge windows are [0.0, -0.0],
+        # which ``lo > hi`` lets through: both modes put an edge value
+        # inside it, and clamp=False spends one draw per value outside:
+        # here every value, as no window reaches 0.2.
+        proposal = np.full((1, 4), 0.2)
+        for clamp in (True, False):
+            rng = np.random.default_rng(3)
+            got = repair_chromosome(proposal, ONE_QUBIT, (4.75,), rng,
+                                    clamp=clamp)
+            assert got[0, 0] == got[0, -1] == 0.0
+            assert validate_constraints(got, ONE_QUBIT, (4.75,)) == []
+            spent = np.random.default_rng(3)
+            spent.random(0 if clamp else 4)
+            assert rng.bit_generator.state == spent.bit_generator.state
 
     def test_budget_message(self):
         # Equal references and 0.1 GHz ranges can never sit 0.21 GHz apart.

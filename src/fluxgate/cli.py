@@ -33,7 +33,12 @@ from .device import (
     dressed_frequency,
     full_basis,
 )
-from .errors import EvolutionError, InfeasibilityError, _json_field
+from .errors import (
+    EvolutionError,
+    InfeasibilityError,
+    _check_number,
+    _json_field,
+)
 from .fidelity import (
     CompensationPhases,
     _fidelity_reports,
@@ -283,6 +288,7 @@ def _read_checkpoint(path, n_genes, population_size, config):
         if entry is not None:
             entry = {key: _json_field(entry, key, "state: local_search", kind)
                      for key, kind in _LOCAL_SEARCH_KEYS.items()}
+            _check_number("state: local_search: fidelity", entry["fidelity"])
     except ValueError as err:
         raise ValueError(f"resume state {path}: {err}") from None
     ls_genes = n_genes if entry is None else len(entry["chromosome"])

@@ -23,22 +23,24 @@ exactly zero.  The batch is checked once, for exact symmetry.
 
 The step unitaries are multiplied pairwise, level by level, in a tree
 whose shape depends only on the step count.  A lone pulse takes one
-path, :func:`_run_unitaries`: :func:`evolve` builds the whole tree on
-every call.  A fitness's pulses go through one :class:`_KeptPulses`, the
-one owner of reuse: it keeps the runs and tree of the previous pulse.
-A kept tree is updated in one way only, by a walk batch
-(:func:`_walk_batch`): pulses that change only runs the first of them
-changes have those runs exponentiated in one batch, and the nodes above
-them multiplied for all of them by one stacked matmul per node
-(:func:`_path_products`), with the bits each gets alone.  After a
-local-search move the pulse is a batch of one, so only the changed runs
-are exponentiated again and about log2(S) products are taken instead of
-S - 1.  A walk of one gene is evolved ahead of its calls as a batch of
-several, from an origin: the kept pulse one gene off the call, which
-may be the last call, the origin of the current batch or one of its
-members.  A batch that starts a walk also holds its reflection, the
-move a local search tries after a rejected one; its first batch holds
-4 steps and later ones 8.
+path, :func:`_run_unitaries`, which builds the whole tree: :func:`evolve`
+does so on every call.  A fitness's pulses go through one
+:class:`_KeptPulses`, the one owner of reuse: it keeps the runs and tree
+of the previous pulse.  Only a one-gene move reuses a kept tree, by a
+walk batch (:func:`_walk_batch`): pulses that change only the one run
+the first of them changes have that run exponentiated in one batch, and
+the nodes above it multiplied for all of them by one stacked matmul per
+level (:func:`_path_products`), with the bits each gets alone.  After a
+local-search move only that run is exponentiated again and about
+log2(S) products are taken instead of S - 1.  A walk of one gene is
+evolved ahead of its calls as a batch of several, from an origin: the
+kept pulse one gene off the call, which may be the last call, the
+origin of the current batch or one of its members.  A batch that starts
+a walk also holds its reflection, the move a local search tries after a
+rejected one; its first batch holds 4 steps and later ones 8.  Every
+other call (a move of two or more genes, a DE trial, a one-gene move
+that changes two runs or the run count) builds its tree whole, and a
+call that repeats the last pulse takes the kept tree as it is.
 
 Only a noise sweep's stacks take the batch path (:func:`_evolve_runs`):
 their runs share one exponential batch, and the pulses with equal run
@@ -241,26 +243,12 @@ def _sampled_runs(waveform, trotter):
     return runs
 
 
-def _run_unitaries(template, runs, step, kept):
+def _run_unitaries(template, runs, step):
     """The (rows, dts, levels) of :func:`_product_tree` of a lone pulse's
-    runs, reusing ``kept``, that triple of an earlier pulse, or None.
-
-    A warm pulse is a one-member :func:`_walk_batch`, the one way a kept
-    tree is updated: a pulse that changes no run of ``kept`` returns it
-    itself, and one that changes some of its runs (or its one run) has
-    only those exponentiated and the nodes above them multiplied again.
-    A pulse of another run shape, or one that changes every run of
-    several, gets the whole tree.  The levels may be the kept ones, so
-    callers never write into them.
+    runs, the whole tree built from its step unitaries.
 
     A run on a pole raises the EvolutionError :func:`evolve` raises.
     """
-    batch = None if kept is None else _walk_batch(template, [runs], step, kept)
-    if batch is not None:
-        fresh, rows, dts, path = batch
-        if not fresh:
-            return kept
-        return rows[0], dts[0], _with_paths(kept[2], path, 0)
     times, rows, counts = runs
     dts = counts * step
     try:
@@ -304,65 +292,55 @@ def _product_tree(u):
     return levels
 
 
-def _path_products(levels, u, fresh):
-    """The nodes above the sorted steps ``fresh`` of the tree ``levels``
-    with those steps replaced by each member of the (K, F, dim, dim) stack
-    ``u``: a list of one {index: (K, dim, dim) node} dict per level, the
-    steps first.
+def _path_products(levels, u, j):
+    """The nodes above step ``j`` of the tree ``levels`` with that step
+    replaced by each member of the (K, dim, dim) stack ``u``: a list of
+    one (K, dim, dim) stack per level, ``u`` first.
 
     A node is the product :func:`_product_tree` takes, of the same two
-    matrices in the same order, each the members' new node or the kept one
-    of ``levels``: one stacked matmul over the K members.  A node with no
+    matrices in the same order, the members' new node and the kept one of
+    ``levels``: one stacked matmul over the K members.  A node with no
     right neighbour is carried up.
     """
-    nodes = dict(zip(fresh, u.swapaxes(0, 1)))
-    path = [nodes]
+    path = [u]
     for below in levels[:-1]:
-        n = len(below)
-        up = {}
-        for j, node in nodes.items():
-            if j // 2 in up:  # its earlier sibling came first
-                continue
-            k = j ^ 1
-            if k < n:
-                other = nodes[k] if k in nodes else below[k]
-                node = node @ other if j % 2 else other @ node
-            up[j // 2] = node
-        nodes = up
-        path.append(nodes)
+        k = j ^ 1
+        if k < len(below):
+            u = u @ below[k] if j % 2 else below[k] @ u
+        j //= 2
+        path.append(u)
     return path
 
 
-def _with_paths(levels, path, i):
+def _with_path(levels, path, j, i):
     """The tree ``levels`` with member ``i``'s nodes of ``path``
-    (:func:`_path_products`) in place of its own, each copied so that the
-    tree holds no stack it came from.  The other nodes are shared with
-    ``levels``, which is left as it is."""
+    (:func:`_path_products` of step ``j``) in place of its own, each
+    copied so that the tree holds no stack it came from.  The other nodes
+    are shared with ``levels``, which is left as it is."""
     tree = []
     for level, nodes in zip(levels, path):
         level = list(level)
-        for j, node in nodes.items():
-            level[j] = node[i].copy()
+        level[j] = nodes[i].copy()
         tree.append(level)
+        j //= 2
     return tree
 
 
 def _walk_batch(template, runs, step, kept):
-    """Evolve from ``kept``, the (rows, dts, levels) of
-    :func:`_run_unitaries` of an earlier pulse, the leading pulses of
-    ``runs``, a list of :func:`_schedule_runs` triples, that have kept's
-    run shape and change only runs that the first changes.
+    """Evolve from ``kept``, the (rows, dts, levels) of an earlier pulse,
+    the leading pulses of ``runs``, a list of :func:`_schedule_runs`
+    triples, that have kept's run shape and change only the one run that
+    the first changes.
 
-    Returns None when the first needs a whole tree: it has another run
-    shape, or changes every run of several.  Otherwise (fresh, rows, dts,
-    path): the sorted runs the first changes, the members' rows and dts,
-    and the :func:`_path_products` of their changed runs, exponentiated
-    in one batch; path is None when ``fresh`` is empty, the first pulse
-    being kept's own.  Member i's tree is then
-    ``(rows[i], dts[i], _with_paths(levels, path, i))``, with the bits the
-    member gets alone, because a row's exponential does not depend on its
-    batch and each node multiplies the same two matrices.  A member on a
-    pole ends the batch before it; the first on a pole raises the
+    Returns None when the first changes no run, or more than one, or has
+    another run shape: it needs a whole tree.  Otherwise (j, rows, dts,
+    path): the run j the first changes, the members' rows and dts, and
+    the :func:`_path_products` of their run j, exponentiated in one
+    batch.  Member i's tree is then
+    ``(rows[i], dts[i], _with_path(levels, path, j, i))``, with the bits
+    the member gets alone, because a row's exponential does not depend on
+    its batch and each node multiplies the same two matrices.  A member
+    on a pole ends the batch before it; the first on a pole raises the
     EvolutionError :func:`evolve` raises.
     """
     rows, dts, levels = kept
@@ -378,29 +356,24 @@ def _walk_batch(template, runs, step, kept):
     changed = (members.view(np.uint64) != rows.view(np.uint64)).any(axis=2)
     changed |= spans.view(np.uint64) != dts.view(np.uint64)
     fresh = np.flatnonzero(changed[0])
-    if len(fresh) == len(rows) > 1:
+    if len(fresh) != 1:
         return None
-    if not len(fresh):
-        return [], members[:1], spans[:1], None
-    changed[:, fresh] = False
+    j = int(fresh[0])
+    changed[:, j] = False
     stray = changed.any(axis=1)
     if stray.any():
         count = int(stray.argmax())
     while True:
         try:
-            u = _segment_unitaries(
-                template, members[:count, fresh].reshape(-1, rows.shape[1]),
-                spans[:count, fresh].reshape(-1))
+            u = _segment_unitaries(template, members[:count, j],
+                                   spans[:count, j])
         except SingularityError as err:
-            count, row = divmod(err.row, len(fresh))
+            count = err.row
             if not count:
-                err.row = int(fresh[row])
+                err.row = j
                 raise _pole_error(err, runs[0][0]) from err
             continue
-        fresh = fresh.tolist()
-        u = u.reshape(count, len(fresh), *u.shape[1:])
-        return (fresh, members[:count], spans[:count],
-                _path_products(levels, u, fresh))
+        return j, members[:count], spans[:count], _path_products(levels, u, j)
 
 
 _WALK_START = 4  # first batch of a walk, chosen by measurement (CHANGES.md)
@@ -423,8 +396,8 @@ class _Batch(NamedTuple):
 
     def tree(self, i):
         """Member ``i``'s (rows, dts, levels), built when it is asked for."""
-        _, rows, dts, path = self.batch
-        return rows[i].copy(), dts[i], _with_paths(self.kept[2], path, i)
+        j, rows, dts, path = self.batch
+        return rows[i].copy(), dts[i], _with_path(self.kept[2], path, j, i)
 
 
 class _Walk(NamedTuple):
@@ -447,22 +420,23 @@ class _KeptPulses:
     ``segment_duration`` ns, with the bits :func:`evolve` gives each.
 
     It keeps the runs and product tree of the last pulse it evolved, and
-    updates it only through :func:`_walk_batch`.  A pulse that no prepared
-    member serves looks for an origin, a pulse whose tree it holds and
-    that differs from the call in exactly one gene: the last pulse, the
-    origin of the current batch, then that batch's prepared members (a
-    member's tree is built only when it is chosen).  A pulse one gene off
-    its origin o, by d, is evolved in one batch with the next K - 1
-    pulses of its walk, that gene moved by d again and again.  A batch
-    that starts a walk also holds the reflection, o's gene moved by -d,
-    second: a local search tries it after a rejected +d.  A batch that
-    continues the walk from the last pulse, at the same gene and step,
-    does not, because the search never returns to the point it just
-    left.  K is ``_WALK_START`` for a new walk and doubles, up to
-    ``_WALK_CAP``, while the calls go on along it.  A later call with a
-    prepared member takes its tree from the batch.  A pulse with no
-    origin takes the lone path (:func:`_run_unitaries`), where a pulse of
-    the kept run shape is a batch of one.
+    reuses a kept tree only along a one-gene move, through
+    :func:`_walk_batch`.  A pulse equal to the last takes its tree as it
+    is.  A pulse that no prepared member serves looks for an origin, a
+    pulse whose tree it holds and that differs from the call in exactly
+    one gene: the last pulse, the origin of the current batch, then that
+    batch's prepared members (a member's tree is built only when it is
+    chosen).  A pulse one gene off its origin o, by d, is evolved in one
+    batch with the next K - 1 pulses of its walk, that gene moved by d
+    again and again.  A batch that starts a walk also holds the
+    reflection, o's gene moved by -d, second: a local search tries it
+    after a rejected +d.  A batch that continues the walk from the last
+    pulse, at the same gene and step, does not, because the search never
+    returns to the point it just left.  K is ``_WALK_START`` for a new
+    walk and doubles, up to ``_WALK_CAP``, while the calls go on along
+    it.  A later call with a prepared member takes its tree from the
+    batch.  Every other pulse (no origin, or a move that changes two runs
+    or the run count) builds its tree whole (:func:`_run_unitaries`).
 
     Threads may share one: each call reads the :class:`_Walk` once and
     replaces it whole, and nothing kept is written into, so a race loses
@@ -478,14 +452,16 @@ class _KeptPulses:
         self.walk = None
 
     def unitary(self, det):
-        """The unitary of ``det``'s pulse: a prepared member's, one from a
-        new walk batch, or the lone path's from the kept tree; never write
-        into it.  A pole raises its EvolutionError, keeping the
-        tree."""
+        """The unitary of ``det``'s pulse: the last pulse's, a prepared
+        member's, one from a new walk batch, or a whole tree's; never write
+        into it.  A pole raises its EvolutionError, keeping the tree."""
         last = self.walk  # read once: other threads replace it whole
         if last is not None and last.det.shape == det.shape:
+            key = det.tobytes()
+            if key == last.det.tobytes():
+                return last.kept[2][-1][0]
             batch = last.batch
-            i = batch and batch.members.get(det.tobytes())
+            i = batch and batch.members.get(key)
             if i:
                 walk = _Walk(batch.dets[i], batch.tree(i), last.gene,
                              batch.steps[i], last.size, batch)
@@ -498,8 +474,7 @@ class _KeptPulses:
                                  self.trotter)
         if runs is None:
             return np.eye(self.template.dim, dtype=complex)
-        kept = _run_unitaries(self.template, runs, self.trotter.step,
-                              None if last is None else last.kept)
+        kept = _run_unitaries(self.template, runs, self.trotter.step)
         self.walk = _Walk(det.copy(), kept)
         return kept[2][-1][0]
 
@@ -555,7 +530,7 @@ class _KeptPulses:
             _schedule_runs(columns[:count], self.segment_duration,
                            self.trotter),
             self.trotter.step, base)
-        if not (batch and batch[0]):
+        if not batch:
             return None
         members = {dets[i].tobytes(): i for i in range(1, len(batch[1]))}
         batch = _Batch(base_det, base, dets, steps, batch, members)
@@ -645,4 +620,4 @@ def evolve(device, waveform, trotter=TrotterConfig(), basis=None):
     runs = _sampled_runs(waveform, trotter)
     if runs is None:
         return np.eye(template.dim, dtype=complex)
-    return _run_unitaries(template, runs, trotter.step, None)[2][-1][0]
+    return _run_unitaries(template, runs, trotter.step)[2][-1][0]

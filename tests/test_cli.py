@@ -771,6 +771,45 @@ class TestOptimizeInputErrors:
         self.expect_error(capsys, rc, message)
         assert not list(workdir.glob("resumed*"))
 
+    @pytest.mark.parametrize("key, edit, message", [
+        ("mutation_factors", lambda value: value[:5],
+         "state: mutation_factors holds 5 values for 8 population members"),
+        ("crossover_rates", lambda value: value[:5],
+         "state: crossover_rates holds 5 values for 8 population members"),
+        ("fitnesses", lambda value: value[:7],
+         "state: fitnesses holds 7 values for 8 population members"),
+        ("fitnesses", lambda value: [value[0], math.nan, *value[2:]],
+         "state: fitnesses[1] must be finite, got nan"),
+        ("rng_state", lambda value: {"bit_generator": "PCG64"},
+         "state: rng_state is not a PCG64 state (KeyError: 'state')"),
+        ("local_search", lambda value: dict(value, fidelity=math.nan),
+         "state: local_search: fidelity must be finite, got nan"),
+    ], ids=["short_mutation_factors", "short_crossover_rates",
+            "short_fitnesses", "nan_fitness", "rng_state_without_state",
+            "nan_fidelity"])
+    def test_resume_with_malformed_state(self, workdir, capsys, key, edit,
+                                         message):
+        # Short per-member lists were an IndexError traceback or numpy's
+        # "operands could not be broadcast", an rng_state without "state"
+        # a KeyError traceback, and a NaN local-search fidelity an
+        # EvaluationError traceback, each exiting 1.  A NaN fitness ran
+        # to exit 0 with a NaN DE fidelity in the manifest, and under a
+        # higher max_generations printed generation 2 forever.
+        (workdir / "ls.json").write_text(json.dumps({
+            "eps_max": 0.01, "eps_min": 0.001, "max_iterations": 1}))
+        search = ("--local-search", str(workdir / "ls.json"))
+        assert self.optimize(workdir, extra=(
+            *search, "--state-out", "st.json")) == 0
+        capsys.readouterr()
+        state = read_json(workdir / "st.json")
+        state[key] = edit(state[key])
+        (workdir / "st.json").write_text(json.dumps(state))
+        rc = self.optimize(workdir, extra=(
+            *search, "--out", "resumed.csv",
+            "--resume", str(workdir / "st.json")))
+        self.expect_error(capsys, rc, message)
+        assert not list(workdir.glob("resumed*"))
+
     def test_resume_under_other_configuration(self, workdir, capsys):
         # A state written with seed 3 and the ccphase target, resumed with
         # another seed and target: refused before any evaluation or write.

@@ -704,8 +704,8 @@ class TestFitnessPipeline:
         # the last call: -d after a rejected +d is served from the batch
         # that +d opened, and a move of the next gene from the point
         # accepted before a rejected move (an origin, or a later member
-        # of its batch) is evolved from that point's tree.  Neither takes
-        # the lone path, and each exponentiates only its own gene's run,
+        # of its batch) is evolved from that point's tree.  Neither builds
+        # a whole tree, and each exponentiates only its own gene's run,
         # one row per member, or nothing.
         dev = toy_two_transmon_chain()
         fitness = ccphase_fitness(dev, TOY_REFERENCES, 1.0)
@@ -749,6 +749,57 @@ class TestFitnessPipeline:
         monkeypatch.undo()
         assert got == [ccphase_fitness(dev, TOY_REFERENCES, 1.0)(y)
                        for y in calls]
+
+    def test_move_that_shifts_a_run_boundary_builds_a_whole_tree(
+            self, monkeypatch):
+        # Columns 3 and 4 are one run and column 5 differs from them in
+        # qubit 1 alone.  Moving gene (1, 4) onto column 5's value merges
+        # column 4 into its right neighbour's run and splits it from its
+        # left one: the run count stays 9 but two runs change, so no walk
+        # batch serves the call and its tree is built whole, with the
+        # bits of a fresh fitness.  The next one-gene move from it opens
+        # a walk batch again.
+        dev = toy_two_transmon_chain()
+        det = np.array([0.01 * np.arange(10), -0.02 * np.arange(10)])
+        det[:, 4] = det[:, 3]
+        det[0, 5] = det[0, 4]
+        x = det.reshape(-1)
+        shifted = x.copy()
+        shifted[10 + 4] = det[1, 5]
+        walked = shifted.copy()
+        walked[8] += 1e-3
+        fitness = ccphase_fitness(dev, TOY_REFERENCES, 1.0)
+        fitness(x)
+        rows, batches, whole = [], [], []
+        segment_unitaries = propagator._segment_unitaries
+        walk_batch = propagator._walk_batch
+        run_unitaries = propagator._run_unitaries
+
+        def counting(template, r, dts):
+            rows[-1].append(len(r))
+            return segment_unitaries(template, r, dts)
+
+        def batch(template, runs, step, kept):
+            batches.append((len(runs[0][1]), len(kept[0])))
+            return walk_batch(template, runs, step, kept)
+
+        def built(template, runs, step):
+            whole.append(len(rows) - 1)
+            return run_unitaries(template, runs, step)
+
+        monkeypatch.setattr(propagator, "_segment_unitaries", counting)
+        monkeypatch.setattr(propagator, "_walk_batch", batch)
+        monkeypatch.setattr(propagator, "_run_unitaries", built)
+        got = []
+        for y in (shifted, walked):
+            rows.append([])
+            got.append(fitness(y))
+        assert batches == [(9, 9), (9, 9)]
+        assert whole == [0]
+        assert rows == [[9], [propagator._WALK_START + 1]]
+        monkeypatch.undo()
+        assert got == [ccphase_fitness(dev, TOY_REFERENCES, 1.0)(y)
+                       for y in (shifted, walked)]
 
     def test_walk_guessed_past_the_float_range(self):
         # A move to 1.5e308 guesses 3e308, inf, as the next member: the

@@ -89,44 +89,45 @@ def random_schedules(count, seed):
             for c in population[:count]]
 
 
-def runs_of(frequencies):
-    """The runs of the pulse of absolute ``frequencies`` (n_qubits,
-    n_segments) on 1 ns segments, at the default step, as a fitness finds
-    them."""
-    (runs,) = propagator._schedule_runs(frequencies[None], 1.0,
-                                        TrotterConfig())
-    return runs
+def kept_pulses(device, references=(5.0, 6.0, 7.0)):
+    """A fitness's kept pulses: detunings around ``references`` on 1 ns
+    segments, at the default step."""
+    return propagator._KeptPulses(_template(device, basis_for(device)),
+                                  references, 1.0, TrotterConfig())
 
 
-def lone(device, frequencies, kept=None):
-    """The (rows, dts, levels) triple of the lone path for the pulse of
-    absolute ``frequencies`` on 1 ns segments, reusing ``kept``, the
-    triple of an earlier pulse, as a fitness's pulses take it."""
-    return propagator._run_unitaries(
-        _template(device, basis_for(device)), runs_of(frequencies),
-        TrotterConfig().step, kept)
-
-
-def warm(device, kept, det):
-    """:func:`lone` for the 1 ns pulse with detunings ``det`` around
-    5/6/7 GHz, from the triple ``kept`` updated to it."""
-    return lone(device, np.array([[5.0], [6.0], [7.0]]) + det, kept)
+def kept_tree(pulses, det):
+    """The (rows, dts, levels) triple ``pulses`` keeps after evolving
+    ``det``."""
+    pulses.unitary(det)
+    return pulses.walk.kept
 
 
 def unitary(kept):
-    """The total unitary of a lone-path triple: its tree's root."""
+    """The total unitary of a (rows, dts, levels) triple: its tree's root."""
     return kept[2][-1][0]
 
 
+def assert_cold_levels(device, kept):
+    """Every level of the tree of ``kept`` has the bits of the tree built
+    cold from its rows and dts."""
+    rows, dts, levels = kept
+    cold = propagator._product_tree(propagator._segment_unitaries(
+        _template(device, basis_for(device)), rows, dts))
+    assert len(levels) == len(cold)
+    for got, want in zip(levels, cold):
+        assert same_bytes(np.array(got), want)
+
+
 def counting_updates(monkeypatch):
-    """Record the changed runs of each one-member warm batch: the lone
-    path's update of a kept tree."""
+    """Record the run each walk batch updates: the one way a kept tree is
+    updated."""
     updates = []
     walk_batch = propagator._walk_batch
 
     def counting(template, runs, step, kept):
         batch = walk_batch(template, runs, step, kept)
-        if len(runs) == 1 and batch is not None and batch[0]:
+        if batch is not None:
             updates.append(batch[0])
         return batch
 
@@ -197,10 +198,14 @@ class TestEvolve:
             assert np.array_equal(batch[i], alone[0])
 
     def test_cold_and_warm_cache_bit_equal(self, device, monkeypatch):
+        # A repeated call takes the kept tree with no exponential; a call
+        # that moves half the segments from another schedule builds its
+        # tree cold, and a one-gene move from it updates one run.
         sched, second = random_schedules(2, seed=23)
-        other = sched.with_detunings(
-            np.concatenate([sched.detunings[:, :25],
-                            second.detunings[:, 25:]], axis=1))
+        other = np.concatenate([sched.detunings[:, :25],
+                                second.detunings[:, 25:]], axis=1)
+        moved = sched.detunings.copy()
+        moved[2, 9] += 1e-3
         batches = []
         segment_unitaries = propagator._segment_unitaries
 
@@ -209,25 +214,29 @@ class TestEvolve:
             return segment_unitaries(template, rows, dts)
 
         monkeypatch.setattr(propagator, "_segment_unitaries", counting)
-        kept = lone(device, sched.absolute_frequencies())
-        cold = unitary(kept)
-        again = unitary(lone(device, sched.absolute_frequencies(), kept))
-        # Half the segments reused from another schedule's batch, half fresh.
-        kept = lone(device, other.absolute_frequencies())
-        mixed = unitary(lone(device, sched.absolute_frequencies(), kept))
-        assert batches == [50, 50, 25]
+        pulses = kept_pulses(device, THREE_QUBIT_REFERENCES)
+        cold = pulses.unitary(sched.detunings)
+        again = pulses.unitary(sched.detunings.copy())
+        pulses.unitary(other)
+        mixed = pulses.unitary(sched.detunings)
+        assert batches == [50, 50, 50]
         assert np.array_equal(cold, again)
         assert np.array_equal(cold, mixed)
+        walked = pulses.unitary(moved)
+        assert batches[3:] == [propagator._WALK_START + 1]
+        assert np.array_equal(walked, evolve(device, PiecewiseConstantWaveform(
+            sched.with_detunings(moved))))
+        del batches[:]
         # evolve keeps nothing: it exponentiates every run on every call.
         for _ in range(2):
             assert np.array_equal(
                 cold, evolve(device, PiecewiseConstantWaveform(sched)))
-        assert batches == [50, 50, 25, 50, 50]
+        assert batches == [50, 50]
         # Nor does the scorer: each score_waveform is one full batch.
         scores = [score_waveform(device, PiecewiseConstantWaveform(sched),
                                  controlled_phase_ideal(3))
                   for _ in range(2)]
-        assert batches == [50, 50, 25, 50, 50, 50, 50]
+        assert batches == [50, 50, 50, 50]
         assert scores[0].fidelity == scores[1].fidelity
 
     def test_writing_into_a_result_leaves_reuse_intact(self, device,
@@ -235,8 +244,8 @@ class TestEvolve:
                                                        monkeypatch):
         # One run (the idle pulse) and 50 runs: the caller owns evolve's
         # result and a score's compensated unitary, and the next score of
-        # the same pulse reuses the kept steps and tree, as does a
-        # one-segment move of it and the move back.
+        # the same pulse reuses the kept tree, as does a one-segment move
+        # of the 50-run pulse and the move back.
         updates = counting_updates(monkeypatch)
         for sched in (idle_schedule, random_schedules(1, seed=29)[0]):
             wf = PiecewiseConstantWaveform(sched)
@@ -249,24 +258,21 @@ class TestEvolve:
             assert np.array_equal(evolve(device, wf), want)
             scorer = _Scorer(device, TrotterConfig(),
                              controlled_phase_ideal(3))
-            frequencies = sched.absolute_frequencies()
-            kept = lone(device, frequencies)
-            report = scorer.report(unitary(kept))
+            pulses = kept_pulses(device, sched.search_references)
+            report = scorer.report(pulses.unitary(sched.detunings))
             compensated = report.compensated.copy()
             report.compensated[...] = 0.0
-            kept = lone(device, frequencies, kept)
-            assert np.array_equal(unitary(kept), want)
-            kept = lone(device, frequencies, kept)
+            assert np.array_equal(pulses.unitary(sched.detunings), want)
             assert np.array_equal(
-                scorer.report(unitary(kept)).compensated, compensated)
-            kept = lone(device, moved.absolute_frequencies(), kept)
+                scorer.report(pulses.unitary(sched.detunings)).compensated,
+                compensated)
             assert np.array_equal(
-                unitary(kept),
+                pulses.unitary(moved.detunings),
                 evolve(device, PiecewiseConstantWaveform(moved)))
-            kept = lone(device, frequencies, kept)
-            assert np.array_equal(unitary(kept), want)
-        # The 50-run pulse's move and move back update the kept tree.
-        assert updates == [[17], [17]]
+            assert np.array_equal(pulses.unitary(sched.detunings), want)
+        # The 50-run pulse's move and move back update the kept tree; the
+        # idle pulse's split its one run, so each builds a whole tree.
+        assert updates == [17, 17]
 
     def test_trotter_halving(self, device):
         rng = np.random.default_rng(3)
@@ -321,20 +327,33 @@ class TestEvolve:
         assert err.value.transmon == 2
         assert err.value.time == pytest.approx(1.05)
 
-    def test_earliest_pole_among_changed_runs_is_reported(self, device):
-        # A clean pulse of the same shape leaves segments 0, 2 and 4 to
-        # reuse, so only segments 1 and 3 are exponentiated; the pole's
-        # position in that batch must map back to segment 1.
+    def test_earliest_pole_among_changed_runs_is_reported(self, device,
+                                                          monkeypatch):
+        # From a clean pulse of five runs, a one-gene move puts qubit L
+        # onto its 8.05 GHz resonator in segment 3: the walk batch
+        # exponentiates that run alone, and the pole's row must map back
+        # to segment 3.  A move that also puts qubit R onto its 8.2 GHz
+        # resonator in segment 1 builds its tree whole and reports the
+        # earlier segment.  Neither call changes the kept tree.
+        updates = counting_updates(monkeypatch)
         clean = np.zeros((3, 5))
         clean[2, 1] = clean[0, 3] = 0.1
-        poles = np.zeros((3, 5))
-        poles[2, 1] = 1.2
-        poles[0, 3] = 3.05
-        kept = warm(device, None, clean)
+        pulses = kept_pulses(device)
+        kept = kept_tree(pulses, clean)
+        one = clean.copy()
+        one[0, 3] = 3.05
         with pytest.raises(EvolutionError) as err:
-            warm(device, kept, poles)
+            pulses.unitary(one)
+        assert err.value.transmon == 0
+        assert err.value.time == pytest.approx(3.05)
+        both = one.copy()
+        both[2, 1] = 1.2
+        with pytest.raises(EvolutionError) as err:
+            pulses.unitary(both)
         assert err.value.transmon == 2
         assert err.value.time == pytest.approx(1.05)
+        assert pulses.walk.kept is kept
+        assert updates == []
 
     def test_non_finite_sample_names_time_and_qubit(self, device):
         # A plain Waveform, so it is sampled at every step's midpoint.
@@ -376,9 +395,10 @@ class TestEvolve:
 
 
 class TestProductTree:
-    """The lone path, handed the pairwise product tree it built for the
-    last pulse, multiplies again only the nodes above the runs that
-    changed.  evolve keeps nothing, so it is the cold oracle."""
+    """A fitness's kept pulses, handed a one-gene move of the last pulse,
+    multiply again only the nodes above the one run that changed; every
+    other call builds its tree cold.  evolve keeps nothing, so it is the
+    cold oracle."""
 
     @pytest.mark.parametrize("segments", [1, 2, 3, 7, 50])
     def test_warm_tree_equals_cold_product(self, device, segments,
@@ -387,44 +407,55 @@ class TestProductTree:
         updates = counting_updates(monkeypatch)
         last = segments - 1
         # Moves of one run (the last one is carried up every odd level),
-        # of two runs, and of every run.
+        # which update the kept tree, and of two runs and of every run,
+        # which build it whole.
         moves = [[0], [last], [segments // 2], [0, last],
                  [segments // 2, last], list(range(segments)), [last]]
         det = rng.uniform(-0.1, 0.1, size=(3, segments))
-        kept = warm(device, None, det)
+        pulses = kept_pulses(device)
+        pulses.unitary(det)
+        want = []
         for k, moved in enumerate(moves):
             det = det.copy()
             det[k % 3, moved] += rng.uniform(1e-4, 1e-3, size=len(moved))
-            kept = warm(device, kept, det)
-            assert np.array_equal(unitary(kept),
-                                  evolve(device, pulse(det)))
+            if len(set(moved)) == 1:
+                want.append(moved[0])
+            kept = kept_tree(pulses, det)
+            assert np.array_equal(unitary(kept), evolve(device, pulse(det)))
+            assert_cold_levels(device, kept)
         # A change of run count starts a new tree, which moves then update.
         det = np.concatenate([det, det[:, -1:] + 0.01], axis=1)
         for k in range(3):
             if k:
                 det = det.copy()
                 det[k, -1] += 1e-3
-            kept = warm(device, kept, det)
-            assert np.array_equal(unitary(kept),
-                                  evolve(device, pulse(det)))
-        assert len(updates) >= 5
-        assert [last] in updates
+                want.append(segments)
+            kept = kept_tree(pulses, det)
+            assert np.array_equal(unitary(kept), evolve(device, pulse(det)))
+            assert_cold_levels(device, kept)
+        assert updates == want
+        assert last in updates
 
     def test_pole_call_between_moves_keeps_tree(self, device, monkeypatch):
         rng = np.random.default_rng(41)
         updates = counting_updates(monkeypatch)
         det = rng.uniform(-0.1, 0.1, size=(3, 7))
-        kept = warm(device, None, det)
+        pulses = kept_pulses(device)
+        kept = kept_tree(pulses, det)
         poles = det.copy()
         poles[2, 3] = 1.2  # qubit R onto its 8.2 GHz resonator
-        with pytest.raises(EvolutionError):
-            warm(device, kept, poles)
+        with pytest.raises(EvolutionError):  # a one-gene move: a walk
+            pulses.unitary(poles)
+        poles[1, 0] += 1e-3
+        with pytest.raises(EvolutionError):  # two genes: a whole tree
+            pulses.unitary(poles)
+        assert pulses.walk.kept is kept
         moved = det.copy()
         moved[0, 5] += 1e-3
-        assert np.array_equal(unitary(warm(device, kept, moved)),
+        assert np.array_equal(pulses.unitary(moved),
                               evolve(device, pulse(moved)))
-        # The pole call kept nothing: the move updates the tree before it.
-        assert updates == [[5]]
+        # The pole calls kept nothing: the move updates the tree before it.
+        assert updates == [5]
 
     def test_stored_tree_is_never_written(self, device, monkeypatch):
         # Threads that share a fitness share its kept tree without a lock
@@ -434,18 +465,16 @@ class TestProductTree:
         rng = np.random.default_rng(47)
         updates = counting_updates(monkeypatch)
         det = rng.uniform(-0.1, 0.1, size=(3, 12))
-        last = None
+        pulses = kept_pulses(device)
         kept = []
 
         def call(det):
-            nonlocal last
-            last = warm(device, last, det)
-            tree = last[2]
+            tree = kept_tree(pulses, det)[2]
             kept.append((tree, [np.array(level).tobytes() for level in tree]))
 
         call(det)
-        # One changed run, two, all of them (a full rebuild) from an
-        # updated tree and from a rebuilt one, a pole, then more moves.
+        # One changed run, two and all of them (whole trees) after an
+        # updated tree and after a whole one, a pole, then more moves.
         every = list(range(12))
         for moved in ([4], [0, 11], every, every, None, [7], [3, 8], [11]):
             det = det.copy()
@@ -453,13 +482,12 @@ class TestProductTree:
                 poles = det.copy()
                 poles[2, 5] = 1.2  # qubit R onto its 8.2 GHz resonator
                 with pytest.raises(EvolutionError):
-                    warm(device, last, poles)
+                    pulses.unitary(poles)
                 continue
             det[rng.integers(3), moved] += rng.uniform(1e-4, 1e-3,
                                                         size=len(moved))
             call(det)
-        assert [4] in updates and [0, 11] in updates
-        assert every not in updates  # rebuilt, not updated
+        assert updates == [4, 7, 11]
         for tree, snapshot in kept:
             assert [np.array(level).tobytes() for level in tree] == snapshot
 
@@ -471,51 +499,51 @@ class TestProductTree:
         rng = np.random.default_rng(53)
         updates = counting_updates(monkeypatch)
         det = rng.uniform(-0.1, 0.1, size=(3, 12))
-        kept = warm(device, None, det)
+        pulses = kept_pulses(device)
+        pulses.unitary(det)
         det = det.copy()
         det[1, 4] += 1e-3
-        kept = warm(device, kept, det)
-        assert updates == [[4]]
+        kept = kept_tree(pulses, det)
+        assert updates == [4]
         assert isinstance(kept[2][0], list)
+        assert_cold_levels(device, kept)
         det = det + rng.uniform(1e-4, 1e-3, size=det.shape)
-        kept = warm(device, kept, det)
+        kept = kept_tree(pulses, det)
         assert np.array_equal(unitary(kept), evolve(device, pulse(det)))
-        assert updates == [[4]]
-        rows, dts, levels = kept
-        assert len(rows) == 12
-        cold = propagator._product_tree(propagator._segment_unitaries(
-            _template(device, basis_for(device)), rows, dts))
-        assert len(levels) == len(cold)
-        for got, want in zip(levels, cold):
-            assert same_bytes(np.array(got), want)
+        assert updates == [4]
+        assert len(kept[0]) == 12
+        assert_cold_levels(device, kept)
 
     def test_levels_match_stacked_loop(self):
         # Every node of every member's updated tree, not only the product,
         # has the bits of the same node built by the stacked pairwise loop
-        # over that member's steps, in batches of one member and of three.
+        # over that member's steps: one step replaced at every index of an
+        # odd and an even step count, in batches of one member and of
+        # three, each update made to the tree the one before it left.
         rng = np.random.default_rng(43)
 
         def matrices(*shape):
             return rng.normal(size=(*shape, 6, 6)) \
                 + 1j * rng.normal(size=(*shape, 6, 6))
 
-        for members in (1, 3):
-            u = matrices(13)
-            levels = propagator._product_tree(u)
-            for fresh in ([12], [3, 4], [0, 5, 11], [12]):
-                new = matrices(members, len(fresh))
-                path = propagator._path_products(levels, new, fresh)
-                trees = [propagator._with_paths(levels, path, i)
-                         for i in range(members)]
-                for i, tree in enumerate(trees):
-                    steps = u.copy()
-                    steps[fresh] = new[i]
-                    cold = propagator._product_tree(steps)
-                    assert len(tree) == len(cold)
-                    for got, want in zip(tree, cold):
-                        assert same_bytes(np.array(got), want)
-                u[fresh] = new[-1]
-                levels = trees[-1]
+        for steps in (13, 12):
+            for members in (1, 3):
+                u = matrices(steps)
+                levels = propagator._product_tree(u)
+                for j in [*range(steps), steps - 1]:
+                    new = matrices(members)
+                    path = propagator._path_products(levels, new, j)
+                    trees = [propagator._with_path(levels, path, j, i)
+                             for i in range(members)]
+                    for i, tree in enumerate(trees):
+                        cold = u.copy()
+                        cold[j] = new[i]
+                        cold = propagator._product_tree(cold)
+                        assert len(tree) == len(cold)
+                        for got, want in zip(tree, cold):
+                            assert same_bytes(np.array(got), want)
+                    u[j] = new[-1]
+                    levels = trees[-1]
 
 
 def frozen_expm_stack(h, dts, herm_tol=1e-12):
